@@ -17,6 +17,7 @@ import numpy as np
 from .mdp import (
     EnumerationBudgetError,
     InducedChain,
+    SolverConvergenceError,
     TabularMdp,
 )
 
@@ -193,6 +194,41 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
     return m.transitions[idx, policies], m.rewards[idx, policies]
 
 
+def _policy_batch(m: TabularMdp, budget: int):
+    """Every deterministic policy with its induced chains, classified in one
+    batch: (policies, P_all, r_all, recurrent, multi), where recurrent[i]
+    marks the states in closed classes of policy i's chain and multi[i] is
+    True when that chain has more than one closed class."""
+    policies = all_deterministic_policies(m.num_states, m.num_actions, budget)
+    P_all, r_all = induced_chain_batch(m, policies)
+    comm, recurrent = _structure_masks(P_all > 0)
+    multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
+    return policies, P_all, r_all, recurrent, multi
+
+
+def _batch_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
+    """Aperiodicity of the single closed class of each chain in a batch.
+
+    support is (n, S, S) and recurrent (n, S) marks each chain's one closed
+    class.  A self-loop inside the class settles it.  Otherwise the class,
+    restricted support R, is aperiodic iff R^k > 0 on class x class for
+    k = 2^ceil(log2((S-1)^2 + 1)): by Wielandt's bound a primitive n-state
+    matrix has A^k > 0 for every k >= (n-1)^2 + 1, and a periodic one never
+    does.  The power is taken by repeated boolean squaring, as in _closure.
+    """
+    aperiodic = np.any(np.diagonal(support, axis1=1, axis2=2) & recurrent, axis=1)
+    rest = np.flatnonzero(~aperiodic)
+    if rest.size:
+        S = support.shape[-1]
+        block = recurrent[rest, :, None] & recurrent[rest, None, :]
+        X = support[rest] & block
+        for _ in range(math.ceil(math.log2((S - 1) ** 2 + 1))):
+            Xf = X.astype(np.float32)
+            X = np.matmul(Xf, Xf) > 0
+        aperiodic[rest] = np.all(X | ~block, axis=(1, 2))
+    return aperiodic
+
+
 def _batch_unichain_stationary(P_all: np.ndarray) -> np.ndarray:
     """Stationary distributions for a batch of unichain matrices.
 
@@ -248,6 +284,7 @@ def min_expected_hitting_times(m: TabularMdp, target: int,
     from zero.  States with no policy reaching the target almost surely are
     pinned to +inf up front (their iterates would otherwise diverge), and
     iterates exceeding HITTING_TIME_CAP are declared infinite as a backstop.
+    Raises SolverConvergenceError when max_sweeps pass without convergence.
     """
     S = m.num_states
     finite = _almost_sure_reach_set(m, target)
@@ -267,6 +304,9 @@ def min_expected_hitting_times(m: TabularMdp, target: int,
             T = T_new
             break
         T = T_new
+    else:
+        raise SolverConvergenceError(
+            f"hitting times to {target} did not converge in {max_sweeps} sweeps")
     out = np.where(finite, T, math.inf)
     out[out > HITTING_TIME_CAP] = math.inf
     return out
@@ -297,6 +337,8 @@ def chain_mixing_time(chain: InducedChain | np.ndarray, threshold: float = 0.5,
 
     Returns +inf for periodic chains and for chains with more than one
     recurrent class (no single invariant limit exists from all starts).
+    Raises SolverConvergenceError when the distance is still above the
+    threshold at t = t_cap.
     """
     P = chain.matrix if isinstance(chain, InducedChain) else np.asarray(chain, dtype=float)
     structure = decompose_chain(P)
@@ -308,30 +350,27 @@ def chain_mixing_time(chain: InducedChain | np.ndarray, threshold: float = 0.5,
         if np.max(np.abs(X - nu).sum(axis=1)) <= threshold:
             return float(t)
         X = X @ P
-    return math.inf
+    raise SolverConvergenceError(f"chain did not mix within t_cap = {t_cap}")
 
 
 def mixing_time(m: TabularMdp, threshold: float = 0.5, t_cap: int = 100_000,
                 budget: int = 10**6) -> float:
     """Worst-case mixing time over all deterministic policies.
 
-    A policy whose chain is periodic or has several recurrent classes
-    contributes +inf, as does hitting t_cap.  The threshold bounds the
-    l1 distance ||e_s P^t - nu||_1 itself.
+    Returns +inf when some policy's chain has several recurrent classes or a
+    periodic one; raises SolverConvergenceError when some policy is still
+    farther than the threshold from stationarity at t = t_cap.  The
+    threshold bounds the l1 distance ||e_s P^t - nu||_1 itself.
+
+    Aperiodicity is decided for the whole policy stack at once (see
+    _batch_aperiodic): a self-loop in the closed class settles a policy, and
+    the rest take O(log S) batched boolean squarings.
     """
-    policies = all_deterministic_policies(m.num_states, m.num_actions, budget)
-    P_all, _ = induced_chain_batch(m, policies)
-    n, S, _ = P_all.shape
-
-    comm, recurrent = _structure_masks(P_all > 0)
-    multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
-    if np.any(multi):
+    _, P_all, _, recurrent, multi = _policy_batch(m, budget)
+    if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
         return math.inf
-    for i in range(n):
-        members = np.flatnonzero(recurrent[i])
-        if _class_period(P_all[i] > 0, members) > 1:
-            return math.inf
 
+    n = P_all.shape[0]
     nus = _batch_unichain_stationary(P_all)
     hit = np.zeros(n)
     pending = np.ones(n, dtype=bool)
@@ -344,7 +383,8 @@ def mixing_time(m: TabularMdp, threshold: float = 0.5, t_cap: int = 100_000,
         if not pending.any():
             return float(hit.max())
         X = np.matmul(X, P_all)
-    return math.inf
+    raise SolverConvergenceError(
+        f"{int(pending.sum())} policies did not mix within t_cap = {t_cap}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .mdp import (
     SolverConvergenceError,
     TabularMdp,
     read_mdp,
-    validate_mdp,
     write_mdp,
     write_policy,
 )
@@ -58,14 +57,6 @@ def _write_json(path: Path, payload) -> None:
         return obj
 
     path.write_text(json.dumps(render(payload), indent=1) + "\n")
-
-
-def _load_mdp(path: str, reward_cap: float = 1.0) -> TabularMdp:
-    m = read_mdp(path, reward_cap=reward_cap)
-    problems = validate_mdp(m, reward_cap=reward_cap)
-    if problems:
-        raise MdpFormatError("; ".join(problems))
-    return m
 
 
 def _instance_id(m: TabularMdp, path: str) -> str:
@@ -97,7 +88,7 @@ def _resolve_H(flag: str, m: TabularMdp) -> float:
 
 
 def cmd_solve(args) -> int:
-    m = _load_mdp(args.mdp)
+    m = read_mdp(args.mdp)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -127,7 +118,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_params(args) -> int:
-    m = _load_mdp(args.mdp)
+    m = read_mdp(args.mdp)
     D = chains.diameter(m)
     H = _oracle_H(m)
     print(f"D = {D if math.isinf(D) else _fmt6(D)}")
@@ -192,7 +183,7 @@ def cmd_certify(args) -> int:
     instances: list[tuple[str, TabularMdp]] = []
     if args.mdp:
         for path in args.mdp:
-            m = _load_mdp(path)
+            m = read_mdp(path)
             instances.append((_instance_id(m, path), m))
     elif args.count:
         instances = list(corpus.standard_corpus(
@@ -219,7 +210,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    m = _load_mdp(args.mdp)
+    m = read_mdp(args.mdp)
     H = _resolve_H(args.H, m)
     params = reduction.reduction_params(
         args.epsilon, args.delta, H, m.num_states, m.num_actions,
@@ -285,7 +276,7 @@ def cmd_experiment(args) -> int:
         raise MdpFormatError("experiment needs --N with at least one value")
     if args.trials < 1:
         raise MdpFormatError("experiment needs --trials >= 1")
-    m = _load_mdp(args.mdp)
+    m = read_mdp(args.mdp)
     instance_id = _instance_id(m, args.mdp)
     opt = solvers.amdp_optimal(m) if m.num_actions**m.num_states <= 10**6 \
         else solvers.amdp_optimal(m, method="relative_vi")

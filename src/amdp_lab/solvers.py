@@ -15,10 +15,8 @@ import numpy as np
 
 from .chains import (
     _batch_unichain_stationary,
-    _structure_masks,
-    all_deterministic_policies,
+    _policy_batch,
     decompose_chain,
-    induced_chain_batch,
     is_weakly_communicating,
 )
 from .mdp import (
@@ -191,11 +189,7 @@ def _enumerate_gains(m: TabularMdp, budget: int):
     """Per-state gain of every deterministic policy, (A^S, S); unichain
     policies go through a batched stationary solve, the rest through the
     exact decomposition."""
-    policies = all_deterministic_policies(m.num_states, m.num_actions, budget)
-    P_all, r_all = induced_chain_batch(m, policies)
-    comm, recurrent = _structure_masks(P_all > 0)
-    multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
-
+    policies, P_all, r_all, _, multi = _policy_batch(m, budget)
     gains = np.empty_like(r_all)
     uni = ~multi
     if np.any(uni):

@@ -73,3 +73,13 @@ def slow_path_best_gain(m) -> tuple[np.ndarray, float]:
         if score > best_score:
             best_actions, best_score = actions, score
     return np.array(best_actions), best_score
+
+
+def policy_loop_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
+    """Aperiodicity of each chain's single closed class from its integer
+    period, one BFS per chain: the per-policy loop that the batched test in
+    mixing_time replaced."""
+    from amdp_lab.chains import _class_period
+
+    return np.array([_class_period(sup, np.flatnonzero(rec)) == 1
+                     for sup, rec in zip(support, recurrent)])

@@ -6,6 +6,7 @@ import pytest
 from amdp_lab import (
     DeterministicPolicy,
     EnumerationBudgetError,
+    SolverConvergenceError,
     aperiodicity_transform,
     amdp_gain_bias,
     chain_mixing_time,
@@ -21,10 +22,15 @@ from amdp_lab import (
     structural_parameters,
     two_state_slow_chain,
 )
-from amdp_lab.chains import all_deterministic_policies
+from amdp_lab.chains import (
+    _batch_aperiodic,
+    _policy_batch,
+    _structure_masks,
+    all_deterministic_policies,
+)
 from amdp_lab.corpus import random_mdp, standard_corpus
-from conftest import make_transient_funnel, make_two_absorbing
-from oracles import hitting_time_single_chain
+from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbing
+from oracles import hitting_time_single_chain, policy_loop_aperiodic
 
 
 def single_action_chain(m):
@@ -121,6 +127,10 @@ class TestDiameter:
         assert T[1] == 0.0
         assert T[0] == pytest.approx(4.0, abs=1e-6)
 
+    def test_sweep_cap_raises(self, slow4):
+        with pytest.raises(SolverConvergenceError):
+            min_expected_hitting_times(slow4, 1, max_sweeps=1)
+
 
 class TestMixingTime:
     def test_cycle_is_periodic(self, cycle):
@@ -141,6 +151,24 @@ class TestMixingTime:
             assert diameter(lazy) <= 2.0 + 1e-9
             values.append(t_mix)
         assert values[0] < values[1] < values[2]
+
+    def test_t_cap_raises_instead_of_inf(self, cycle):
+        # t_mix = 35 on this lazy cycle: a cap below it is an error, not inf
+        lazy = aperiodicity_transform(cycle, 0.01)
+        chain = single_action_chain(lazy)
+        for fn, arg in ((mixing_time, lazy), (chain_mixing_time, chain)):
+            with pytest.raises(SolverConvergenceError):
+                fn(arg, t_cap=10)
+            assert fn(arg, t_cap=35) == 35.0
+
+    def test_periodic_policy_found_among_aperiodic_ones(self):
+        # only the policies moving at state 0 leave the 2-cycle periodic
+        m = make_stay_or_cycle()
+        policies, P_all, _, recurrent, multi = _policy_batch(m, budget=10**6)
+        assert not multi.any()
+        aperiodic = _batch_aperiodic(P_all > 0, recurrent)
+        np.testing.assert_array_equal(~aperiodic, policies[:, 0] == 0)
+        assert math.isinf(mixing_time(m))
 
     def test_multichain_policy_infinite(self):
         st = make_two_absorbing()
@@ -168,6 +196,59 @@ class TestMixingTime:
             dists.append(np.max(np.abs(X - nu).sum(axis=1)))
             X = X @ chain.matrix
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+def _unichain_supports(rng, S: int, count: int) -> np.ndarray:
+    """Seeded stochastic supports on S states with exactly one closed class:
+    sparse random digraphs, and relabelled cycles with and without a chord,
+    bipartite classes and singleton absorbing classes, these three with
+    random transient feeders."""
+    out = []
+    while len(out) < count:
+        kind = rng.integers(4)
+        A = np.zeros((S, S), dtype=bool)
+        perm = rng.permutation(S)
+        k = int(rng.integers(1, S + 1))  # class size
+        cls = perm[:k]
+        if kind == 0:
+            A = rng.random((S, S)) < rng.choice([0.1, 0.25, 0.5])
+        elif kind == 1:  # cycle, optionally with a chord making it aperiodic
+            A[cls, np.roll(cls, -1)] = True
+            if k > 2 and rng.random() < 0.5:
+                A[cls[0], cls[int(rng.integers(2, k))]] = True
+        elif kind == 2:  # bipartite class: every edge crosses the cut
+            cut = int(rng.integers(1, k)) if k > 1 else 1
+            left, right = cls[:cut], cls[cut:]
+            A[np.ix_(left, right)] = rng.random((len(left), len(right))) < 0.7
+            A[np.ix_(right, left)] = rng.random((len(right), len(left))) < 0.7
+        else:  # singleton absorbing class
+            A[cls[0], cls[0]] = True
+        rest = perm[k:] if kind else np.arange(0)
+        for s in rest:  # transient feeders point anywhere
+            A[s] |= rng.random(S) < 0.3
+        empty = ~A.any(axis=1)
+        A[empty, rng.integers(S, size=int(empty.sum()))] = True
+        comm, recurrent = _structure_masks(A)
+        rec = np.flatnonzero(recurrent)
+        if comm[np.ix_(rec, rec)].all():
+            out.append(A)
+    return np.array(out)
+
+
+class TestBatchAperiodic:
+    @pytest.mark.parametrize("S", range(1, 8))
+    def test_matches_period_loop(self, S):
+        rng = np.random.default_rng(1000 + S)
+        support = _unichain_supports(rng, S, 400)
+        _, recurrent = _structure_masks(support)
+        batched = _batch_aperiodic(support, recurrent)
+        np.testing.assert_array_equal(batched, policy_loop_aperiodic(support, recurrent))
+        if S > 1:
+            assert not batched.all()  # periodic classes were generated
+            no_loop = ~np.any(np.diagonal(support & recurrent[:, None, :],
+                                          axis1=1, axis2=2), axis=1)
+            # some aperiodic classes had to be settled by the squaring
+            assert (batched & no_loop).any() or S < 3
 
 
 class TestAperiodicityTransform:
