@@ -456,11 +456,8 @@ def structural_parameters(m: TabularMdp, threshold: float = 0.5,
 
     D = diameter(m)
     t_mix = mixing_time(m, threshold=threshold, t_cap=t_cap, budget=budget)
-    try:
-        opt = amdp_optimal(m, method="enumerate", budget=budget)
-    except EnumerationBudgetError:
-        opt = amdp_optimal(m, method="relative_vi")
-    params = MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)
+    params = MdpParameters(diameter=D, t_mix=t_mix,
+                           H=amdp_optimal(m, budget=budget).H)
     if math.isfinite(D) and params.H > D + 1e-6:
         raise ArithmeticError(
             f"internal inconsistency: bias span {params.H} exceeds diameter {D}")

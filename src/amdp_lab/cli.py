@@ -9,7 +9,6 @@ digits.  Exit codes: 0 success, 2 validation/configuration failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -63,17 +62,9 @@ def _instance_id(m: TabularMdp, path: str) -> str:
     return str(m.metadata.get("name") or Path(path).stem)
 
 
-def _oracle_H(m: TabularMdp, budget: int = 10**6) -> float:
-    try:
-        opt = solvers.amdp_optimal(m, method="enumerate", budget=budget)
-    except EnumerationBudgetError:
-        opt = solvers.amdp_optimal(m, method="relative_vi")
-    return opt.H
-
-
-def _resolve_H(flag: str, m: TabularMdp) -> float:
+def _resolve_H(flag: str, opt: solvers.AmdpOptimum) -> float:
     if flag == "oracle":
-        return max(_oracle_H(m), 1.0)
+        return max(opt.H, 1.0)
     try:
         H = float(flag)
     except ValueError:
@@ -120,7 +111,7 @@ def cmd_solve(args) -> int:
 def cmd_params(args) -> int:
     m = read_mdp(args.mdp)
     D = chains.diameter(m)
-    H = _oracle_H(m)
+    H = solvers.amdp_optimal(m).H
     print(f"D = {D if math.isinf(D) else _fmt6(D)}")
     try:
         t_mix = chains.mixing_time(m)
@@ -155,11 +146,10 @@ def cmd_hardgen(args) -> int:
     return EXIT_OK
 
 
-def _instance_certificates(m: TabularMdp, instance_id: str, epsilon: float,
-                           mixing_budget: int = 10**6) -> list[reduction.Certificate]:
+def _instance_certificates(m: TabularMdp, instance_id: str,
+                           epsilon: float) -> list[reduction.Certificate]:
     """Full per-instance certificate set used by the certify command."""
-    opt = solvers.amdp_optimal(m) if m.num_actions**m.num_states <= 10**6 \
-        else solvers.amdp_optimal(m, method="relative_vi")
+    opt = solvers.amdp_optimal(m)
     certs = [
         reduction.certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
         *reduction.certify_span_bounds(m, epsilon, instance_id, opt=opt),
@@ -170,7 +160,7 @@ def _instance_certificates(m: TabularMdp, instance_id: str, epsilon: float,
     certs.append(reduction._certificate("bias_span_le_diameter", opt.H, D,
                                         1e-6, instance_id))
     try:
-        t_mix = chains.mixing_time(m, budget=mixing_budget)
+        t_mix = chains.mixing_time(m)
     except EnumerationBudgetError:
         t_mix = None
     if t_mix is not None and math.isfinite(t_mix):
@@ -211,14 +201,13 @@ def cmd_certify(args) -> int:
 
 def cmd_reduce(args) -> int:
     m = read_mdp(args.mdp)
-    H = _resolve_H(args.H, m)
+    opt = solvers.amdp_optimal(m)
+    H = _resolve_H(args.H, opt)
     params = reduction.reduction_params(
         args.epsilon, args.delta, H, m.num_states, m.num_actions,
         n_override=args.N[0] if args.N else None)
     gm = GenerativeModel(m, args.seed)
     policy = reduction.algorithm1(gm, params)
-    opt = solvers.amdp_optimal(m) if m.num_actions**m.num_states <= 10**6 \
-        else solvers.amdp_optimal(m, method="relative_vi")
     gain_hat = solvers.amdp_gain_bias(m, policy).gain
     gap = float(np.max(opt.gain)) - float(np.min(gain_hat))
     print(f"policy = {list(map(int, policy.actions))}")
@@ -278,22 +267,18 @@ def cmd_experiment(args) -> int:
         raise MdpFormatError("experiment needs --trials >= 1")
     m = read_mdp(args.mdp)
     instance_id = _instance_id(m, args.mdp)
-    opt = solvers.amdp_optimal(m) if m.num_actions**m.num_states <= 10**6 \
-        else solvers.amdp_optimal(m, method="relative_vi")
-    H = _resolve_H(args.H, m)
+    opt = solvers.amdp_optimal(m)
+    H = _resolve_H(args.H, opt)
     rows = _experiment_cells(m, instance_id, opt, args, H)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "experiment.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance_id", "N", "seed", "gap", "success",
-                         "wallclock_ms", "total_samples"])
-        for row in rows:
-            writer.writerow([row["instance_id"], row["N"], row["seed"],
-                             reduction.format_number(row["gap"]),
-                             str(row["success"]).lower(), row["wallclock_ms"],
-                             row["total_samples"]])
+    reduction._write_csv(
+        csv_path, ["instance_id", "N", "seed", "gap", "success", "wallclock_ms",
+                   "total_samples"],
+        ([row["instance_id"], row["N"], row["seed"],
+          reduction.format_number(row["gap"]), str(row["success"]).lower(),
+          row["wallclock_ms"], row["total_samples"]] for row in rows))
     print(f"{len(rows)} rows -> {csv_path}")
     return EXIT_OK
 

@@ -27,6 +27,7 @@ from .solvers import (
     amdp_optimal,
     dmdp_policy_value,
     dmdp_value_iteration,
+    horizon_iterates,
     induce_chain,
 )
 
@@ -161,11 +162,8 @@ def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
                               instance_id))
     chain = induce_chain(m, opt.policy)
     policy_bias_span = span(amdp_gain_bias(m, opt.policy).bias)
-    V = np.zeros(m.num_states)
-    worst = 0.0
-    for _ in range(horizon):
-        V = chain.reward + chain.matrix @ V
-        worst = max(worst, span(V))
+    V = horizon_iterates(chain.matrix, chain.reward, horizon)
+    worst = float(np.max(V.max(axis=1) - V.min(axis=1)))
     certs.append(_certificate("finite_horizon_span", worst,
                               2.0 * policy_bias_span, tol, instance_id))
     return certs
@@ -178,14 +176,11 @@ def certify_finite_horizon_identity(m: TabularMdp, pi: Policy,
     certificate carries the worst residual."""
     chain = induce_chain(m, pi)
     gb = amdp_gain_bias(m, pi)
-    V = np.zeros(m.num_states)
-    propagated = gb.bias.copy()  # P^T bias
-    worst = 0.0
-    for T in range(1, horizon + 1):
-        V = chain.reward + chain.matrix @ V
-        propagated = chain.matrix @ propagated
-        predicted = T * gb.gain + gb.bias - propagated
-        worst = max(worst, float(np.max(np.abs(V - predicted))))
+    V = horizon_iterates(chain.matrix, chain.reward, horizon)
+    propagated = horizon_iterates(chain.matrix, 0.0, horizon, gb.bias)  # P^T bias
+    T = np.arange(1, horizon + 1)[:, None]
+    predicted = T * gb.gain + gb.bias - propagated
+    worst = float(np.max(np.abs(V - predicted)))
     return _certificate("finite_horizon_identity", worst, 0.0, 1e-8, instance_id)
 
 
@@ -297,26 +292,24 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _open_for_csv(path_or_file):
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w", newline=""), True
+def _write_csv(path_or_file, header: list[str], rows) -> None:
+    """Write a header and rows as CSV, comma separated with LF line endings,
+    to a path or to an open text file (left open)."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="") as fh:
+            return _write_csv(fh, header, rows)
+    writer = csv.writer(path_or_file, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_certificates_csv(certs: list[Certificate], path: str | Path) -> None:
     """Write certificates as CSV with columns instance_id, name, lhs, rhs,
     tolerance, passed; comma separated, LF line endings."""
-    fh, owned = _open_for_csv(path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance_id", "name", "lhs", "rhs", "tolerance", "passed"])
-        for c in certs:
-            writer.writerow([c.instance_id, c.name, format_number(c.lhs),
-                             format_number(c.rhs), format_number(c.tolerance),
-                             str(c.passed).lower()])
-    finally:
-        if owned:
-            fh.close()
+    _write_csv(path, ["instance_id", "name", "lhs", "rhs", "tolerance", "passed"],
+               ([c.instance_id, c.name, format_number(c.lhs), format_number(c.rhs),
+                 format_number(c.tolerance), str(c.passed).lower()]
+                for c in certs))
 
 
 def write_certificates_report(certs: list[Certificate], path: str | Path) -> None:
@@ -344,14 +337,7 @@ def write_trials_csv(records: list[TrialRecord], epsilon: float,
                      path: str | Path, instance_id: str = "",
                      n_per_pair: int | None = None) -> None:
     """Write trial records as CSV (instance_id, N, seed, gap, success)."""
-    fh, owned = _open_for_csv(path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance_id", "N", "seed", "gap", "success"])
-        for rec in records:
-            writer.writerow([instance_id, n_per_pair if n_per_pair is not None else "",
-                             rec.seed, format_number(rec.gap),
-                             str(rec.gap <= epsilon).lower()])
-    finally:
-        if owned:
-            fh.close()
+    _write_csv(path, ["instance_id", "N", "seed", "gap", "success"],
+               ([instance_id, n_per_pair if n_per_pair is not None else "",
+                 rec.seed, format_number(rec.gap), str(rec.gap <= epsilon).lower()]
+                for rec in records))

@@ -16,6 +16,7 @@ import numpy as np
 from .chains import (
     _batch_unichain_stationary,
     _policy_batch,
+    aperiodicity_transform,
     decompose_chain,
     is_weakly_communicating,
 )
@@ -130,15 +131,24 @@ def amdp_gain_bias(m: TabularMdp, pi: Policy) -> GainBias:
     return chain_gain_bias(induce_chain(m, pi))
 
 
-def finite_horizon_value(m: TabularMdp, pi: Policy, T: int) -> np.ndarray:
-    """Undiscounted T-step value, by T backward recursions V <- r + P V."""
+def horizon_iterates(P: np.ndarray, r: np.ndarray | float, T: int,
+                     start: np.ndarray | None = None) -> np.ndarray:
+    """Stacked iterates V_1..V_T of the backward recursion V_k = r + P V_{k-1}
+    from V_0 = start (zero by default), as a (T, S) array."""
     if T < 1:
         raise ValueError("T must be a positive integer")
+    V = np.zeros(P.shape[0]) if start is None else start
+    out = np.empty((T, P.shape[0]))
+    for k in range(T):
+        V = r + P @ V
+        out[k] = V
+    return out
+
+
+def finite_horizon_value(m: TabularMdp, pi: Policy, T: int) -> np.ndarray:
+    """Undiscounted T-step value V_T; the last row of horizon_iterates."""
     chain = induce_chain(m, pi)
-    V = np.zeros(m.num_states)
-    for _ in range(T):
-        V = chain.reward + chain.matrix @ V
-    return V
+    return horizon_iterates(chain.matrix, chain.reward, T)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +176,7 @@ def relative_value_iteration(m: TabularMdp, tau: float = 0.5,
 
     Returns (gain_scalar, bias, greedy_policy).
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    P = (1.0 - tau) * m.transitions + tau * np.eye(m.num_states)[:, None, :]
+    P = aperiodicity_transform(m, tau).transitions
     r = (1.0 - tau) * m.rewards
     v = np.zeros(m.num_states)
     for _ in range(max_iter):
@@ -201,15 +209,17 @@ def _enumerate_gains(m: TabularMdp, budget: int):
     return policies, gains
 
 
-def amdp_optimal(m: TabularMdp, method: str = "enumerate", budget: int = 10**6,
-                 tau: float = 0.5, span_tol: float = 1e-10,
-                 residual_tol: float = 1e-8) -> AmdpOptimum:
+def amdp_optimal(m: TabularMdp, method: str = "auto",
+                 budget: int = 10**6) -> AmdpOptimum:
     """Gain-optimal solution of the average-reward problem.
 
     method="enumerate": evaluate every deterministic policy and take the
     argmax of the worst-state gain, ties resolved toward the
-    lexicographically smallest action array.  method="relative_vi": relative
-    value iteration on the lazy transform, greedy policy extraction.
+    lexicographically smallest action array; more than `budget` policies
+    raise EnumerationBudgetError.  method="relative_vi": relative value
+    iteration on the lazy transform, greedy policy extraction.  The default
+    method="auto" enumerates when A^S <= budget and runs relative VI
+    otherwise.
 
     Either way the returned gain is the exact per-state gain of the returned
     policy (dense linear algebra, not iteration), and the returned bias
@@ -217,9 +227,12 @@ def amdp_optimal(m: TabularMdp, method: str = "enumerate", budget: int = 10**6,
     bias fails that equation (possible with tie policies), the relative-VI
     solution is substituted.
     """
+    if method == "auto":
+        method = ("enumerate" if m.num_actions**m.num_states <= budget
+                  else "relative_vi")
     wc = is_weakly_communicating(m)
     if method == "relative_vi":
-        _, bias, policy = relative_value_iteration(m, tau=tau, span_tol=span_tol)
+        _, bias, policy = relative_value_iteration(m)
         gain = chain_gain_bias(induce_chain(m, policy)).gain
         return AmdpOptimum(gain=gain, bias=bias, policy=policy,
                            H=span(bias), weakly_communicating=wc)
@@ -234,8 +247,8 @@ def amdp_optimal(m: TabularMdp, method: str = "enumerate", budget: int = 10**6,
     # tie-heavy instances can make the argmax policy non-greedy w.r.t. its
     # own bias; the optimality equation only has a constant-gain solution in
     # the weakly communicating case, so the substitution is gated on that
-    if wc and bellman_optimality_residual(m, gb.gain, bias) > residual_tol:
-        _, bias, _ = relative_value_iteration(m, tau=tau, span_tol=span_tol)
+    if wc and bellman_optimality_residual(m, gb.gain, bias) > 1e-8:
+        _, bias, _ = relative_value_iteration(m)
     return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy,
                        H=span(bias), weakly_communicating=wc)
 

@@ -83,3 +83,33 @@ def policy_loop_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndar
 
     return np.array([_class_period(sup, np.flatnonzero(rec)) == 1
                      for sup, rec in zip(support, recurrent)])
+
+
+def finite_horizon_span_loop(P: np.ndarray, r: np.ndarray, horizon: int) -> float:
+    """max_{T <= horizon} sp(V_T), one recursion step and one span per T: the
+    per-step loop that certify_span_bounds replaced."""
+    from amdp_lab import span
+
+    V = np.zeros(len(r))
+    worst = 0.0
+    for _ in range(horizon):
+        V = r + P @ V
+        worst = max(worst, span(V))
+    return worst
+
+
+def finite_horizon_identity_loop(P: np.ndarray, r: np.ndarray,
+                                 gain: np.ndarray, bias: np.ndarray,
+                                 horizon: int) -> float:
+    """max_{T <= horizon} ||V_T - (T gain + bias - P^T bias)||_inf, stepping
+    V_T and P^T bias together: the per-step loop that
+    certify_finite_horizon_identity replaced."""
+    V = np.zeros(len(r))
+    propagated = bias.copy()
+    worst = 0.0
+    for T in range(1, horizon + 1):
+        V = r + P @ V
+        propagated = P @ propagated
+        predicted = T * gain + bias - propagated
+        worst = max(worst, float(np.max(np.abs(V - predicted))))
+    return worst

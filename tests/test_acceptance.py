@@ -16,7 +16,7 @@ import pytest
 import amdp_lab as lab
 from amdp_lab.corpus import random_deterministic_policy, standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
-from amdp_lab.reduction import write_trials_csv
+from amdp_lab.reduction import write_certificates_csv, write_trials_csv
 from oracles import cesaro_bias, cesaro_gain
 
 RESULTS: list[str] = []
@@ -54,10 +54,7 @@ def optimum(instance_id: str, m: lab.TabularMdp,
             fresh: bool = False) -> lab.AmdpOptimum:
     opt = None if fresh else _opt_cache.get(instance_id)
     if opt is None:
-        if m.num_actions ** m.num_states <= 10**6:
-            opt = lab.amdp_optimal(m, method="enumerate")
-        else:
-            opt = lab.amdp_optimal(m, method="relative_vi")
+        opt = lab.amdp_optimal(m)
         _opt_cache[instance_id] = opt
     return opt
 
@@ -249,17 +246,8 @@ def _hard_instance_certificates(fresh: bool = False) -> list[lab.Certificate]:
 
 
 def _certs_csv_bytes(certs) -> bytes:
-    import csv as _csv
-
-    from amdp_lab.reduction import format_number
-
     buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["instance_id", "name", "lhs", "rhs", "tolerance", "passed"])
-    for c in certs:
-        writer.writerow([c.instance_id, c.name, format_number(c.lhs),
-                         format_number(c.rhs), format_number(c.tolerance),
-                         str(c.passed).lower()])
+    write_certificates_csv(certs, buf)
     return buf.getvalue().encode()
 
 

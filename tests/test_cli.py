@@ -176,6 +176,43 @@ class TestReduce:
         assert "gap = " in capsys.readouterr().out
 
 
+SAMPLING_COMMANDS = [["reduce", "--N", "100"],
+                     ["experiment", "--N", "100", "--trials", "2"]]
+
+
+class TestOptimumSolvedOnce:
+    @pytest.mark.parametrize("command", SAMPLING_COMMANDS)
+    def test_oracle_H_reuses_the_optimum(self, command, m1_file, tmp_path,
+                                         monkeypatch, capsys):
+        from amdp_lab import solvers
+        calls = []
+        original = solvers.amdp_optimal
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return original(*a, **kw)
+
+        monkeypatch.setattr(solvers, "amdp_optimal", counting)
+        assert main(command + ["--mdp", m1_file, "--epsilon", "0.25",
+                               "--H", "oracle", "--seed", "5",
+                               "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", SAMPLING_COMMANDS)
+    @pytest.mark.parametrize("H", ["0.5", "big"])
+    def test_bad_H_exits_2_before_sampling(self, command, H, m1_file, tmp_path,
+                                           monkeypatch, capsys):
+        from amdp_lab import reduction
+
+        def no_sampling(*a, **kw):
+            raise AssertionError("sampled before --H was checked")
+
+        monkeypatch.setattr(reduction, "algorithm1", no_sampling)
+        assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
+                               "--seed", "5", "--out", str(tmp_path)]) == 2
+        assert "--H" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_rows_and_determinism(self, m1_file, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

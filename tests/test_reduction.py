@@ -5,6 +5,7 @@ from amdp_lab import (
     DeterministicPolicy,
     GenerativeModel,
     algorithm1,
+    amdp_gain_bias,
     amdp_optimal,
     build_m1,
     certify_finite_horizon_identity,
@@ -15,6 +16,7 @@ from amdp_lab import (
     empirical_error,
     failure_rate,
     gamma_for_accuracy,
+    induce_chain,
     perturb_rewards,
     reduction_chain_certificates,
     reduction_params,
@@ -23,6 +25,7 @@ from amdp_lab import (
 )
 from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
+from oracles import finite_horizon_identity_loop, finite_horizon_span_loop
 from test_generative import make_deterministic_truth
 
 
@@ -166,6 +169,20 @@ class TestCertificates:
         cert = certify_finite_horizon_identity(cycle, cycle_policy, 200)
         assert cert.lhs <= 1e-12
         assert cert.passed
+
+    def test_finite_horizon_certificates_match_step_loops(self):
+        # the stacked recursion must reproduce the per-step loops bit for bit
+        # on the first 100 instances of the acceptance corpus
+        for _, m in standard_corpus(count=100, master_seed=7):
+            opt = amdp_optimal(m)
+            chain = induce_chain(m, opt.policy)
+            span_cert = certify_span_bounds(m, 0.5, opt=opt)[2]
+            assert span_cert.lhs == finite_horizon_span_loop(
+                chain.matrix, chain.reward, 200)
+            gb = amdp_gain_bias(m, opt.policy)
+            ident = certify_finite_horizon_identity(m, opt.policy, 200)
+            assert ident.lhs == finite_horizon_identity_loop(
+                chain.matrix, chain.reward, gb.gain, gb.bias, 200)
 
     def test_reduction_chain_cycle(self, cycle):
         opt = amdp_optimal(cycle)

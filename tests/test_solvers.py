@@ -19,6 +19,7 @@ from amdp_lab import (
 )
 from amdp_lab.hard_instances import HardInstanceSpec
 from amdp_lab.corpus import random_mdp, standard_corpus
+from amdp_lab.solvers import horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
     bellman_evaluation,
@@ -220,6 +221,22 @@ class TestAmdpOptimal:
                 gain = amdp_gain_bias(m, DeterministicPolicy(actions)).gain
                 assert np.min(gain) <= float(np.max(opt.gain)) + 1e-9
 
+    def test_auto_enumerates_under_budget(self):
+        for _, m in standard_corpus(count=25, master_seed=29):
+            auto = amdp_optimal(m)
+            enum = amdp_optimal(m, method="enumerate")
+            assert np.array_equal(auto.policy.actions, enum.policy.actions)
+            assert np.array_equal(auto.gain, enum.gain)
+            assert np.array_equal(auto.bias, enum.bias)
+
+    def test_auto_uses_relative_vi_over_budget(self):
+        m = random_mdp(5, 4, seed=1)
+        auto = amdp_optimal(m, budget=100)
+        rvi = amdp_optimal(m, method="relative_vi")
+        assert np.array_equal(auto.policy.actions, rvi.policy.actions)
+        assert np.array_equal(auto.gain, rvi.gain)
+        assert np.array_equal(auto.bias, rvi.bias)
+
     def test_budget_guard(self):
         from amdp_lab import EnumerationBudgetError
         m = random_mdp(5, 4, seed=1)
@@ -299,6 +316,20 @@ class TestFiniteHorizon:
             np.testing.assert_allclose(finite_horizon_value(m, pi, T),
                                        finite_values(chain.matrix, chain.reward, T),
                                        atol=1e-12)
+
+    def test_iterates_stack_every_horizon(self):
+        m = random_mdp(4, 2, seed=6)
+        chain = induce_chain(m, DeterministicPolicy(np.array([1, 0, 1, 0])))
+        stack = horizon_iterates(chain.matrix, chain.reward, 33)
+        assert stack.shape == (33, 4)
+        for T in (1, 7, 33):
+            assert np.array_equal(stack[T - 1],
+                                  finite_values(chain.matrix, chain.reward, T))
+        start = np.arange(4.0)
+        pushed = horizon_iterates(chain.matrix, 0.0, 3, start)
+        np.testing.assert_allclose(
+            pushed[2], np.linalg.matrix_power(chain.matrix, 3) @ start,
+            atol=1e-12)
 
     def test_identity_with_gain_and_bias(self):
         # V_T = T rho + h - P^T h, for any policy, any T
