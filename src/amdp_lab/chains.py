@@ -4,6 +4,11 @@ Covers recurrent-class decomposition, per-class stationary distributions and
 periods, the Cesaro limiting matrix, minimal expected hitting times and the
 MDP diameter, worst-case-policy mixing time, the lazy (aperiodicity)
 transformation, and connectivity classification.
+
+Stationary distributions and limiting matrices, of one chain or of every
+policy's chain at once, come from one linear solve for the closed classes
+(_stationary) and one absorption solve for the transient states
+(_cesaro_limit).
 """
 
 from __future__ import annotations
@@ -113,61 +118,66 @@ def _class_period(support: np.ndarray, states: np.ndarray) -> int:
     return abs(g) if g != 0 else 1
 
 
-def _stationary_on_class(P: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the chain restricted to one closed class,
-    by replacing the last balance equation with normalization."""
-    sub = P[np.ix_(states, states)]
-    n = len(states)
-    M = sub.T - np.eye(n)
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    return np.linalg.solve(M, b)
+def _stationary(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
+    """Stationary distribution of every closed class of a chain (S, S) or a
+    batch of chains (..., S, S), from one linear solve per chain.
+
+    comm and recurrent are the _structure_masks of the support.  Each
+    recurrent state keeps its balance row of P^T - I, except the smallest
+    member of each closed class, whose row becomes the class indicator with
+    right-hand side 1; each transient row is the identity with right-hand
+    side 0.  The result holds each class's distribution on its members and
+    zero on transient states.
+    """
+    S = P.shape[-1]
+    eye = np.eye(S)
+    leader = recurrent & (np.argmax(comm, axis=-1) == np.arange(S))
+    M = np.swapaxes(P, -1, -2) - eye
+    M[~recurrent] = eye[np.nonzero(~recurrent)[-1]]
+    M[leader] = comm[leader]
+    return np.linalg.solve(M, leader[..., None].astype(float))[..., 0]
+
+
+def _cesaro_limit(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray,
+                  r: np.ndarray | None = None) -> np.ndarray:
+    """Cesaro limit P* of a chain or batch of chains, or the gain P* r when
+    rewards r (..., S) are given.
+
+    Rows of recurrent states are their class's stationary distribution
+    (_stationary); transient rows follow from the absorption system
+    (I - diag(transient) P) x = y, solved once with y the class-masked
+    stationary rows, or those rows applied to r.
+    """
+    nu = _stationary(P, comm, recurrent)
+    y = (comm & recurrent[..., None]) * nu[..., None, :]
+    if r is not None:
+        y = y @ r[..., None]
+    x = y  # without transient states the absorption system is I x = y
+    if not np.all(recurrent):
+        A = np.eye(P.shape[-1]) - np.where(recurrent[..., None], 0.0, P)
+        x = np.linalg.solve(A, y)
+    return x if r is None else x[..., 0]
 
 
 def decompose_chain(chain: InducedChain | np.ndarray) -> ChainStructure:
     """Full recurrent decomposition of a stochastic matrix.
 
     Recurrent classes are the closed strongly-connected components of the
-    support digraph; transient rows of the limiting matrix mix the class
-    stationary distributions with the absorption probabilities obtained from
-    the transient sub-block.
+    support digraph; the stationary distributions and the limiting matrix
+    come from _cesaro_limit, the periods from one BFS per class.
     """
     P = chain.matrix if isinstance(chain, InducedChain) else np.asarray(chain, dtype=float)
-    S = P.shape[0]
     support = P > 0
     comm, recurrent = _structure_masks(support)
-
-    classes: list[np.ndarray] = []
-    seen = np.zeros(S, dtype=bool)
-    for s in range(S):
-        if recurrent[s] and not seen[s]:
-            members = np.flatnonzero(comm[s] & recurrent)
-            classes.append(members)
-            seen[members] = True
-    transient = np.flatnonzero(~recurrent)
-
-    stationary = [_stationary_on_class(P, members) for members in classes]
-    periods = [_class_period(support, members) for members in classes]
-
-    limiting = np.zeros((S, S))
-    for members, nu in zip(classes, stationary):
-        limiting[np.ix_(members, members)] = np.tile(nu, (len(members), 1))
-    if len(transient) > 0:
-        Q = P[np.ix_(transient, transient)]
-        # absorption probabilities into each class, column k per class
-        R = np.stack([P[np.ix_(transient, members)].sum(axis=1) for members in classes],
-                     axis=1)
-        absorb = np.linalg.solve(np.eye(len(transient)) - Q, R)
-        for k, (members, nu) in enumerate(zip(classes, stationary)):
-            limiting[np.ix_(transient, members)] += np.outer(absorb[:, k], nu)
-
+    leaders = np.flatnonzero(recurrent & (np.argmax(comm, axis=1) == np.arange(len(P))))
+    classes = tuple(np.flatnonzero(comm[s]) for s in leaders)
+    limiting = _cesaro_limit(P, comm, recurrent)
     return ChainStructure(
-        recurrent_classes=tuple(classes),
-        transient_states=transient,
-        stationary=tuple(stationary),
+        recurrent_classes=classes,
+        transient_states=np.flatnonzero(~recurrent),
+        stationary=tuple(limiting[c[0], c] for c in classes),
         limiting_matrix=limiting,
-        period=tuple(periods),
+        period=tuple(_class_period(support, c) for c in classes),
     )
 
 
@@ -196,14 +206,14 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
 
 def _policy_batch(m: TabularMdp, budget: int):
     """Every deterministic policy with its induced chains, classified in one
-    batch: (policies, P_all, r_all, recurrent, multi), where recurrent[i]
-    marks the states in closed classes of policy i's chain and multi[i] is
-    True when that chain has more than one closed class."""
+    batch: (policies, P_all, r_all, comm, recurrent, multi), where comm and
+    recurrent are the _structure_masks of each chain's support and multi[i]
+    is True when policy i's chain has more than one closed class."""
     policies = all_deterministic_policies(m.num_states, m.num_actions, budget)
     P_all, r_all = induced_chain_batch(m, policies)
     comm, recurrent = _structure_masks(P_all > 0)
     multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
-    return policies, P_all, r_all, recurrent, multi
+    return policies, P_all, r_all, comm, recurrent, multi
 
 
 def _batch_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
@@ -227,19 +237,6 @@ def _batch_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
             X = np.matmul(Xf, Xf) > 0
         aperiodic[rest] = np.all(X | ~block, axis=(1, 2))
     return aperiodic
-
-
-def _batch_unichain_stationary(P_all: np.ndarray) -> np.ndarray:
-    """Stationary distributions for a batch of unichain matrices.
-
-    Solves min ||(P^T - I) nu|| s.t. sum(nu) = 1 through the nonsingular
-    normal system (A^T A + 11^T) nu = 1, valid whenever the chain has a
-    single recurrent class.
-    """
-    n, S, _ = P_all.shape
-    A = np.swapaxes(P_all, 1, 2) - np.eye(S)
-    G = np.matmul(np.swapaxes(A, 1, 2), A) + 1.0
-    return np.linalg.solve(G, np.ones((n, S, 1)))[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +363,12 @@ def mixing_time(m: TabularMdp, threshold: float = 0.5, t_cap: int = 100_000,
     _batch_aperiodic): a self-loop in the closed class settles a policy, and
     the rest take O(log S) batched boolean squarings.
     """
-    _, P_all, _, recurrent, multi = _policy_batch(m, budget)
+    _, P_all, _, comm, recurrent, multi = _policy_batch(m, budget)
     if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
         return math.inf
 
     n = P_all.shape[0]
-    nus = _batch_unichain_stationary(P_all)
+    nus = _stationary(P_all, comm, recurrent)
     hit = np.zeros(n)
     pending = np.ones(n, dtype=bool)
     X = P_all.copy()

@@ -9,6 +9,7 @@ digits.  Exit codes: 0 success, 2 validation/configuration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -295,6 +296,14 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (by _build_parser,
+    kept separate so that this stays a plain function that bench/tracer.py
+    can wrap and count)."""
+    return _build_parser()
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amdp-lab",
         description="Average-reward MDP laboratory: solve, analyze, generate, "
@@ -309,11 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["enumerate", "relative_vi"],
                    default="enumerate")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("params", help="diameter, mixing time, bias span")
     p.add_argument("--mdp", required=True)
-    p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("hardgen", help="generate a lower-bound hard instance")
     p.add_argument("--S", type=int, required=True)
@@ -324,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_hardgen)
 
     p = sub.add_parser("certify", help="machine-check the proved inequalities")
     p.add_argument("--mdp", nargs="*")
@@ -334,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("reduce", help="one sampled-reduction run with exact gap")
     p.add_argument("--mdp", required=True)
@@ -344,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_int_list)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("experiment", help="sweep N x seeds, write a CSV")
     p.add_argument("--mdp", required=True)
@@ -355,16 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handler is looked up per call, not stored in the cached parser, so
+    # a handler replaced after the first call (patched, wrapped) still runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (MdpFormatError, InfeasibleInstanceError, FileNotFoundError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

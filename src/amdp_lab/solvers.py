@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (
-    _batch_unichain_stationary,
+    _cesaro_limit,
     _policy_batch,
+    _structure_masks,
     aperiodicity_transform,
-    decompose_chain,
     is_weakly_communicating,
 )
 from .mdp import (
@@ -29,6 +29,10 @@ from .mdp import (
     induce_chain,
     span,
 )
+
+#: policies whose worst-state gains differ by at most this much are tied;
+#: amdp_optimal's enumeration returns the first of them
+GAIN_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def chain_gain_bias(chain: InducedChain) -> GainBias:
     P* h = 0 (stationary-weighted zero mean on every recurrent class).
     """
     P, r = chain.matrix, chain.reward
-    P_star = decompose_chain(chain).limiting_matrix
+    P_star = _cesaro_limit(P, *_structure_masks(P > 0))
     gain = P_star @ r
     S = P.shape[0]
     bias = np.linalg.solve(np.eye(S) - P + P_star, r - gain)
@@ -194,19 +198,10 @@ def relative_value_iteration(m: TabularMdp, tau: float = 0.5,
 
 
 def _enumerate_gains(m: TabularMdp, budget: int):
-    """Per-state gain of every deterministic policy, (A^S, S); unichain
-    policies go through a batched stationary solve, the rest through the
-    exact decomposition."""
-    policies, P_all, r_all, _, multi = _policy_batch(m, budget)
-    gains = np.empty_like(r_all)
-    uni = ~multi
-    if np.any(uni):
-        nus = _batch_unichain_stationary(P_all[uni])
-        gains[uni] = np.einsum("ns,ns->n", nus, r_all[uni])[:, None]
-    for i in np.flatnonzero(multi):
-        limiting = decompose_chain(P_all[i]).limiting_matrix
-        gains[i] = limiting @ r_all[i]
-    return policies, gains
+    """Per-state gain of every deterministic policy, (A^S, S), from one
+    batched Cesaro-limit solve over all policies, unichain or not."""
+    policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m, budget)
+    return policies, _cesaro_limit(P_all, comm, recurrent, r_all)
 
 
 def amdp_optimal(m: TabularMdp, method: str = "auto",
@@ -214,8 +209,8 @@ def amdp_optimal(m: TabularMdp, method: str = "auto",
     """Gain-optimal solution of the average-reward problem.
 
     method="enumerate": evaluate every deterministic policy and take the
-    argmax of the worst-state gain, ties resolved toward the
-    lexicographically smallest action array; more than `budget` policies
+    first, in lexicographic order of the action arrays, whose worst-state
+    gain is within GAIN_TIE_TOL of the best; more than `budget` policies
     raise EnumerationBudgetError.  method="relative_vi": relative value
     iteration on the lazy transform, greedy policy extraction.  The default
     method="auto" enumerates when A^S <= budget and runs relative VI
@@ -240,7 +235,8 @@ def amdp_optimal(m: TabularMdp, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     policies, gains = _enumerate_gains(m, budget)
-    best = int(np.argmax(gains.min(axis=1)))
+    worst = gains.min(axis=1)
+    best = int(np.argmax(worst >= worst.max() - GAIN_TIE_TOL))
     policy = DeterministicPolicy(policies[best])
     gb = chain_gain_bias(induce_chain(m, policy))
     bias = gb.bias

@@ -58,21 +58,67 @@ def hitting_time_single_chain(P: np.ndarray, target: int) -> np.ndarray:
     return T
 
 
+def normal_equation_stationary(P_all: np.ndarray) -> np.ndarray:
+    """Stationary distributions of a batch of unichain matrices through the
+    nonsingular normal system (A^T A + 11^T) nu = 1 with A = P^T - I: the
+    batched solve that the enumeration and mixing_time used before the
+    replace-one-row solve."""
+    n, S, _ = P_all.shape
+    A = np.swapaxes(P_all, 1, 2) - np.eye(S)
+    G = np.matmul(np.swapaxes(A, 1, 2), A) + 1.0
+    return np.linalg.solve(G, np.ones((n, S, 1)))[:, :, 0]
+
+
+def per_class_limiting_matrix(P: np.ndarray) -> np.ndarray:
+    """Cesaro limit of one chain class by class: a replace-the-last-row
+    stationary solve restricted to each closed class, then one absorption
+    solve of the transient block into the classes (the decomposition that
+    decompose_chain used before the batched routine)."""
+    from amdp_lab.chains import _structure_masks
+
+    S = P.shape[0]
+    comm, recurrent = _structure_masks(P > 0)
+    classes, seen = [], np.zeros(S, dtype=bool)
+    for s in np.flatnonzero(recurrent):
+        if not seen[s]:
+            members = np.flatnonzero(comm[s] & recurrent)
+            classes.append(members)
+            seen[members] = True
+    limiting = np.zeros((S, S))
+    stationary = []
+    for members in classes:
+        M = P[np.ix_(members, members)].T - np.eye(len(members))
+        M[-1, :] = 1.0
+        b = np.zeros(len(members))
+        b[-1] = 1.0
+        nu = np.linalg.solve(M, b)
+        stationary.append(nu)
+        limiting[np.ix_(members, members)] = nu
+    transient = np.flatnonzero(~recurrent)
+    if len(transient) > 0:
+        Q = P[np.ix_(transient, transient)]
+        R = np.stack([P[np.ix_(transient, members)].sum(axis=1) for members in classes],
+                     axis=1)
+        absorb = np.linalg.solve(np.eye(len(transient)) - Q, R)
+        for k, (members, nu) in enumerate(zip(classes, stationary)):
+            limiting[np.ix_(transient, members)] += np.outer(absorb[:, k], nu)
+    return limiting
+
+
 def slow_path_best_gain(m) -> tuple[np.ndarray, float]:
-    """Brute-force optimal gain via a per-policy loop (no batching):
-    argmax over policies of the worst-state gain, gains from the exact
-    per-chain decomposition."""
+    """Brute-force optimal gain via a per-policy loop (no batching): the
+    first policy, in lexicographic order, whose worst-state gain is within
+    1e-9 of the best, gains from the class-by-class limiting matrix."""
     from itertools import product
 
-    from amdp_lab import DeterministicPolicy, amdp_gain_bias
-
-    best_actions, best_score = None, -np.inf
-    for actions in product(range(m.num_actions), repeat=m.num_states):
-        gain = amdp_gain_bias(m, DeterministicPolicy(np.array(actions))).gain
-        score = float(np.min(gain))
-        if score > best_score:
-            best_actions, best_score = actions, score
-    return np.array(best_actions), best_score
+    candidates = list(product(range(m.num_actions), repeat=m.num_states))
+    idx = np.arange(m.num_states)
+    scores = np.array([
+        float(np.min(per_class_limiting_matrix(m.transitions[idx, actions])
+                     @ m.rewards[idx, actions]))
+        for actions in candidates])
+    best = int(np.flatnonzero(scores >= scores.max() - 1e-9)[0])
+    return np.array(candidates[best]), float(scores[best])
 
 
 def policy_loop_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:

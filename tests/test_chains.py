@@ -24,13 +24,20 @@ from amdp_lab import (
 )
 from amdp_lab.chains import (
     _batch_aperiodic,
+    _cesaro_limit,
     _policy_batch,
+    _stationary,
     _structure_masks,
     all_deterministic_policies,
 )
 from amdp_lab.corpus import random_mdp, standard_corpus
 from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbing
-from oracles import hitting_time_single_chain, policy_loop_aperiodic
+from oracles import (
+    hitting_time_single_chain,
+    normal_equation_stationary,
+    per_class_limiting_matrix,
+    policy_loop_aperiodic,
+)
 
 
 def single_action_chain(m):
@@ -91,6 +98,74 @@ class TestDecompose:
             sub = P[np.ix_(c, c)]
             np.testing.assert_allclose(nu @ sub, nu, atol=1e-10)
             assert nu.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _multichain_chains(rng, S: int, count: int) -> np.ndarray:
+    """Seeded stochastic matrices on S states: 0..S-1 transient states and
+    up to three closed classes on the rest (each a relabelled cycle, left
+    periodic or given extra edges).  Each transient state has an edge into
+    a class or to an earlier transient state, so no transient set closes."""
+    out = np.zeros((count, S, S))
+    for P in out:
+        perm = rng.permutation(S)
+        n_rec = S - int(rng.integers(S))  # states in closed classes
+        k = int(rng.integers(1, min(n_rec, 3) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, n_rec), size=k - 1, replace=False))
+        start = 0
+        for end in [*cuts, n_rec]:
+            cls = perm[start:end]
+            P[cls, np.roll(cls, -1)] = 1.0
+            if rng.random() < 0.7:  # extra edges inside the class
+                P[np.ix_(cls, cls)] += rng.random((len(cls),) * 2) < 0.4
+            start = end
+        closed = list(perm[:start])
+        for i, s in enumerate(perm[start:]):
+            P[s] = rng.random(S) < 0.3
+            P[s, rng.choice(closed + list(perm[start:start + i]))] = 1.0
+        P *= rng.random((S, S)) + 0.05
+        P /= P.sum(axis=1, keepdims=True)
+    return out
+
+
+class TestCesaroLimit:
+    @pytest.mark.parametrize("S", range(1, 8))
+    def test_matches_per_class_oracle(self, S):
+        chains = _multichain_chains(np.random.default_rng(2000 + S), S, 300)
+        oracle = np.array([per_class_limiting_matrix(P) for P in chains])
+        batched = _cesaro_limit(chains, *_structure_masks(chains > 0))
+        np.testing.assert_allclose(batched, oracle, rtol=0, atol=1e-12)
+        for P, P_star in zip(chains, oracle):
+            st = decompose_chain(P)
+            np.testing.assert_allclose(st.limiting_matrix, P_star, rtol=0, atol=1e-12)
+            for c, nu in zip(st.recurrent_classes, st.stationary):
+                np.testing.assert_allclose(nu, P_star[c[0], c], rtol=0, atol=1e-12)
+        _, recurrent = _structure_masks(chains > 0)
+        if S > 2:  # the batch covers multichain chains with transient states
+            assert np.any(~recurrent.all(axis=1) & (np.trace(oracle, axis1=1, axis2=2) > 1.5))
+
+    def test_stationary_matches_normal_equations(self):
+        # every policy of dense corpus-style MDPs, where the normal equations
+        # served the enumeration and mixing_time
+        for seed in range(40):
+            m = random_mdp(2 + seed % 5, 3, seed=seed)
+            _, P_all, _, comm, recurrent, _ = _policy_batch(m, budget=10**6)
+            np.testing.assert_allclose(_stationary(P_all, comm, recurrent),
+                                       normal_equation_stationary(P_all),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("S", range(1, 8))
+    def test_stationary_on_unichain_with_transients(self, S):
+        # the normal equations square the condition number: on these sparse
+        # chains the two differ by up to 1.6e-11 (S=5), where the balance
+        # residual is 3.6e-14 for the normal equations and 0 for _stationary
+        rng = np.random.default_rng(3000 + S)
+        P = _unichain_supports(rng, S, 300) * (rng.random((300, S, S)) + 0.05)
+        P /= P.sum(axis=2, keepdims=True)
+        comm, recurrent = _structure_masks(P > 0)
+        nu = _stationary(P, comm, recurrent)
+        np.testing.assert_allclose(nu, normal_equation_stationary(P), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(nu[~recurrent], 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(nu.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestDiameter:
@@ -164,7 +239,7 @@ class TestMixingTime:
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()
-        policies, P_all, _, recurrent, multi = _policy_batch(m, budget=10**6)
+        policies, P_all, _, _, recurrent, multi = _policy_batch(m, budget=10**6)
         assert not multi.any()
         aperiodic = _batch_aperiodic(P_all > 0, recurrent)
         np.testing.assert_array_equal(~aperiodic, policies[:, 0] == 0)

@@ -29,6 +29,16 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+class TestParser:
+    def test_built_once_and_handlers_looked_up_per_call(self, monkeypatch):
+        from amdp_lab import cli
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_params", lambda args: seen.append(args.mdp) or 0)
+        assert main(["params", "--mdp", "x.json"]) == 0
+        assert seen == ["x.json"]
+
+
 class TestSolve:
     def test_dmdp_prints_six_decimals(self, cycle_file, capsys):
         assert main(["solve", "dmdp", "--mdp", cycle_file, "--gamma", "0.9"]) == 0

@@ -19,13 +19,14 @@ from amdp_lab import (
 )
 from amdp_lab.hard_instances import HardInstanceSpec
 from amdp_lab.corpus import random_mdp, standard_corpus
-from amdp_lab.solvers import horizon_iterates
+from amdp_lab.solvers import _enumerate_gains, horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
     bellman_evaluation,
     cesaro_bias,
     cesaro_gain,
     finite_values,
+    per_class_limiting_matrix,
     slow_path_best_gain,
 )
 
@@ -187,6 +188,29 @@ class TestAmdpOptimal:
             opt = amdp_optimal(m, method="enumerate")
             assert np.array_equal(opt.policy.actions, actions)
             assert float(np.min(opt.gain)) == pytest.approx(score, abs=1e-9)
+
+    @pytest.mark.parametrize("D", [32, 1e3, 1e4])
+    def test_enumerated_gains_match_per_class_oracle(self, D):
+        # 685 of the 729 policies on M1 S6A3 are multichain
+        m = build_m1(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
+        policies, gains = _enumerate_gains(m, budget=10**6)
+        idx = np.arange(6)
+        oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
+                           @ m.rewards[idx, a] for a in policies])
+        # some policies earn exactly zero, where only an absolute bound applies
+        np.testing.assert_allclose(gains, oracle, rtol=1e-9, atol=1e-14)
+
+    def test_ties_resolve_to_first_policy(self):
+        # 20 policies tie for the optimal gain here; rounding noise in the
+        # gains must not pick among them
+        m = build_m1(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
+        policies, gains = _enumerate_gains(m, budget=10**6)
+        worst = gains.min(axis=1)
+        assert np.sum(worst >= worst.max() - 1e-9) == 20
+        opt = amdp_optimal(m, method="enumerate")
+        assert np.array_equal(opt.policy.actions, np.zeros(6, dtype=int))
+        assert np.array_equal(opt.policy.actions, slow_path_best_gain(m)[0])
+        assert opt.H == pytest.approx(500 / 9, abs=1e-6)
 
     def test_methods_agree(self):
         for _, m in standard_corpus(count=40, master_seed=17):
