@@ -82,6 +82,7 @@ from .solvers import (
     amdp_gain_bias,
     amdp_optimal,
     bellman_optimality_residual,
+    dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
     finite_horizon_value,

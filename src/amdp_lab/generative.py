@@ -4,7 +4,9 @@ The sampler hides the true transition tensor behind next-state draws.  Each
 (s, a) pair owns an independent RNG stream derived from the master seed with
 a splitmix64-style mixer, so the sample sequence at one pair never depends
 on how calls interleave across pairs, and batched draws equal the same
-number of single draws.
+number of single draws.  The empirical build needs only counts, so it tallies
+the uniforms at the support boundaries of each pair instead of drawing
+states; the counts equal the bincount of the draws those uniforms give.
 """
 
 from __future__ import annotations
@@ -73,15 +75,8 @@ class GenerativeModel:
         self.rewards = truth.rewards
         self.sample_counter = np.zeros((truth.num_states, truth.num_actions),
                                        dtype=np.int64)
-        # inverse-CDF tables in state-index order, plus the last state with
-        # positive mass (absorbs the u >= cum[-1] float corner)
+        # inverse-CDF tables in state-index order
         self._cum = np.cumsum(truth.transitions, axis=2)
-        self._last_support = np.zeros((truth.num_states, truth.num_actions),
-                                      dtype=int)
-        for s in range(truth.num_states):
-            for a in range(truth.num_actions):
-                self._last_support[s, a] = int(np.flatnonzero(
-                    truth.transitions[s, a] > 0)[-1])
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
     def _stream(self, s: int, a: int) -> np.random.Generator:
@@ -97,14 +92,31 @@ class GenerativeModel:
         if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
             raise IndexError(f"state-action pair ({s}, {a}) out of range")
 
-    def sample_batch(self, s: int, a: int, n: int) -> np.ndarray:
-        """Draw n next states from P(.|s, a) by inverse CDF."""
+    def _draw(self, s: int, a: int, n: int):
+        """n uniforms from the pair's stream, the states with positive mass
+        and the CDF at all but the last of them: a draw lands on the first
+        support state whose boundary exceeds it, and on the last one past
+        every boundary (which absorbs the u >= cum[-1] float corner)."""
         self._check_pair(s, a)
         u = self._stream(s, a).random(n)
-        idx = np.searchsorted(self._cum[s, a], u, side="right")
-        idx[idx >= self.num_states] = self._last_support[s, a]
         self.sample_counter[s, a] += n
-        return idx
+        support = np.flatnonzero(self._truth.transitions[s, a] > 0)
+        return u, support, self._cum[s, a, support[:-1]]
+
+    def sample_batch(self, s: int, a: int, n: int) -> np.ndarray:
+        """Draw n next states from P(.|s, a) by inverse CDF."""
+        u, support, bounds = self._draw(s, a, n)
+        return support[np.searchsorted(bounds, u, side="right")]
+
+    def sample_counts(self, s: int, a: int, n: int) -> np.ndarray:
+        """Next-state counts of n draws from P(.|s, a), as an int64 vector of
+        length num_states: the bincount of what sample_batch(s, a, n) would
+        return, from the same uniforms, with one tally per support boundary."""
+        u, support, bounds = self._draw(s, a, n)
+        beyond = np.array([n] + [np.count_nonzero(u >= b) for b in bounds] + [0])
+        counts = np.zeros(self.num_states, dtype=np.int64)
+        counts[support] = beyond[:-1] - beyond[1:]
+        return counts
 
     def sample_next(self, s: int, a: int) -> int:
         """Draw one next state from P(.|s, a)."""
@@ -127,11 +139,8 @@ def build_empirical(gm: GenerativeModel, n_per_pair: int,
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
     S, A = gm.num_states, gm.num_actions
-    counts = np.zeros((S, A, S), dtype=np.int64)
-    for s in range(S):
-        for a in range(A):
-            draws = gm.sample_batch(s, a, n_per_pair)
-            counts[s, a] = np.bincount(draws, minlength=S)
+    counts = np.array([[gm.sample_counts(s, a, n_per_pair) for a in range(A)]
+                       for s in range(S)])
     mdp = TabularMdp(S, A, counts / float(n_per_pair),
                      np.asarray(perturbed_rewards, dtype=float),
                      metadata={"empirical_n": n_per_pair})

@@ -3,10 +3,12 @@ checks for every inequality the reduction rests on.
 
 The sampled pipeline: pick gamma = 1 - eps / (12 H), perturb rewards by a
 tiny seeded uniform, build an empirical MDP from a fixed number of draws per
-state-action pair, Q-value-iterate the discounted problem on it, and return
-the greedy policy.  The certification operations evaluate both sides of each
-supporting inequality with the exact solvers and record them as pass/fail
-certificates.
+state-action pair, solve the discounted problem on it exactly by policy
+iteration, and return the optimal policy.  The perturbation makes that
+optimum unique, so the exact solve has one answer.  The certification
+operations evaluate both sides of each supporting inequality with the exact
+solvers and record them as pass/fail certificates; only the deliberately
+inexact solve at a positive eps_gamma runs Q-value iteration.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .solvers import (
     AmdpOptimum,
     amdp_gain_bias,
     amdp_optimal,
+    dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
     horizon_iterates,
@@ -82,12 +85,11 @@ def reduction_params(epsilon: float, delta: float, H_bound: float,
 
 def algorithm1(gm: GenerativeModel, params: ReductionParams) -> DeterministicPolicy:
     """Sample-based reduction: perturb rewards, build the empirical MDP from
-    n_per_pair draws everywhere, solve the discounted problem on it to an
-    accuracy far below eps_gamma, and return the greedy policy."""
+    n_per_pair draws everywhere, and return its exact discounted-optimal
+    policy."""
     r_p = perturb_rewards(gm.rewards, params.xi, gm.seed_spec.reward_seed())
     emp = build_empirical(gm, params.n_per_pair, r_p)
-    accuracy = min(1e-9 / (1.0 - params.gamma), params.eps_gamma / 10.0)
-    _, _, policy = dmdp_value_iteration(emp.mdp, params.gamma, accuracy)
+    _, _, policy = dmdp_policy_iteration(emp.mdp, params.gamma)
     return policy
 
 
@@ -152,7 +154,7 @@ def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
     gamma = gamma_for_accuracy(epsilon, opt.H)
     tol = 1e-7
 
-    _, V_star, _ = dmdp_value_iteration(m, gamma, 1e-9)
+    _, V_star, _ = dmdp_policy_iteration(m, gamma)
     certs = [_certificate("optimal_value_span",
                           span((1.0 - gamma) * V_star), 4.0 * epsilon, tol,
                           instance_id)]
@@ -189,25 +191,29 @@ def reduction_chain_certificates(m: TabularMdp, epsilon: float,
                                  opt: AmdpOptimum | None = None) -> list[Certificate]:
     """Link-by-link check of the reduction argument at one (epsilon,
     eps_gamma) pair, ending with the headline bound
-    rho* - min_s rho^{pi_hat}(s) <= 8 epsilon + 3 (1-gamma) eps_gamma."""
+    rho* - min_s rho^{pi_hat}(s) <= 8 epsilon + 3 (1-gamma) eps_gamma.
+
+    pi_hat is the exact discounted optimum when eps_gamma is 0, and the
+    greedy policy of a Q-value iteration run to accuracy eps_gamma
+    otherwise."""
     if opt is None:
         opt = amdp_optimal(m)
     gamma = gamma_for_accuracy(epsilon, opt.H)
     tol = 1e-6
     rho_star = float(np.max(opt.gain))
 
-    _, V_star, _ = dmdp_value_iteration(m, gamma, 1e-9)
+    _, V_star, pi_hat = dmdp_policy_iteration(m, gamma)
     V_opt_pi = dmdp_policy_value(m, opt.policy, gamma)
-    solve_accuracy = eps_gamma if eps_gamma > 0.0 else 1e-10
-    _, _, pi_hat = dmdp_value_iteration(m, gamma, solve_accuracy)
-    V_hat = dmdp_policy_value(m, pi_hat, gamma)
+    V_hat = V_star
+    if eps_gamma > 0.0:  # the eps_gamma-accurate solve the argument allows
+        _, _, pi_hat = dmdp_value_iteration(m, gamma, eps_gamma)
+        V_hat = dmdp_policy_value(m, pi_hat, gamma)
     rho_hat = amdp_gain_bias(m, pi_hat).gain
 
     scale = 1.0 - gamma
-    gain_opt = amdp_gain_bias(m, opt.policy).gain
     certs = [
         _certificate("link_gain_gap_at_optimal_policy",
-                     float(np.max(np.abs(gain_opt - scale * V_opt_pi))),
+                     float(np.max(np.abs(opt.gain - scale * V_opt_pi))),
                      span(scale * V_opt_pi), tol, instance_id),
         _certificate("link_optimal_policy_value_span",
                      span(scale * V_opt_pi), 4.0 * epsilon, tol, instance_id),

@@ -1,10 +1,11 @@
 """Exact planning for tabular MDPs.
 
-Discounted: policy evaluation by dense linear solve and optimal control by
-Q-value iteration.  Average-reward: gain/bias of a policy through the
-limiting and deviation matrices, and the optimal gain/bias/policy either by
-brute-force policy enumeration or by relative value iteration on a lazy
-transform of the MDP.
+Discounted: policy evaluation by dense linear solve; the exact optimum by
+Howard policy iteration, one dense solve per policy; and Q-value iteration
+to a stated accuracy, for callers that want a deliberately inexact solve.
+Average-reward: gain/bias of a policy through the limiting and deviation
+matrices, and the optimal gain/bias/policy either by brute-force policy
+enumeration or by relative value iteration on a lazy transform of the MDP.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .mdp import (
 #: policies whose worst-state gains differ by at most this much are tied;
 #: amdp_optimal's enumeration returns the first of them
 GAIN_TIE_TOL = 1e-9
+
+#: policy improvements dmdp_policy_iteration may make before it raises
+#: SolverConvergenceError (Howard's method takes a handful in practice)
+PI_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,36 @@ def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float,
     V = Q.max(axis=1)
     policy = DeterministicPolicy(np.argmax(Q, axis=1))
     return Q, V, policy
+
+
+def dmdp_policy_iteration(m: TabularMdp, gamma: float):
+    """Exact discounted optimum by Howard policy iteration.
+
+    Starts from the reward-greedy policy, evaluates each policy with one
+    dense solve and switches an action only where the best Q value beats the
+    current one by more than a few ulps, so rounding noise in the solves
+    cannot make it cycle.  Returns (Q, V, policy) as dmdp_value_iteration
+    does: V the row max of Q and the greedy policy with ties broken toward
+    the lowest action index.
+    """
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    P, r = m.transitions, m.rewards
+    states = np.arange(m.num_states)
+    identity = np.eye(m.num_states)
+    tie = 8.0 * np.finfo(float).eps
+    actions = np.argmax(r, axis=1)
+    for _ in range(PI_MAX_ITERATIONS):
+        V = np.linalg.solve(identity - gamma * P[states, actions],
+                            r[states, actions])
+        Q = r + gamma * (P @ V)
+        best = Q.max(axis=1)
+        improves = best - Q[states, actions] > tie * np.abs(best)
+        if not improves.any():
+            return Q, best, DeterministicPolicy(np.argmax(Q, axis=1))
+        actions = np.where(improves, np.argmax(Q, axis=1), actions)
+    raise SolverConvergenceError(
+        f"policy iteration still improving after {PI_MAX_ITERATIONS} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +284,12 @@ def amdp_optimal(m: TabularMdp, method: str = "auto",
                        H=span(bias), weakly_communicating=wc)
 
 
-def h_gamma_star(m: TabularMdp, gamma: float, opt: AmdpOptimum,
-                 vi_accuracy: float = 1e-9) -> np.ndarray:
+def h_gamma_star(m: TabularMdp, gamma: float, opt: AmdpOptimum) -> np.ndarray:
     """Shifted optimal discounted value V*_gamma - gain / (1 - gamma).
 
     For a weakly communicating MDP this vector satisfies the discounted
     optimality equation rewritten in average-reward form,
     (gain + h)(s) = max_a { r(s,a) + gamma P_{s,a} h }.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    _, V, _ = dmdp_value_iteration(m, gamma, vi_accuracy)
+    _, V, _ = dmdp_policy_iteration(m, gamma)
     return V - opt.gain / (1.0 - gamma)

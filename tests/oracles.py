@@ -159,3 +159,13 @@ def finite_horizon_identity_loop(P: np.ndarray, r: np.ndarray,
         predicted = T * gain + bias - propagated
         worst = max(worst, float(np.max(np.abs(V - predicted))))
     return worst
+
+
+def searchsorted_draws(row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next states for uniforms u under one transition row by inverse CDF:
+    searchsorted over the whole CDF, with the u >= cum[-1] float corner sent
+    to the last state of positive mass (the draw GenerativeModel.sample_batch
+    made before it searched the support boundaries alone)."""
+    idx = np.searchsorted(np.cumsum(row), u, side="right")
+    idx[idx >= len(row)] = np.flatnonzero(row > 0)[-1]
+    return idx

@@ -13,6 +13,7 @@ from amdp_lab import (
 )
 from amdp_lab.corpus import random_mdp
 from amdp_lab.reduction import reduction_params
+from oracles import searchsorted_draws
 
 
 def make_deterministic_truth():
@@ -88,6 +89,105 @@ class TestSampling:
         gm = GenerativeModel(random_mdp(2, 1, seed=0), 1)
         assert not hasattr(gm, "transitions")
         assert not hasattr(gm, "truth")
+
+
+def random_support_truth(S, A, seed):
+    """Random rows over random supports of every size, one of them a tiny
+    mass after a large one (its CDF step rounds away)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    P = np.zeros((S, A, S))
+    for s in range(S):
+        for a in range(A):
+            support = rng.choice(S, int(rng.integers(1, S + 1)), replace=False)
+            P[s, a, support] = rng.dirichlet(np.ones(len(support)))
+    P[0, 0] = 0.0
+    P[0, 0, [1, S - 2]] = [1.0, 1e-17]
+    return TabularMdp(S, A, P, np.zeros((S, A)))
+
+
+def ten_tenths_truth():
+    """One row of ten 0.1s, whose CDF ends at 0.9999999999999999 < 1."""
+    return TabularMdp(10, 1, np.full((10, 1, 10), 0.1), np.zeros((10, 1)))
+
+
+class FixedUniforms:
+    """Stand-in stream that hands out preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        out, self.u = self.u[:n], self.u[n:]
+        return out
+
+
+class TestSampleCounts:
+    def test_batch_matches_searchsorted_oracle(self):
+        for seed in range(20):
+            truth = random_support_truth(7, 3, seed)
+            gm = GenerativeModel(truth, seed)
+            for s in range(7):
+                for a in range(3):
+                    u = np.random.Generator(np.random.PCG64(
+                        gm.seed_spec.transition_seed(s, a))).random(500)
+                    assert np.array_equal(
+                        gm.sample_batch(s, a, 500),
+                        searchsorted_draws(truth.transitions[s, a], u))
+
+    def test_counts_equal_bincount_of_batch(self):
+        for seed in range(20):
+            truth = random_support_truth(7, 3, seed)
+            by_counts = GenerativeModel(truth, seed)
+            by_batch = GenerativeModel(truth, seed)
+            for s in range(7):
+                for a in range(3):
+                    for n in (0, 1, 37, 2000):
+                        counts = by_counts.sample_counts(s, a, n)
+                        assert counts.dtype == np.int64
+                        assert np.array_equal(counts, np.bincount(
+                            by_batch.sample_batch(s, a, n), minlength=7))
+            assert np.array_equal(by_counts.sample_counter, by_batch.sample_counter)
+
+    def test_float_corner_row(self):
+        truth = ten_tenths_truth()
+        cum = np.cumsum(truth.transitions[0, 0])
+        # the largest uniform a stream can return is exactly that CDF end
+        assert cum[-1] == 0.9999999999999999 == np.nextafter(1.0, 0.0)
+        u = np.concatenate([[0.0, cum[-1]], cum, np.nextafter(cum, 0.0),
+                            np.nextafter(cum[:-1], 1.0),
+                            np.random.Generator(np.random.PCG64(3)).random(200)])
+        expected = searchsorted_draws(truth.transitions[0, 0], u)
+        assert expected[1] == 9  # the corner draw goes to the last state
+        by_counts = GenerativeModel(truth, 1)
+        by_batch = GenerativeModel(truth, 1)
+        by_counts._streams[(0, 0)] = FixedUniforms(u)
+        by_batch._streams[(0, 0)] = FixedUniforms(u)
+        batch = by_batch.sample_batch(0, 0, len(u))
+        assert np.array_equal(batch, expected)
+        assert np.array_equal(by_counts.sample_counts(0, 0, len(u)),
+                              np.bincount(batch, minlength=10))
+        gm = GenerativeModel(truth, 5)
+        assert np.array_equal(gm.sample_counts(0, 0, 10**5), np.bincount(
+            GenerativeModel(truth, 5).sample_batch(0, 0, 10**5), minlength=10))
+
+    def test_interleaving_counts_and_batches_keeps_streams(self):
+        truth = random_support_truth(5, 2, 4)
+        mixed = GenerativeModel(truth, 77)
+        batches = GenerativeModel(truth, 77)
+        plan = [(0, 0, 30), (3, 1, 5), (0, 0, 12), (4, 0, 1), (3, 1, 300),
+                (0, 0, 7), (2, 1, 64)]
+        for i, (s, a, n) in enumerate(plan):
+            draws = batches.sample_batch(s, a, n)
+            if i % 2 == 0:
+                assert np.array_equal(mixed.sample_counts(s, a, n),
+                                      np.bincount(draws, minlength=5))
+            else:
+                assert np.array_equal(mixed.sample_batch(s, a, n), draws)
+        assert np.array_equal(mixed.sample_counter, batches.sample_counter)
+        for s in range(5):
+            for a in range(2):
+                assert np.array_equal(mixed.sample_batch(s, a, 50),
+                                      batches.sample_batch(s, a, 50))
 
 
 class TestBuildEmpirical:

@@ -4,6 +4,7 @@ import pytest
 from amdp_lab import (
     DeterministicPolicy,
     GenerativeModel,
+    RngSeedSpec,
     algorithm1,
     amdp_gain_bias,
     amdp_optimal,
@@ -12,6 +13,8 @@ from amdp_lab import (
     certify_gain_discount_gap,
     certify_reduction_bound,
     certify_span_bounds,
+    build_empirical,
+    dmdp_policy_iteration,
     dmdp_value_iteration,
     empirical_error,
     failure_rate,
@@ -99,6 +102,32 @@ class TestAlgorithm1:
         _, _, exact = dmdp_value_iteration(truth.with_rewards(r_p), params.gamma,
                                            accuracy)
         assert np.array_equal(learned.actions, exact.actions)
+
+    def test_policy_iteration_matches_value_iteration_on_sweep_trials(self):
+        # the N=1e3 experiment cells of the benchmark's reduce_sweep (M1 at
+        # D=32, eps=1/32, --epsilon 0.25 --H oracle) for experiment seeds 1
+        # and 2: the exact solve returns the policy of the value iteration
+        # that algorithm1 ran before, whose values are accuracy/2-close
+        for S, A in ((6, 3), (14, 4)):
+            truth = build_m1(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
+                                              variant="M1"))
+            H = max(amdp_optimal(truth).H, 1.0)
+            params = reduction_params(0.25, 0.05, H, S, A, n_override=1000)
+            accuracy = min(1e-9 / (1 - params.gamma), params.eps_gamma / 10.0)
+            for seed in (1, 2):
+                for trial in range(10):
+                    trial_seed = RngSeedSpec(seed).trial_seed(trial)
+                    gm = GenerativeModel(truth, trial_seed)
+                    r_p = perturb_rewards(truth.rewards, params.xi,
+                                          gm.seed_spec.reward_seed())
+                    emp = build_empirical(gm, params.n_per_pair, r_p).mdp
+                    _, V_vi, pi_vi = dmdp_value_iteration(emp, params.gamma,
+                                                          accuracy)
+                    _, V, pi = dmdp_policy_iteration(emp, params.gamma)
+                    assert np.array_equal(pi.actions, pi_vi.actions)
+                    assert np.max(np.abs(V - V_vi)) <= accuracy
+                    learned = algorithm1(GenerativeModel(truth, trial_seed), params)
+                    assert np.array_equal(learned.actions, pi.actions)
 
     def test_deterministic_in_seed(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")

@@ -9,6 +9,7 @@ from amdp_lab import (
     bellman_optimality_residual,
     build_m1,
     decompose_chain,
+    dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
     finite_horizon_value,
@@ -98,6 +99,58 @@ class TestDmdpValueIteration:
         from amdp_lab import SolverConvergenceError
         with pytest.raises(SolverConvergenceError):
             dmdp_value_iteration(cycle, 0.999999, 1e-12, max_sweeps=5)
+
+
+class TestDmdpPolicyIteration:
+    def test_zero_rewards_tie_break(self):
+        m = random_mdp(3, 3, seed=2).with_rewards(np.zeros((3, 3)))
+        Q, V, pi = dmdp_policy_iteration(m, 0.9)
+        assert np.array_equal(Q, np.zeros((3, 3)))
+        assert np.array_equal(pi.actions, np.zeros(3, dtype=int))
+
+    def test_exact_ties_go_to_lowest_action(self):
+        # at state 0, action 1 (reward 0, on to state 1 worth 2) and action 2
+        # (reward 1/2, on to state 2 worth 1) tie exactly at Q = 1 when
+        # gamma = 1/2; the reward-greedy start takes action 2
+        P = np.zeros((3, 3, 3))
+        P[0, 0, 0] = P[0, 1, 1] = P[0, 2, 2] = 1.0
+        P[1, :, 1] = P[2, :, 2] = 1.0
+        r = np.array([[0.0, 0.0, 0.5], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]])
+        Q, V, pi = dmdp_policy_iteration(TabularMdp(3, 3, P, r), 0.5)
+        assert Q[0, 1] == Q[0, 2] == 1.0
+        assert np.array_equal(pi.actions, [1, 0, 0])
+        assert np.array_equal(V, [1.0, 2.0, 1.0])
+        assert np.array_equal(V, Q.max(axis=1))
+
+    def test_stay_beats_cycle_at_high_gamma(self):
+        # the reward-greedy start moves; the optimum at gamma 0.99 stays
+        _, V, pi = dmdp_policy_iteration(make_stay_or_cycle(), 0.99)
+        assert pi.actions[0] == 1
+        assert V[0] == pytest.approx(60.0, abs=1e-10)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        from amdp_lab import SolverConvergenceError, solvers
+        m = make_stay_or_cycle()
+        monkeypatch.setattr(solvers, "PI_MAX_ITERATIONS", 2)
+        assert dmdp_policy_iteration(m, 0.99)[2].actions[0] == 1
+        monkeypatch.setattr(solvers, "PI_MAX_ITERATIONS", 1)
+        with pytest.raises(SolverConvergenceError):
+            dmdp_policy_iteration(m, 0.99)
+
+    def test_matches_value_iteration_on_corpus(self):
+        for _, m in standard_corpus(count=200, max_states=6, max_actions=4,
+                                    master_seed=7):
+            for gamma in GAMMAS:
+                _, V_vi, pi_vi = dmdp_value_iteration(m, gamma, 1e-10)
+                _, V, pi = dmdp_policy_iteration(m, gamma)
+                assert np.array_equal(pi.actions, pi_vi.actions)
+                np.testing.assert_allclose(V, V_vi, rtol=1e-9)
+                np.testing.assert_allclose(V, dmdp_policy_value(m, pi, gamma),
+                                           rtol=1e-12)
+
+    def test_gamma_range(self, cycle):
+        with pytest.raises(ValueError):
+            dmdp_policy_iteration(cycle, 1.0)
 
 
 class TestGainBias:
