@@ -8,7 +8,8 @@ transformation, and connectivity classification.
 Stationary distributions and limiting matrices, of one chain or of every
 policy's chain at once, come from one linear solve for the closed classes
 (_stationary) and one absorption solve for the transient states
-(_cesaro_limit).
+(_cesaro_limit).  Hitting times to every target come from one batched
+stochastic-shortest-path policy iteration (_ssp_policy_iteration).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .mdp import (
     TabularMdp,
 )
 
-#: expected-hitting-time iterates above this are treated as divergent
-HITTING_TIME_CAP = 1e9
+#: policy evaluations dmdp_policy_iteration or the hitting-time solve may
+#: make before raising SolverConvergenceError (a handful in practice)
+PI_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -243,84 +245,95 @@ def _batch_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
 # diameter
 
 
-def _almost_sure_reach_set(m: TabularMdp, target: int) -> np.ndarray:
-    """States from which some policy hits ``target`` with probability one.
+def _stays_inside(support: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(K, S, A) mask: action a at state s keeps its whole support inside
+    set k, for a support (S, A, S) and a batch of state sets (K, S)."""
+    S, A, _ = support.shape
+    leaves = support.reshape(S * A, S).astype(np.float32) @ (~sets).T.astype(np.float32)
+    return np.moveaxis(leaves.reshape(S, A, -1) == 0, -1, 0)
 
-    Iterated backward reachability: shrink the candidate set to the states
-    that can reach the target through actions whose whole support stays
-    inside the candidates, until stable.  Exactly these states have a finite
-    minimal expected hitting time.
+
+def _almost_sure_reach(support: np.ndarray):
+    """(reach, policy), both (S, S) and indexed [target, state]: reach[t]
+    marks the states from which some policy hits t with probability one.
+
+    Per target, the candidates shrink to the states that reach t in backward
+    layers through actions whose whole support stays inside the candidates,
+    until stable; all targets iterate together.  policy[t, s] is the first
+    such action of s that touches an earlier layer, a proper policy on
+    reach[t].
     """
-    S = m.num_states
-    supports = [[np.flatnonzero(m.transitions[s, a] > 0)
-                 for a in range(m.num_actions)] for s in range(S)]
-    candidates = np.ones(S, dtype=bool)
+    S = support.shape[0]
+    candidates = np.ones((S, S), dtype=bool)
+    policy = np.zeros((S, S), dtype=int)
     while True:
-        reached = np.zeros(S, dtype=bool)
-        reached[target] = True
-        grew = True
-        while grew:
-            grew = False
-            for s in np.flatnonzero(candidates & ~reached):
-                for supp in supports[s]:
-                    if candidates[supp].all() and reached[supp].any():
-                        reached[s] = True
-                        grew = True
-                        break
+        stays = _stays_inside(support, candidates)
+        reached = np.eye(S, dtype=bool)
+        while True:
+            # an action touches reached iff it does not stay inside ~reached
+            layer_actions = stays & ~_stays_inside(support, ~reached)
+            layer = candidates & ~reached & layer_actions.any(axis=-1)
+            if not layer.any():
+                break
+            policy[layer] = np.argmax(layer_actions, axis=-1)[layer]
+            reached |= layer
         if np.array_equal(reached, candidates):
-            return candidates
+            return candidates, policy
         candidates = reached
 
 
-def min_expected_hitting_times(m: TabularMdp, target: int,
-                               tol: float = 1e-9,
-                               max_sweeps: int = 10**7) -> np.ndarray:
-    """Minimal expected hitting times T(s) to ``target`` over all policies.
+def _ssp_policy_iteration(m: TabularMdp, targets: np.ndarray, reach: np.ndarray,
+                          policy: np.ndarray) -> np.ndarray:
+    """Minimal expected hitting times (K, S) to K targets by stochastic
+    shortest-path policy iteration from the targets' rows of _almost_sure_reach.
 
-    Value-iterates T(s) = min_a { 1 + sum_{s' != target} P(s'|s,a) T(s') }
-    from zero.  States with no policy reaching the target almost surely are
-    pinned to +inf up front (their iterates would otherwise diverge), and
-    iterates exceeding HITTING_TIME_CAP are declared infinite as a backstop.
-    Raises SolverConvergenceError when max_sweeps pass without convergence.
+    Each round solves (I - P_pi) T = 1 for all K policies at once (identity
+    rows, right-hand side 0, off the reach set and at the target), then
+    switches an action only where the best Q beats the current one by more
+    than a few ulps, as dmdp_policy_iteration does.  Actions leaving the
+    reach set get Q = +inf, so every policy stays proper.
     """
-    S = m.num_states
-    finite = _almost_sure_reach_set(m, target)
-    P = m.transitions.copy()
-    P[:, :, target] = 0.0
-    sentinel = 10.0 * HITTING_TIME_CAP
-    T = np.where(finite, 0.0, sentinel)
-    T[target] = 0.0
-    for _ in range(max_sweeps):
-        candidates = 1.0 + np.einsum("sat,t->sa", P, T)
-        T_new = candidates.min(axis=1)
-        T_new[target] = 0.0
-        T_new[~finite] = sentinel
-        if np.max(T_new[finite]) > HITTING_TIME_CAP:
-            break
-        if np.max(np.abs(T_new - T)[finite]) <= tol:
-            T = T_new
-            break
-        T = T_new
-    else:
-        raise SolverConvergenceError(
-            f"hitting times to {target} did not converge in {max_sweeps} sweeps")
-    out = np.where(finite, T, math.inf)
-    out[out > HITTING_TIME_CAP] = math.inf
-    return out
+    P = m.transitions
+    K, S = reach.shape
+    states = np.arange(S)
+    active = reach.copy()
+    active[np.arange(K), targets] = False
+    # inactive rows never switch: let every action stay there
+    stays = _stays_inside(P > 0, reach) | ~active[..., None]
+    identity = np.eye(S)
+    tie = 8.0 * np.finfo(float).eps
+    for _ in range(PI_MAX_ITERATIONS):
+        M = identity - P[states, policy]
+        M[~active] = identity[np.nonzero(~active)[1]]
+        T = np.linalg.solve(M, active[..., None].astype(float))[..., 0]
+        Q = np.where(stays, 1.0 + np.tensordot(T, P, axes=(1, 2)), math.inf)
+        best = Q.min(axis=-1)
+        current = np.take_along_axis(Q, policy[..., None], axis=-1)[..., 0]
+        improves = active & (current - best > tie * best)
+        if not improves.any():
+            return np.where(reach, T, math.inf)
+        policy = np.where(improves, np.argmin(Q, axis=-1), policy)
+    raise SolverConvergenceError(f"hitting-time policy iteration still "
+                                 f"improving after {PI_MAX_ITERATIONS} iterations")
+
+
+def min_expected_hitting_times(m: TabularMdp, target: int) -> np.ndarray:
+    """Minimal expected hitting times T(s) to ``target`` over all policies,
+    +inf where no policy reaches it almost surely: one target of diameter's
+    solve."""
+    reach, policy = _almost_sure_reach(m.transitions > 0)
+    return _ssp_policy_iteration(m, np.array([target]), reach[[target]],
+                                 policy[[target]])[0]
 
 
 def diameter(m: TabularMdp) -> float:
     """MDP diameter: max over ordered pairs s1 != s2 of the minimal expected
-    hitting time from s1 to s2; +inf when some pair is unreachable."""
-    worst = 0.0
-    for target in range(m.num_states):
-        T = min_expected_hitting_times(m, target)
-        others = np.delete(T, target)
-        if others.size and np.max(others) > worst:
-            worst = float(np.max(others))
-        if math.isinf(worst):
-            return math.inf
-    return worst
+    hitting time from s1 to s2, solved exactly for all targets at once; +inf
+    when some pair is not almost surely reachable, 0.0 for one state."""
+    reach, policy = _almost_sure_reach(m.transitions > 0)
+    if not reach.all():
+        return math.inf
+    return float(_ssp_policy_iteration(m, np.arange(m.num_states), reach, policy).max())
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +436,13 @@ def is_weakly_communicating(m: TabularMdp) -> bool:
         return False  # more than one closed class in the union digraph
     # Outside the closed class, no subset may be closable by some policy:
     # greatest fixed point of "keep u if some action stays inside".
-    outside = np.flatnonzero(~recurrent)
-    alive = set(int(u) for u in outside)
-    changed = True
-    while changed and alive:
-        changed = False
-        for u in list(alive):
-            stays = False
-            for a in range(m.num_actions):
-                supp = np.flatnonzero(m.transitions[u, a] > 0)
-                if all(int(v) in alive for v in supp):
-                    stays = True
-                    break
-            if not stays:
-                alive.remove(u)
-                changed = True
-    return not alive
+    alive = ~recurrent[None]
+    while alive.any():
+        kept = alive & _stays_inside(m.transitions > 0, alive).any(axis=-1)
+        if np.array_equal(kept, alive):
+            return False
+        alive = kept
+    return True
 
 
 def structural_parameters(m: TabularMdp, threshold: float = 0.5,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (
+    PI_MAX_ITERATIONS,
     _cesaro_limit,
     _policy_batch,
     _structure_masks,
@@ -34,10 +35,6 @@ from .mdp import (
 #: policies whose worst-state gains differ by at most this much are tied;
 #: amdp_optimal's enumeration returns the first of them
 GAIN_TIE_TOL = 1e-9
-
-#: policy improvements dmdp_policy_iteration may make before it raises
-#: SolverConvergenceError (Howard's method takes a handful in practice)
-PI_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)

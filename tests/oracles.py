@@ -169,3 +169,89 @@ def searchsorted_draws(row: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(np.cumsum(row), u, side="right")
     idx[idx >= len(row)] = np.flatnonzero(row > 0)[-1]
     return idx
+
+
+#: value-iteration hitting-time iterates above this are treated as divergent
+HITTING_TIME_CAP = 1e9
+
+
+def almost_sure_reach_set(m, target: int) -> np.ndarray:
+    """States from which some policy hits ``target`` with probability one,
+    by a per-state set loop: shrink the candidates to the states that reach
+    the target through actions whose whole support stays inside the
+    candidates, until stable."""
+    S = m.num_states
+    supports = [[np.flatnonzero(m.transitions[s, a] > 0)
+                 for a in range(m.num_actions)] for s in range(S)]
+    candidates = np.ones(S, dtype=bool)
+    while True:
+        reached = np.zeros(S, dtype=bool)
+        reached[target] = True
+        grew = True
+        while grew:
+            grew = False
+            for s in np.flatnonzero(candidates & ~reached):
+                for supp in supports[s]:
+                    if candidates[supp].all() and reached[supp].any():
+                        reached[s] = True
+                        grew = True
+                        break
+        if np.array_equal(reached, candidates):
+            return candidates
+        candidates = reached
+
+
+def value_iteration_hitting_times(m, target: int, tol: float = 1e-9,
+                                  max_sweeps: int = 10**7) -> np.ndarray:
+    """Minimal expected hitting times to ``target`` by value iteration of
+    T(s) = min_a {1 + sum_{s' != target} P(s'|s,a) T(s')} from zero, +inf
+    outside the almost-sure reach set and, as a backstop, above
+    HITTING_TIME_CAP: the per-target solve diameter used before its policy
+    iteration.  Stops about tol short of the true value."""
+    finite = almost_sure_reach_set(m, target)
+    P = m.transitions.copy()
+    P[:, :, target] = 0.0
+    sentinel = 10.0 * HITTING_TIME_CAP
+    T = np.where(finite, 0.0, sentinel)
+    T[target] = 0.0
+    for _ in range(max_sweeps):
+        T_new = (1.0 + np.einsum("sat,t->sa", P, T)).min(axis=1)
+        T_new[target] = 0.0
+        T_new[~finite] = sentinel
+        if np.max(T_new[finite]) > HITTING_TIME_CAP:
+            break
+        if np.max(np.abs(T_new - T)[finite]) <= tol:
+            T = T_new
+            break
+        T = T_new
+    else:
+        raise RuntimeError(f"oracle hitting times to {target} did not converge")
+    out = np.where(finite, T, np.inf)
+    out[out > HITTING_TIME_CAP] = np.inf
+    return out
+
+
+def set_loop_weakly_communicating(m) -> bool:
+    """Weak communication with the greatest fixed point "keep u if some
+    action stays inside" taken over a Python set, one flatnonzero per
+    action: the loop is_weakly_communicating used before the batched
+    stays-inside mask."""
+    from amdp_lab.chains import _structure_masks, union_support
+
+    comm, recurrent = _structure_masks(union_support(m))
+    if not np.any(recurrent):
+        return False
+    rec_states = np.flatnonzero(recurrent)
+    if not np.all(comm[np.ix_(rec_states, rec_states)]):
+        return False
+    alive = set(int(u) for u in np.flatnonzero(~recurrent))
+    changed = True
+    while changed and alive:
+        changed = False
+        for u in list(alive):
+            if not any(all(int(v) in alive
+                           for v in np.flatnonzero(m.transitions[u, a] > 0))
+                       for a in range(m.num_actions)):
+                alive.remove(u)
+                changed = True
+    return not alive

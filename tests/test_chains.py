@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import pytest
 from amdp_lab import (
     DeterministicPolicy,
     EnumerationBudgetError,
+    HardInstanceSpec,
     SolverConvergenceError,
     aperiodicity_transform,
     amdp_gain_bias,
+    amdp_optimal,
     chain_mixing_time,
     decompose_chain,
     diameter,
     finite_horizon_value,
+    hard_instance,
     induce_chain,
     is_communicating,
     is_weakly_communicating,
@@ -34,6 +38,8 @@ from amdp_lab.corpus import random_mdp, standard_corpus
 from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbing
 from oracles import (
     hitting_time_single_chain,
+    set_loop_weakly_communicating,
+    value_iteration_hitting_times,
     normal_equation_stationary,
     per_class_limiting_matrix,
     policy_loop_aperiodic,
@@ -202,9 +208,80 @@ class TestDiameter:
         assert T[1] == 0.0
         assert T[0] == pytest.approx(4.0, abs=1e-6)
 
-    def test_sweep_cap_raises(self, slow4):
+    def test_iteration_cap_raises(self, monkeypatch):
+        # the reach-layer start takes action 0 at state 0 (T = 10); one
+        # improvement to action 1 (T = 1) makes two evaluations in all
+        from amdp_lab import TabularMdp, chains
+        P = np.zeros((2, 2, 2))
+        P[0, 0] = [0.9, 0.1]
+        P[0, 1, 1] = 1.0
+        P[1, :, 0] = 1.0
+        m = TabularMdp(2, 2, P, np.zeros((2, 2)))
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 1)
         with pytest.raises(SolverConvergenceError):
-            min_expected_hitting_times(slow4, 1, max_sweeps=1)
+            diameter(m)
+        with pytest.raises(SolverConvergenceError):
+            min_expected_hitting_times(m, 1)
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 2)
+        assert diameter(m) == 1.0
+        assert np.array_equal(min_expected_hitting_times(m, 1), [1.0, 0.0])
+
+    @pytest.mark.parametrize("variant", ["M0", "M1"])
+    @pytest.mark.parametrize("D,expected", [(32, 9.4), (1e3, 203.0), (1e4, 2003.0)])
+    def test_exact_on_hard_family(self, variant, D, expected):
+        # value iteration stopped about 1e-9 short here (2002.99999896 at 1e4)
+        m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1.0 / 32.0,
+                                           variant=variant))
+        d = diameter(m)
+        assert d == pytest.approx(expected, rel=1e-12, abs=0)
+        assert amdp_optimal(m).H <= d
+
+    def test_matches_value_iteration_on_corpus(self):
+        _assert_hitting_times_match_oracle(
+            m for _, m in standard_corpus(count=1000, max_states=6,
+                                          max_actions=4, master_seed=7))
+
+    def test_matches_value_iteration_on_sparse_mdps(self):
+        ms = _sparse_mdps()
+        assert sum(math.isinf(diameter(m)) for m in ms) > 100
+        _assert_hitting_times_match_oracle(ms)
+
+
+def _sparse_mdps(count: int = 600) -> list:
+    """Seeded MDPs with S in 1..7, A in 1..3 and supports of size 1-3, many
+    of them with pairs that no policy connects."""
+    from amdp_lab import TabularMdp
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(count):
+        S, A = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        P = np.zeros((S, A, S))
+        for s, a in product(range(S), range(A)):
+            k = int(rng.integers(1, min(3, S) + 1))
+            P[s, a, rng.choice(S, k, replace=False)] = rng.random(k) + 0.05
+        P /= P.sum(axis=2, keepdims=True)
+        out.append(TabularMdp(S, A, P, rng.random((S, A))))
+    return out
+
+
+def _assert_hitting_times_match_oracle(ms) -> None:
+    """diameter and every min_expected_hitting_times vector agree with
+    per-target value iteration within 1e-9 relative, with the same +inf
+    entries."""
+    for m in ms:
+        vectors = [value_iteration_hitting_times(m, t, tol=1e-11)
+                   for t in range(m.num_states)]
+        for t, oracle in enumerate(vectors):
+            T = min_expected_hitting_times(m, t)
+            assert np.array_equal(np.isinf(T), np.isinf(oracle))
+            np.testing.assert_allclose(T[np.isfinite(T)], oracle[np.isfinite(T)],
+                                       rtol=1e-9, atol=0)
+        worst = max(float(np.delete(v, t).max(initial=0.0))
+                    for t, v in enumerate(vectors))
+        if math.isinf(worst):
+            assert math.isinf(diameter(m))
+        else:
+            assert diameter(m) == pytest.approx(worst, rel=1e-9, abs=0)
 
 
 class TestMixingTime:
@@ -376,6 +453,19 @@ class TestConnectivity:
         P[1, :, 1] = 1.0
         m = TabularMdp(2, 2, P, np.zeros((2, 2)))
         assert not is_weakly_communicating(m)
+
+
+    def test_stays_inside_matches_set_loop(self):
+        escapable = np.zeros((2, 2, 2))
+        escapable[0, 0, 0] = escapable[0, 1, 1] = 1.0
+        escapable[1, :, 1] = 1.0
+        from amdp_lab import TabularMdp
+        fixtures = [random_mdp(4, 2, seed=1), make_transient_funnel(),
+                    make_two_absorbing(), TabularMdp(2, 2, escapable, np.zeros((2, 2)))]
+        corpus = [m for _, m in standard_corpus(count=1000, max_states=6,
+                                                 max_actions=4, master_seed=7)]
+        for m in fixtures + corpus + _sparse_mdps():
+            assert is_weakly_communicating(m) == set_loop_weakly_communicating(m)
 
 
 class TestStructuralParameters:
