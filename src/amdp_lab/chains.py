@@ -8,8 +8,9 @@ transformation, and connectivity classification.
 Stationary distributions and limiting matrices, of one chain or of every
 policy's chain at once, come from one linear solve for the closed classes
 (_stationary) and one absorption solve for the transient states
-(_cesaro_limit).  Hitting times to every target come from one batched
-stochastic-shortest-path policy iteration (_ssp_policy_iteration).
+(_cesaro_limit).  _policy_iteration is the one Howard policy-iteration loop:
+it gives the hitting times to every target (stochastic shortest paths) and
+the solvers' exact discounted optimum.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ from .mdp import (
     TabularMdp,
 )
 
-#: policy evaluations dmdp_policy_iteration or the hitting-time solve may
-#: make before raising SolverConvergenceError (a handful in practice)
+#: policy evaluations _policy_iteration may make before raising
+#: SolverConvergenceError (a handful in practice)
 PI_MAX_ITERATIONS = 1000
+
+#: bytes one chunk of the hitting-time solve may hold in each (chunk, S, S)
+#: float64 stack, so peak memory stays a few times this for any S (at
+#: S = 200, 2 MB chunks also ran faster than 8 MB ones)
+_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -47,14 +53,6 @@ class ChainStructure:
     stationary: tuple[np.ndarray, ...]
     limiting_matrix: np.ndarray
     period: tuple[int, ...]
-
-    @property
-    def is_unichain(self) -> bool:
-        return len(self.recurrent_classes) == 1
-
-    @property
-    def is_aperiodic(self) -> bool:
-        return all(p == 1 for p in self.period)
 
 
 @dataclass(frozen=True)
@@ -282,39 +280,63 @@ def _almost_sure_reach(support: np.ndarray):
         candidates = reached
 
 
-def _ssp_policy_iteration(m: TabularMdp, targets: np.ndarray, reach: np.ndarray,
-                          policy: np.ndarray) -> np.ndarray:
-    """Minimal expected hitting times (K, S) to K targets by stochastic
-    shortest-path policy iteration from the targets' rows of _almost_sure_reach.
+def _policy_iteration(P: np.ndarray, cost: np.ndarray, discount: float,
+                      policy: np.ndarray, allowed, active: np.ndarray):
+    """Howard policy iteration minimizing expected discounted cost, for K
+    problems on one transition tensor P (S, A, S) at once.
 
-    Each round solves (I - P_pi) T = 1 for all K policies at once (identity
-    rows, right-hand side 0, off the reach set and at the target), then
-    switches an action only where the best Q beats the current one by more
-    than a few ulps, as dmdp_policy_iteration does.  Actions leaving the
-    reach set get Q = +inf, so every policy stays proper.
+    policy (K, S) is the start, which must have finite cost; cost is (S, A).
+    Rows off active (K, S) are held at value 0; actions off allowed (a mask
+    broadcasting to (K, S, A)) get Q = +inf.  Each round solves
+    (I - discount P_pi) V = cost_pi for all K policies in one batched dense
+    solve, then switches an action only where the best Q beats the current
+    one by more than a few ulps, so rounding noise cannot make it cycle.
+    Returns (Q, V) of the last evaluation.
     """
-    P = m.transitions
-    K, S = reach.shape
-    states = np.arange(S)
-    active = reach.copy()
-    active[np.arange(K), targets] = False
-    # inactive rows never switch: let every action stay there
-    stays = _stays_inside(P > 0, reach) | ~active[..., None]
+    K, S = policy.shape
+    states, problems = np.arange(S), np.arange(K)[:, None]
     identity = np.eye(S)
     tie = 8.0 * np.finfo(float).eps
     for _ in range(PI_MAX_ITERATIONS):
-        M = identity - P[states, policy]
-        M[~active] = identity[np.nonzero(~active)[1]]
-        T = np.linalg.solve(M, active[..., None].astype(float))[..., 0]
-        Q = np.where(stays, 1.0 + np.tensordot(T, P, axes=(1, 2)), math.inf)
+        M = np.where(active[..., None], identity - discount * P[states, policy],
+                     identity)
+        b = np.where(active, cost[states, policy], 0.0)
+        V = np.linalg.solve(M, b[..., None])[..., 0]
+        # one matrix-vector product per problem and state, so each problem's
+        # Q is rounded the same way whatever K is (chunks change no bits)
+        Q = np.where(allowed, cost + discount * (P @ V[:, None, :, None])[..., 0],
+                     math.inf)
         best = Q.min(axis=-1)
-        current = np.take_along_axis(Q, policy[..., None], axis=-1)[..., 0]
-        improves = active & (current - best > tie * best)
+        current = Q[problems, states, policy]
+        improves = active & (current - best > tie * np.abs(best))
         if not improves.any():
-            return np.where(reach, T, math.inf)
+            return Q, V
         policy = np.where(improves, np.argmin(Q, axis=-1), policy)
-    raise SolverConvergenceError(f"hitting-time policy iteration still "
-                                 f"improving after {PI_MAX_ITERATIONS} iterations")
+    raise SolverConvergenceError(
+        f"policy iteration still improving after {PI_MAX_ITERATIONS} iterations")
+
+
+def _hitting_times(m: TabularMdp, targets: np.ndarray, reach: np.ndarray,
+                   policy: np.ndarray) -> np.ndarray:
+    """Minimal expected hitting times (K, S) to K targets: _policy_iteration
+    at unit cost and discount 1 from the targets' rows of _almost_sure_reach,
+    active on each reach set less its target.  Actions leaving the reach set
+    are not allowed, so every policy stays proper.  Targets go through in
+    chunks whose (chunk, S, S) float64 stacks fit in _CHUNK_BYTES.
+    """
+    P = m.transitions
+    K, S = reach.shape
+    active = reach.copy()
+    active[np.arange(K), targets] = False
+    # every action is allowed on held rows, so their Q stays finite
+    allowed = _stays_inside(P > 0, reach) | ~active[..., None]
+    cost = np.ones((S, m.num_actions))
+    step = max(1, _CHUNK_BYTES // (8 * S * S))
+    T = np.concatenate([
+        _policy_iteration(P, cost, 1.0, policy[k:k + step], allowed[k:k + step],
+                          active[k:k + step])[1]
+        for k in range(0, K, step)])
+    return np.where(reach, T, math.inf)
 
 
 def min_expected_hitting_times(m: TabularMdp, target: int) -> np.ndarray:
@@ -322,8 +344,8 @@ def min_expected_hitting_times(m: TabularMdp, target: int) -> np.ndarray:
     +inf where no policy reaches it almost surely: one target of diameter's
     solve."""
     reach, policy = _almost_sure_reach(m.transitions > 0)
-    return _ssp_policy_iteration(m, np.array([target]), reach[[target]],
-                                 policy[[target]])[0]
+    return _hitting_times(m, np.array([target]), reach[[target]],
+                          policy[[target]])[0]
 
 
 def diameter(m: TabularMdp) -> float:
@@ -333,7 +355,7 @@ def diameter(m: TabularMdp) -> float:
     reach, policy = _almost_sure_reach(m.transitions > 0)
     if not reach.all():
         return math.inf
-    return float(_ssp_policy_iteration(m, np.arange(m.num_states), reach, policy).max())
+    return float(_hitting_times(m, np.arange(m.num_states), reach, policy).max())
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +364,13 @@ def diameter(m: TabularMdp) -> float:
 
 def chain_mixing_time(chain: InducedChain | np.ndarray, threshold: float = 0.5,
                       t_cap: int = 100_000) -> float:
-    """Mixing time of one chain: least t >= 1 with
-    max_s ||e_s P^t - nu||_1 <= threshold.
-
-    Returns +inf for periodic chains and for chains with more than one
-    recurrent class (no single invariant limit exists from all starts).
-    Raises SolverConvergenceError when the distance is still above the
-    threshold at t = t_cap.
-    """
+    """Mixing time of one chain: mixing_time of its one-action MDP, so +inf
+    for a periodic or multichain chain and SolverConvergenceError past
+    t_cap."""
     P = chain.matrix if isinstance(chain, InducedChain) else np.asarray(chain, dtype=float)
-    structure = decompose_chain(P)
-    if not structure.is_unichain or not structure.is_aperiodic:
-        return math.inf
-    nu = structure.limiting_matrix[structure.recurrent_classes[0][0]]
-    X = P.copy()
-    for t in range(1, t_cap + 1):
-        if np.max(np.abs(X - nu).sum(axis=1)) <= threshold:
-            return float(t)
-        X = X @ P
-    raise SolverConvergenceError(f"chain did not mix within t_cap = {t_cap}")
+    S = P.shape[0]
+    return mixing_time(TabularMdp(S, 1, P[:, None, :], np.zeros((S, 1))),
+                       threshold=threshold, t_cap=t_cap)
 
 
 def mixing_time(m: TabularMdp, threshold: float = 0.5, t_cap: int = 100_000,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -46,19 +45,6 @@ def _vector6(v) -> str:
     return "(" + ", ".join(_fmt6(x) for x in np.asarray(v).ravel()) + ")"
 
 
-def _write_json(path: Path, payload) -> None:
-    def render(obj):
-        if isinstance(obj, float):
-            return float(reduction.format_number(obj))
-        if isinstance(obj, (list, tuple)):
-            return [render(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: render(v) for k, v in obj.items()}
-        return obj
-
-    path.write_text(json.dumps(render(payload), indent=1) + "\n")
-
-
 def _instance_id(m: TabularMdp, path: str) -> str:
     return str(m.metadata.get("name") or Path(path).stem)
 
@@ -91,7 +77,8 @@ def cmd_solve(args) -> int:
         print(f"V = {_vector6(V)}")
         print(f"policy = {list(map(int, policy.actions))}")
         if out:
-            _write_json(out / "values.json", {"gamma": args.gamma, "values": list(V)})
+            reduction._write_json(out / "values.json",
+                                  {"gamma": args.gamma, "values": list(V)})
             write_policy(policy, out / "policy.json")
     else:
         opt = solvers.amdp_optimal(m, method=args.method)
@@ -103,8 +90,9 @@ def cmd_solve(args) -> int:
             print("note: input is not weakly communicating; "
                   "constant optimal gain is not guaranteed")
         if out:
-            _write_json(out / "gain.json", {"gain": list(opt.gain)})
-            _write_json(out / "bias.json", {"bias": list(opt.bias), "H": opt.H})
+            reduction._write_json(out / "gain.json", {"gain": list(opt.gain)})
+            reduction._write_json(out / "bias.json",
+                                  {"bias": list(opt.bias), "H": opt.H})
             write_policy(opt.policy, out / "policy.json")
     return EXIT_OK
 
@@ -219,7 +207,7 @@ def cmd_reduce(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_policy(policy, out / "policy_hat.json")
-        _write_json(out / "reduce.json", {
+        reduction._write_json(out / "reduce.json", {
             "instance_id": _instance_id(m, args.mdp), "seed": args.seed,
             "N": params.n_per_pair, "gap": gap})
     return EXIT_OK
@@ -315,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mdp", required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--accuracy", type=float, default=1e-9)
-    p.add_argument("--method", choices=["enumerate", "relative_vi"],
-                   default="enumerate")
+    p.add_argument("--method", choices=["auto", "enumerate", "relative_vi"],
+                   default="auto")
     p.add_argument("--out")
 
     p = sub.add_parser("params", help="diameter, mixing time, bias span")

@@ -318,10 +318,25 @@ def write_certificates_csv(certs: list[Certificate], path: str | Path) -> None:
                 for c in certs))
 
 
+def _write_json(path: str | Path, payload) -> None:
+    """Write a JSON payload (dicts, lists and scalars) with every float at
+    file precision (format_number), indented by one space."""
+    def render(obj):
+        if isinstance(obj, float):
+            return float(format_number(obj))
+        if isinstance(obj, (list, tuple)):
+            return [render(x) for x in obj]
+        if isinstance(obj, dict):
+            return {k: render(v) for k, v in obj.items()}
+        return obj
+
+    Path(path).write_text(json.dumps(render(payload), indent=1) + "\n")
+
+
 def write_certificates_report(certs: list[Certificate], path: str | Path) -> None:
     """Structured-text (JSON) companion of the CSV: per-certificate records
     plus a pass/fail summary."""
-    payload = {
+    _write_json(path, {
         "total": len(certs),
         "passed": sum(1 for c in certs if c.passed),
         "failed": [
@@ -329,14 +344,11 @@ def write_certificates_report(certs: list[Certificate], path: str | Path) -> Non
             for c in certs if not c.passed
         ],
         "certificates": [
-            {"instance_id": c.instance_id, "name": c.name,
-             "lhs": float(format_number(c.lhs)) if math.isfinite(c.lhs) else c.lhs,
-             "rhs": float(format_number(c.rhs)) if math.isfinite(c.rhs) else c.rhs,
-             "tolerance": c.tolerance, "passed": c.passed}
+            {"instance_id": c.instance_id, "name": c.name, "lhs": c.lhs,
+             "rhs": c.rhs, "tolerance": c.tolerance, "passed": c.passed}
             for c in certs
         ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, default=str) + "\n")
+    })
 
 
 def write_trials_csv(records: list[TrialRecord], epsilon: float,

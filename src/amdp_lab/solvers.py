@@ -1,8 +1,8 @@
 """Exact planning for tabular MDPs.
 
 Discounted: policy evaluation by dense linear solve; the exact optimum by
-Howard policy iteration, one dense solve per policy; and Q-value iteration
-to a stated accuracy, for callers that want a deliberately inexact solve.
+Howard policy iteration (the one loop, in chains); and Q-value iteration to
+a stated accuracy, for callers that want a deliberately inexact solve.
 Average-reward: gain/bias of a policy through the limiting and deviation
 matrices, and the optimal gain/bias/policy either by brute-force policy
 enumeration or by relative value iteration on a lazy transform of the MDP.
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (
-    PI_MAX_ITERATIONS,
     _cesaro_limit,
     _policy_batch,
+    _policy_iteration,
     _structure_masks,
     aperiodicity_transform,
     is_weakly_communicating,
@@ -114,33 +114,20 @@ def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float,
 
 
 def dmdp_policy_iteration(m: TabularMdp, gamma: float):
-    """Exact discounted optimum by Howard policy iteration.
+    """Exact discounted optimum by Howard policy iteration (chains'
+    _policy_iteration on cost -r, started from the reward-greedy policy).
 
-    Starts from the reward-greedy policy, evaluates each policy with one
-    dense solve and switches an action only where the best Q value beats the
-    current one by more than a few ulps, so rounding noise in the solves
-    cannot make it cycle.  Returns (Q, V, policy) as dmdp_value_iteration
-    does: V the row max of Q and the greedy policy with ties broken toward
-    the lowest action index.
+    Returns (Q, V, policy) as dmdp_value_iteration does: V the row max of Q
+    and the greedy policy with ties broken toward the lowest action index.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    P, r = m.transitions, m.rewards
-    states = np.arange(m.num_states)
-    identity = np.eye(m.num_states)
-    tie = 8.0 * np.finfo(float).eps
-    actions = np.argmax(r, axis=1)
-    for _ in range(PI_MAX_ITERATIONS):
-        V = np.linalg.solve(identity - gamma * P[states, actions],
-                            r[states, actions])
-        Q = r + gamma * (P @ V)
-        best = Q.max(axis=1)
-        improves = best - Q[states, actions] > tie * np.abs(best)
-        if not improves.any():
-            return Q, best, DeterministicPolicy(np.argmax(Q, axis=1))
-        actions = np.where(improves, np.argmax(Q, axis=1), actions)
-    raise SolverConvergenceError(
-        f"policy iteration still improving after {PI_MAX_ITERATIONS} iterations")
+    r = m.rewards
+    every = np.ones((1, m.num_states), dtype=bool)
+    cost_Q, _ = _policy_iteration(m.transitions, -r, gamma,
+                                  np.argmax(r, axis=1)[None], True, every)
+    Q = -cost_Q[0]
+    return Q, Q.max(axis=1), DeterministicPolicy(np.argmax(Q, axis=1))
 
 
 # ---------------------------------------------------------------------------

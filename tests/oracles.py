@@ -131,6 +131,26 @@ def policy_loop_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndar
                      for sup, rec in zip(support, recurrent)])
 
 
+def power_loop_mixing_time(P: np.ndarray, threshold: float = 0.5,
+                           t_cap: int = 100_000) -> float:
+    """Mixing time of one chain by its own power loop, with unichain and
+    aperiodic read off decompose_chain (one BFS period per class): the
+    per-chain route chain_mixing_time took before it became mixing_time on
+    the chain's one-action MDP.  None when t_cap is reached."""
+    from amdp_lab import decompose_chain
+
+    structure = decompose_chain(P)
+    if len(structure.recurrent_classes) != 1 or structure.period != (1,):
+        return float("inf")
+    nu = structure.limiting_matrix[structure.recurrent_classes[0][0]]
+    X = P.copy()
+    for t in range(1, t_cap + 1):
+        if np.max(np.abs(X - nu).sum(axis=1)) <= threshold:
+            return float(t)
+        X = X @ P
+    return None
+
+
 def finite_horizon_span_loop(P: np.ndarray, r: np.ndarray, horizon: int) -> float:
     """max_{T <= horizon} sp(V_T), one recursion step and one span per T: the
     per-step loop that certify_span_bounds replaced."""

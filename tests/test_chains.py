@@ -43,6 +43,7 @@ from oracles import (
     normal_equation_stationary,
     per_class_limiting_matrix,
     policy_loop_aperiodic,
+    power_loop_mixing_time,
 )
 
 
@@ -330,6 +331,22 @@ class TestMixingTime:
         for seed in range(5):
             m = random_mdp(4, 1, seed=seed)
             assert chain_mixing_time(single_action_chain(m)) == mixing_time(m)
+
+    def test_chain_variant_matches_power_loop_oracle(self):
+        # corpus policies' chains plus multichain and periodic ones
+        rng = np.random.default_rng(77)
+        matrices = [single_action_chain(m).matrix
+                   for _, m in standard_corpus(count=40, master_seed=3)
+                   if m.num_actions == 1]
+        matrices += [induce_chain(m, DeterministicPolicy(actions)).matrix
+                    for _, m in standard_corpus(count=10, master_seed=3)
+                    for actions in all_deterministic_policies(
+                        m.num_states, m.num_actions, budget=10**4)[:16]]
+        matrices += [P for S in range(1, 7) for P in _multichain_chains(rng, S, 30)]
+        values = [chain_mixing_time(P) for P in matrices]
+        assert values == [power_loop_mixing_time(P) for P in matrices]
+        assert sum(math.isinf(v) for v in values) > 50
+        assert sum(v > 1 for v in values if math.isfinite(v)) > 20
 
     def test_budget_guard(self):
         m = random_mdp(6, 4, seed=0)

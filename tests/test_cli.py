@@ -65,6 +65,22 @@ class TestSolve:
                      "--method", "relative_vi"]) == 0
         assert "rho = (0.500000, 0.500000)" in capsys.readouterr().out
 
+    def test_amdp_over_enumeration_budget_matches_params(self, tmp_path, capsys):
+        # 4^14 policies exceed the enumeration budget; the default method
+        # falls back to relative VI, as params' amdp_optimal call does
+        assert main(["hardgen", "--S", "14", "--A", "4", "--D", "32",
+                     "--epsilon", "0.03125", "--variant", "M1",
+                     "--out", str(tmp_path)]) == 0
+        path = str(tmp_path / "M1_S14_A4_D32_eps0.03125.json")
+        capsys.readouterr()
+        assert main(["solve", "amdp", "--mdp", path]) == 0
+        solved = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("H = ")]
+        assert main(["params", "--mdp", path]) == 0
+        assert solved == [line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("H = ")]
+        assert solved == ["H = 1.777778"]
+
     def test_invalid_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         doc = {"num_states": 2, "num_actions": 1,

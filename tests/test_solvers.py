@@ -129,13 +129,29 @@ class TestDmdpPolicyIteration:
         assert V[0] == pytest.approx(60.0, abs=1e-10)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        from amdp_lab import SolverConvergenceError, solvers
+        from amdp_lab import SolverConvergenceError, chains
         m = make_stay_or_cycle()
-        monkeypatch.setattr(solvers, "PI_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 2)
         assert dmdp_policy_iteration(m, 0.99)[2].actions[0] == 1
-        monkeypatch.setattr(solvers, "PI_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 1)
         with pytest.raises(SolverConvergenceError):
             dmdp_policy_iteration(m, 0.99)
+
+    def test_one_cap_binding_serves_both_solvers(self, monkeypatch):
+        # the discounted optimum and the diameter run the same loop, so the
+        # one binding in chains caps both; solvers keeps no copy of it
+        from amdp_lab import SolverConvergenceError, chains, diameter, solvers
+        P = np.zeros((2, 2, 2))  # the two-state fixture of TestDiameter
+        P[0, 0] = [0.9, 0.1]
+        P[0, 1, 1] = 1.0
+        P[1, :, 0] = 1.0
+        two_state = TabularMdp(2, 2, P, np.zeros((2, 2)))
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 1)
+        with pytest.raises(SolverConvergenceError):
+            dmdp_policy_iteration(make_stay_or_cycle(), 0.99)
+        with pytest.raises(SolverConvergenceError):
+            diameter(two_state)
+        assert not hasattr(solvers, "PI_MAX_ITERATIONS")
 
     def test_matches_value_iteration_on_corpus(self):
         for _, m in standard_corpus(count=200, max_states=6, max_actions=4,
