@@ -7,10 +7,17 @@ on how calls interleave across pairs, and batched draws equal the same
 number of single draws.  The empirical build needs only counts, so it tallies
 the uniforms at the support boundaries of each pair instead of drawing
 states; the counts equal the bincount of the draws those uniforms give.
+
+A pair with one next state takes no uniforms: every draw lands on that state,
+and the pair's stream is advanced as if it had drawn them (a double is one
+64-bit PCG64 word, so advancing by n equals n draws).  A stream is built on
+its pair's first real draw, advanced past the sample_counter[s, a] words the
+pair has already accounted for.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +73,8 @@ class GenerativeModel:
     """
 
     def __init__(self, truth: TabularMdp, seed_spec: RngSeedSpec | int):
-        if isinstance(seed_spec, int):
-            seed_spec = RngSeedSpec(seed_spec)
+        if not isinstance(seed_spec, RngSeedSpec):
+            seed_spec = RngSeedSpec(operator.index(seed_spec))
         self._truth = truth
         self.seed_spec = seed_spec
         self.num_states = truth.num_states
@@ -80,12 +87,14 @@ class GenerativeModel:
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
     def _stream(self, s: int, a: int) -> np.random.Generator:
+        """The pair's generator, built on first use and advanced past the
+        sample_counter[s, a] words the pair has already accounted for."""
         key = (s, a)
         gen = self._streams.get(key)
         if gen is None:
-            gen = np.random.Generator(
-                np.random.PCG64(self.seed_spec.transition_seed(s, a)))
-            self._streams[key] = gen
+            bits = np.random.PCG64(self.seed_spec.transition_seed(s, a))
+            bits.advance(int(self.sample_counter[s, a]))
+            gen = self._streams[key] = np.random.Generator(bits)
         return gen
 
     def _check_pair(self, s: int, a: int) -> None:
@@ -96,16 +105,27 @@ class GenerativeModel:
         """n uniforms from the pair's stream, the states with positive mass
         and the CDF at all but the last of them: a draw lands on the first
         support state whose boundary exceeds it, and on the last one past
-        every boundary (which absorbs the u >= cum[-1] float corner)."""
+        every boundary (which absorbs the u >= cum[-1] float corner).  With
+        one such state the uniforms are None: none is drawn, and any built
+        stream is dropped so that _stream rebuilds it past the counter."""
         self._check_pair(s, a)
-        u = self._stream(s, a).random(n)
-        self.sample_counter[s, a] += n
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"cannot draw {n} samples")
         support = np.flatnonzero(self._truth.transitions[s, a] > 0)
+        if len(support) > 1:
+            u = self._stream(s, a).random(n)
+        else:
+            u = None
+            self._streams.pop((s, a), None)
+        self.sample_counter[s, a] += n
         return u, support, self._cum[s, a, support[:-1]]
 
     def sample_batch(self, s: int, a: int, n: int) -> np.ndarray:
         """Draw n next states from P(.|s, a) by inverse CDF."""
         u, support, bounds = self._draw(s, a, n)
+        if u is None:
+            return np.full(n, support[0])
         return support[np.searchsorted(bounds, u, side="right")]
 
     def sample_counts(self, s: int, a: int, n: int) -> np.ndarray:

@@ -191,6 +191,22 @@ def searchsorted_draws(row: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
+    """Next-state counts of n draws at (s, a) that take n uniforms from the
+    pair's stream even where the row has one next state, tallied at the
+    support boundaries: the GenerativeModel.sample_counts used before a
+    one-state pair drew nothing."""
+    u = gm._stream(s, a).random(n)
+    gm.sample_counter[s, a] += n
+    row = gm._truth.transitions[s, a]
+    support = np.flatnonzero(row > 0)
+    bounds = np.cumsum(row)[support[:-1]]
+    beyond = np.array([n] + [np.count_nonzero(u >= b) for b in bounds] + [0])
+    counts = np.zeros(gm.num_states, dtype=np.int64)
+    counts[support] = beyond[:-1] - beyond[1:]
+    return counts
+
+
 #: value-iteration hitting-time iterates above this are treated as divergent
 HITTING_TIME_CAP = 1e9
 

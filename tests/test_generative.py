@@ -1,19 +1,30 @@
+import functools
+
 import numpy as np
 import pytest
 
 from amdp_lab import (
     GenerativeModel,
+    HardInstanceSpec,
     RngSeedSpec,
     TabularMdp,
+    algorithm1,
     build_empirical,
     dmdp_value_iteration,
+    hard_instance,
     perturb_rewards,
     two_state_slow_chain,
     validate_mdp,
 )
 from amdp_lab.corpus import random_mdp
 from amdp_lab.reduction import reduction_params
-from oracles import searchsorted_draws
+from oracles import drawn_counts, searchsorted_draws
+
+
+def hard_m1(S, A):
+    """M1 at D = 32, epsilon = 1/32: every pair has one or two next states."""
+    return hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
+                                          variant="M1"))
 
 
 def make_deterministic_truth():
@@ -190,6 +201,65 @@ class TestSampleCounts:
                                       batches.sample_batch(s, a, 50))
 
 
+class TestOneStatePairs:
+    def test_point_mass_counts_and_stream_advanced_as_if_drawn(self):
+        truth = make_deterministic_truth()
+        for n in (0, 1, 7, 1000, 10**5):
+            gm = GenerativeModel(truth, 3)
+            fresh = np.random.Generator(
+                np.random.PCG64(gm.seed_spec.transition_seed(0, 0)))
+            # the first call finds no stream built, the second finds the one
+            # the state check built
+            for calls in (1, 2):
+                assert np.array_equal(gm.sample_counts(0, 0, n), [0, n, 0])
+                assert gm.sample_counter[0, 0] == calls * n
+                fresh.random(n)
+                assert gm._stream(0, 0).bit_generator.state == \
+                    fresh.bit_generator.state
+            assert gm.sample_counter.sum() == 2 * n
+
+    def test_negative_n_raises_and_leaves_counter(self):
+        one_state = GenerativeModel(make_deterministic_truth(), 3)
+        dense = GenerativeModel(random_mdp(3, 2, seed=8), 3)
+        for gm in (one_state, dense):
+            for draw in (gm.sample_counts, gm.sample_batch):
+                with pytest.raises(ValueError):
+                    draw(0, 0, -1)
+            assert not gm.sample_counter.any()
+
+    def test_algorithm1_accounts_every_pair(self):
+        truth = hard_m1(6, 3)
+        one_state = np.count_nonzero(truth.transitions > 0, axis=2) == 1
+        assert one_state.any() and not one_state.all()
+        params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=1000)
+        gm = GenerativeModel(truth, 11)
+        algorithm1(gm, params)
+        assert np.all(gm.sample_counter == params.n_per_pair)
+
+    def test_build_empirical_matches_drawing_every_pair(self):
+        for S, A in ((6, 3), (14, 4)):
+            truth = hard_m1(S, A)
+            for N in (10**3, 10**4):
+                for master in range(1, 5):
+                    spec = RngSeedSpec(master)
+                    for trial in range(10):
+                        seed = spec.trial_seed(trial)
+                        fast = GenerativeModel(truth, seed)
+                        slow = GenerativeModel(truth, seed)
+                        slow.sample_counts = functools.partial(drawn_counts, slow)
+                        emp = build_empirical(fast, N, truth.rewards)
+                        ref = build_empirical(slow, N, truth.rewards)
+                        assert np.array_equal(emp.counts, ref.counts)
+                        assert np.array_equal(fast.sample_counter,
+                                              slow.sample_counter)
+                        for s in range(S):
+                            for a in range(A):
+                                assert (fast._stream(s, a).bit_generator.state
+                                        == slow._stream(s, a).bit_generator.state)
+                                assert np.array_equal(fast.sample_batch(s, a, 50),
+                                                      slow.sample_batch(s, a, 50))
+
+
 class TestBuildEmpirical:
     def test_single_draw_rows_are_point_masses(self):
         truth = random_mdp(3, 2, seed=11)
@@ -266,6 +336,20 @@ class TestPerturbRewards:
 
 
 class TestSeedSpec:
+    def test_numpy_integer_seed_gives_the_same_streams(self):
+        truth = random_support_truth(5, 2, 4)
+        by_numpy = GenerativeModel(truth, np.int64(5))
+        by_int = GenerativeModel(truth, 5)
+        assert by_numpy.seed_spec == by_int.seed_spec
+        for s in range(5):
+            for a in range(2):
+                assert np.array_equal(by_numpy.sample_counts(s, a, 3),
+                                      by_int.sample_counts(s, a, 3))
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(TypeError):
+            GenerativeModel(random_mdp(2, 1, seed=0), 5.0)
+
     def test_streams_distinct_across_pairs(self):
         spec = RngSeedSpec(123)
         seeds = {spec.transition_seed(s, a) for s in range(10) for a in range(10)}

@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Alternating parent/change benchmark pairs, written as one BENCH_*.json.
+
+Runs ``bench/run.py --trace 0`` in two checkouts, one seed at a time, on each
+named workload, alternating which side runs first from seed to seed, and
+records every run's last stdout line (the end-to-end metrics) with its seed,
+side and commit.  A summary gives each metric's median and quartiles per
+side and the number of pairs the change won.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --seeds 101-110 --workloads reduce_sweep certify_corpus --out BENCH_9.json
+
+Run the two checkouts from committed trees: each run benchmarks the source
+in its own checkout, and the recorded commit is its ``HEAD``.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_range(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        rows = {}
+        for name, direction in better.items():
+            sides = {side: [p[side][name]["value"] for p in pairs.values()]
+                     for side in ("parent", "change")}
+            sign = 1.0 if direction == "higher" else -1.0
+            wins = sum(sign * (c - p) > 0
+                       for p, c in zip(sides["parent"], sides["change"]))
+            rows[name] = {side: dict(zip(("q1", "median", "q3"),
+                                         statistics.quantiles(v, n=4)))
+                          for side, v in sides.items()}
+            rows[name]["change_better"] = f"{wins}/{len(pairs)}"
+        summary[workload] = rows
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("101-110"))
+    parser.add_argument("--workloads", nargs="+", default=["reduce_sweep"])
+    parser.add_argument("--seconds", type=float, default=48.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: subprocess.run(["git", "rev-parse", "HEAD"], cwd=path,
+                                    capture_output=True, text=True,
+                                    check=True).stdout.strip()
+               for side, path in checkouts.items()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in args.workloads:
+            for side in order:
+                result = run_side(checkouts[side], workload, seed, args.seconds)
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "commit": commits[side], "result": result})
+                print(f"{workload} seed {seed} {side}: "
+                      f"{json.dumps(result['metrics'])}", file=sys.stderr)
+    record = {"command": f"bench/run.py --seconds {args.seconds:g} --trace 0",
+              "runs": runs, "summary": summarize(runs, better)}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
