@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -239,25 +240,21 @@ class TestOneStatePairs:
     def test_build_empirical_matches_drawing_every_pair(self):
         for S, A in ((6, 3), (14, 4)):
             truth = hard_m1(S, A)
-            for N in (10**3, 10**4):
-                for master in range(1, 5):
-                    spec = RngSeedSpec(master)
-                    for trial in range(10):
-                        seed = spec.trial_seed(trial)
-                        fast = GenerativeModel(truth, seed)
-                        slow = GenerativeModel(truth, seed)
-                        slow.sample_counts = functools.partial(drawn_counts, slow)
-                        emp = build_empirical(fast, N, truth.rewards)
-                        ref = build_empirical(slow, N, truth.rewards)
-                        assert np.array_equal(emp.counts, ref.counts)
-                        assert np.array_equal(fast.sample_counter,
-                                              slow.sample_counter)
-                        for s in range(S):
-                            for a in range(A):
-                                assert (fast._stream(s, a).bit_generator.state
-                                        == slow._stream(s, a).bit_generator.state)
-                                assert np.array_equal(fast.sample_batch(s, a, 50),
-                                                      slow.sample_batch(s, a, 50))
+            seeds = [RngSeedSpec(master).trial_seed(trial)
+                     for master in range(1, 5) for trial in range(10)]
+            for N, seed in itertools.product((10**3, 10**4), seeds):
+                fast = GenerativeModel(truth, seed)
+                slow = GenerativeModel(truth, seed)
+                slow.sample_counts = functools.partial(drawn_counts, slow)
+                emp = build_empirical(fast, N, truth.rewards)
+                ref = build_empirical(slow, N, truth.rewards)
+                assert np.array_equal(emp.counts, ref.counts)
+                assert np.array_equal(fast.sample_counter, slow.sample_counter)
+                for s, a in itertools.product(range(S), range(A)):
+                    assert (fast._stream(s, a).bit_generator.state
+                            == slow._stream(s, a).bit_generator.state)
+                    assert np.array_equal(fast.sample_batch(s, a, 50),
+                                          slow.sample_batch(s, a, 50))
 
 
 class TestBuildEmpirical:
