@@ -32,6 +32,17 @@ from .mdp import (
 #: SolverConvergenceError (a handful in practice)
 PI_MAX_ITERATIONS = 1000
 
+#: most deterministic policies an enumeration may list before raising
+#: EnumerationBudgetError; amdp_optimal's "auto" enumerates up to this many
+ENUMERATION_BUDGET = 10**6
+
+#: l1 distance ||e_s P^t - nu||_1 at which a chain counts as mixed: the
+#: convention under which H <= 8 t_mix is stated
+MIXING_THRESHOLD = 0.5
+
+#: steps mixing_time may take before raising SolverConvergenceError
+MIXING_MAX_STEPS = 100_000
+
 #: bytes one chunk of the hitting-time solve may hold in each (chunk, S, S)
 #: float64 stack, so peak memory stays a few times this for any S (at
 #: S = 200, 2 MB chunks also ran faster than 8 MB ones)
@@ -185,14 +196,15 @@ def decompose_chain(chain: InducedChain | np.ndarray) -> ChainStructure:
 # batched policy enumeration (shared with the exact solvers)
 
 
-def all_deterministic_policies(num_states: int, num_actions: int,
-                               budget: int = 10**6) -> np.ndarray:
+def all_deterministic_policies(num_states: int, num_actions: int) -> np.ndarray:
     """All deterministic policies as an (A^S, S) int array in lexicographic
-    order of the action arrays."""
+    order of the action arrays; more than ENUMERATION_BUDGET of them raise
+    EnumerationBudgetError."""
     count = num_actions ** num_states
-    if count > budget:
+    if count > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"{num_actions}^{num_states} = {count} policies exceeds budget {budget}")
+            f"{num_actions}^{num_states} = {count} policies exceeds budget "
+            f"{ENUMERATION_BUDGET}")
     return np.array(list(product(range(num_actions), repeat=num_states)),
                     dtype=int).reshape(count, num_states)
 
@@ -204,12 +216,12 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
     return m.transitions[idx, policies], m.rewards[idx, policies]
 
 
-def _policy_batch(m: TabularMdp, budget: int):
+def _policy_batch(m: TabularMdp):
     """Every deterministic policy with its induced chains, classified in one
     batch: (policies, P_all, r_all, comm, recurrent, multi), where comm and
     recurrent are the _structure_masks of each chain's support and multi[i]
     is True when policy i's chain has more than one closed class."""
-    policies = all_deterministic_policies(m.num_states, m.num_actions, budget)
+    policies = all_deterministic_policies(m.num_states, m.num_actions)
     P_all, r_all = induced_chain_batch(m, policies)
     comm, recurrent = _structure_masks(P_all > 0)
     multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
@@ -362,31 +374,29 @@ def diameter(m: TabularMdp) -> float:
 # mixing time
 
 
-def chain_mixing_time(chain: InducedChain | np.ndarray, threshold: float = 0.5,
-                      t_cap: int = 100_000) -> float:
+def chain_mixing_time(chain: InducedChain | np.ndarray) -> float:
     """Mixing time of one chain: mixing_time of its one-action MDP, so +inf
     for a periodic or multichain chain and SolverConvergenceError past
-    t_cap."""
+    MIXING_MAX_STEPS."""
     P = chain.matrix if isinstance(chain, InducedChain) else np.asarray(chain, dtype=float)
     S = P.shape[0]
-    return mixing_time(TabularMdp(S, 1, P[:, None, :], np.zeros((S, 1))),
-                       threshold=threshold, t_cap=t_cap)
+    return mixing_time(TabularMdp(S, 1, P[:, None, :], np.zeros((S, 1))))
 
 
-def mixing_time(m: TabularMdp, threshold: float = 0.5, t_cap: int = 100_000,
-                budget: int = 10**6) -> float:
-    """Worst-case mixing time over all deterministic policies.
+def mixing_time(m: TabularMdp) -> float:
+    """Worst-case mixing time over all deterministic policies: the first t
+    at which every policy's chain is within MIXING_THRESHOLD of its
+    stationary distribution, in l1 distance from every start state.
 
     Returns +inf when some policy's chain has several recurrent classes or a
-    periodic one; raises SolverConvergenceError when some policy is still
-    farther than the threshold from stationarity at t = t_cap.  The
-    threshold bounds the l1 distance ||e_s P^t - nu||_1 itself.
+    periodic one; raises SolverConvergenceError when some policy has not
+    mixed at t = MIXING_MAX_STEPS.
 
     Aperiodicity is decided for the whole policy stack at once (see
     _batch_aperiodic): a self-loop in the closed class settles a policy, and
     the rest take O(log S) batched boolean squarings.
     """
-    _, P_all, _, comm, recurrent, multi = _policy_batch(m, budget)
+    _, P_all, _, comm, recurrent, multi = _policy_batch(m)
     if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
         return math.inf
 
@@ -395,16 +405,16 @@ def mixing_time(m: TabularMdp, threshold: float = 0.5, t_cap: int = 100_000,
     hit = np.zeros(n)
     pending = np.ones(n, dtype=bool)
     X = P_all.copy()
-    for t in range(1, t_cap + 1):
+    for t in range(1, MIXING_MAX_STEPS + 1):
         dist = np.abs(X - nus[:, None, :]).sum(axis=2).max(axis=1)
-        newly = pending & (dist <= threshold)
+        newly = pending & (dist <= MIXING_THRESHOLD)
         hit[newly] = t
         pending &= ~newly
         if not pending.any():
             return float(hit.max())
         X = np.matmul(X, P_all)
     raise SolverConvergenceError(
-        f"{int(pending.sum())} policies did not mix within t_cap = {t_cap}")
+        f"{int(pending.sum())} policies did not mix within {MIXING_MAX_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +465,7 @@ def is_weakly_communicating(m: TabularMdp) -> bool:
     return True
 
 
-def structural_parameters(m: TabularMdp, threshold: float = 0.5,
-                          t_cap: int = 100_000, budget: int = 10**6) -> MdpParameters:
+def structural_parameters(m: TabularMdp) -> MdpParameters:
     """Bundle (diameter, t_mix, H) for one MDP.
 
     H is the optimal bias span from the exact average-reward solver; both
@@ -466,9 +475,8 @@ def structural_parameters(m: TabularMdp, threshold: float = 0.5,
     from .solvers import amdp_optimal  # local import: solvers builds on chains
 
     D = diameter(m)
-    t_mix = mixing_time(m, threshold=threshold, t_cap=t_cap, budget=budget)
-    params = MdpParameters(diameter=D, t_mix=t_mix,
-                           H=amdp_optimal(m, budget=budget).H)
+    t_mix = mixing_time(m)
+    params = MdpParameters(diameter=D, t_mix=t_mix, H=amdp_optimal(m).H)
     if math.isfinite(D) and params.H > D + 1e-6:
         raise ArithmeticError(
             f"internal inconsistency: bias span {params.H} exceeds diameter {D}")

@@ -11,16 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import chains, corpus, hard_instances, reduction, solvers
-from .generative import GenerativeModel, RngSeedSpec
+from .generative import GenerativeModel
 from .mdp import (
     EnumerationBudgetError,
     InfeasibleInstanceError,
@@ -194,7 +191,7 @@ def cmd_reduce(args) -> int:
     H = _resolve_H(args.H, opt)
     params = reduction.reduction_params(
         args.epsilon, args.delta, H, m.num_states, m.num_actions,
-        n_override=args.N[0] if args.N else None)
+        n_override=args.N)
     gm = GenerativeModel(m, args.seed)
     policy = reduction.algorithm1(gm, params)
     gain_hat = solvers.amdp_gain_bias(m, policy).gain
@@ -213,42 +210,6 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _experiment_cells(truth, instance_id, opt, args, H):
-    spec = RngSeedSpec(args.seed)
-    seeds = [spec.trial_seed(i) for i in range(args.trials)]
-    if len(set(seeds)) != len(seeds):
-        raise MdpFormatError("derived seeds collide; change --seed")
-    rho_star = float(np.max(opt.gain))
-
-    def run_cell(cell):
-        N, seed = cell
-        params = reduction.reduction_params(
-            args.epsilon, args.delta, H, truth.num_states, truth.num_actions,
-            n_override=N)
-        start = time.perf_counter()
-        policy = reduction.algorithm1(GenerativeModel(truth, seed), params)
-        wallclock_ms = int(round(1000.0 * (time.perf_counter() - start)))
-        gap = rho_star - float(np.min(solvers.amdp_gain_bias(truth, policy).gain))
-        return {
-            "instance_id": instance_id, "N": N, "seed": seed, "gap": gap,
-            "success": gap <= args.epsilon, "wallclock_ms": wallclock_ms,
-            "total_samples": N * truth.num_states * truth.num_actions,
-        }
-
-    cells = [(N, seed) for N in args.N for seed in seeds]
-    workers = int(os.environ.get("AMDP_LAB_THREADS", "0") or 0)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(cells)))
-    if workers == 1:
-        rows = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    rows.sort(key=lambda row: (row["N"], seeds.index(row["seed"])))
-    return rows
-
-
 def cmd_experiment(args) -> int:
     if not args.N:
         raise MdpFormatError("experiment needs --N with at least one value")
@@ -258,16 +219,23 @@ def cmd_experiment(args) -> int:
     instance_id = _instance_id(m, args.mdp)
     opt = solvers.amdp_optimal(m)
     H = _resolve_H(args.H, opt)
-    rows = _experiment_cells(m, instance_id, opt, args, H)
+    gm = GenerativeModel(m, args.seed)
+    rows = []
+    for N in sorted(args.N):
+        params = reduction.reduction_params(
+            args.epsilon, args.delta, H, m.num_states, m.num_actions,
+            n_override=N)
+        rows.extend(
+            [instance_id, N, rec.seed, reduction.format_number(rec.gap),
+             str(rec.gap <= args.epsilon).lower(), rec.wallclock_ms,
+             N * m.num_states * m.num_actions]
+            for rec in reduction.empirical_error(gm, params, args.trials, opt))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "experiment.csv"
     reduction._write_csv(
         csv_path, ["instance_id", "N", "seed", "gap", "success", "wallclock_ms",
-                   "total_samples"],
-        ([row["instance_id"], row["N"], row["seed"],
-          reduction.format_number(row["gap"]), str(row["success"]).lower(),
-          row["wallclock_ms"], row["total_samples"]] for row in rows))
+                   "total_samples"], rows)
     print(f"{len(rows)} rows -> {csv_path}")
     return EXIT_OK
 
@@ -334,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--H", default="oracle")
-    p.add_argument("--N", type=_int_list)
+    p.add_argument("--N", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
 

@@ -41,10 +41,12 @@ def splitmix64(z: int) -> int:
 
 
 def derive_seed(master_seed: int, *words: int) -> int:
-    """Mix a master seed with integer words into a new 64-bit seed."""
-    x = splitmix64(master_seed & _MASK64)
+    """Mix a master seed with integer words into a new 64-bit seed.  Any
+    integer type is taken at its Python int value (so a NumPy int64 gives
+    what the equal int gives); a float raises TypeError."""
+    x = splitmix64(operator.index(master_seed) & _MASK64)
     for w in words:
-        x = splitmix64(x ^ (w & _MASK64))
+        x = splitmix64(x ^ (operator.index(w) & _MASK64))
     return x
 
 

@@ -62,10 +62,6 @@ class TabularMdp:
         if self.rewards.shape != (S, A):
             raise ValueError(f"rewards shape {self.rewards.shape} != {(S, A)}")
 
-    def with_transitions(self, transitions: np.ndarray) -> "TabularMdp":
-        return TabularMdp(self.num_states, self.num_actions,
-                          transitions, self.rewards, dict(self.metadata))
-
     def with_rewards(self, rewards: np.ndarray) -> "TabularMdp":
         return TabularMdp(self.num_states, self.num_actions,
                           self.transitions, rewards, dict(self.metadata))
@@ -163,24 +159,6 @@ def span(v: np.ndarray) -> float:
     return float(np.max(v) - np.min(v))
 
 
-def policy_matrix(pi: Policy, num_states: int, num_actions: int) -> np.ndarray:
-    """Return the (S, A) action-probability table of a policy."""
-    if isinstance(pi, DeterministicPolicy):
-        if len(pi) != num_states:
-            raise ValueError(f"policy has {len(pi)} states, MDP has {num_states}")
-        if np.any(pi.actions < 0) or np.any(pi.actions >= num_actions):
-            raise ValueError("policy selects an out-of-range action")
-        probs = np.zeros((num_states, num_actions))
-        probs[np.arange(num_states), pi.actions] = 1.0
-        return probs
-    if isinstance(pi, StochasticPolicy):
-        if pi.probs.shape != (num_states, num_actions):
-            raise ValueError(
-                f"policy table {pi.probs.shape} does not match ({num_states}, {num_actions})")
-        return np.asarray(pi.probs)
-    raise TypeError(f"not a policy: {type(pi).__name__}")
-
-
 def induce_chain(m: TabularMdp, pi: Policy) -> InducedChain:
     """Collapse the MDP under a policy:
 
@@ -197,9 +175,13 @@ def induce_chain(m: TabularMdp, pi: Policy) -> InducedChain:
         idx = np.arange(m.num_states)
         return InducedChain(m.transitions[idx, pi.actions],
                             m.rewards[idx, pi.actions])
-    probs = policy_matrix(pi, m.num_states, m.num_actions)
-    matrix = np.einsum("sa,sat->st", probs, m.transitions)
-    reward = np.einsum("sa,sa->s", probs, m.rewards)
+    if not isinstance(pi, StochasticPolicy):
+        raise TypeError(f"not a policy: {type(pi).__name__}")
+    if pi.probs.shape != (m.num_states, m.num_actions):
+        raise ValueError(f"policy table {pi.probs.shape} does not match "
+                         f"({m.num_states}, {m.num_actions})")
+    matrix = np.einsum("sa,sat->st", pi.probs, m.transitions)
+    reward = np.einsum("sa,sa->s", pi.probs, m.rewards)
     return InducedChain(matrix, reward)
 
 
@@ -229,8 +211,13 @@ def mdp_to_dict(m: TabularMdp) -> dict:
 def mdp_from_dict(doc: dict, reward_cap: float = 1.0) -> TabularMdp:
     S = _require(doc, "num_states")
     A = _require(doc, "num_actions")
-    if not isinstance(S, int) or not isinstance(A, int) or S < 1 or A < 1:
+    # JSON true/false load as bool, which is an int subclass
+    if (not all(isinstance(n, int) and not isinstance(n, bool) for n in (S, A))
+            or S < 1 or A < 1):
         raise MdpFormatError("num_states and num_actions must be positive integers")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise MdpFormatError("metadata must be an object")
     try:
         transitions = np.asarray(_require(doc, "transitions"), dtype=float)
         rewards = np.asarray(_require(doc, "rewards"), dtype=float)
@@ -241,7 +228,7 @@ def mdp_from_dict(doc: dict, reward_cap: float = 1.0) -> TabularMdp:
             f"transitions shape {transitions.shape} does not match ({S}, {A}, {S})")
     if rewards.shape != (S, A):
         raise MdpFormatError(f"rewards shape {rewards.shape} does not match ({S}, {A})")
-    m = TabularMdp(S, A, transitions, rewards, doc.get("metadata", {}))
+    m = TabularMdp(S, A, transitions, rewards, metadata)
     problems = validate_mdp(m, reward_cap=reward_cap)
     if problems:
         raise MdpFormatError("invalid MDP: " + "; ".join(problems))

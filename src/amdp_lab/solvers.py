@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chains
 from .chains import (
     _cesaro_limit,
     _policy_batch,
@@ -35,6 +36,19 @@ from .mdp import (
 #: policies whose worst-state gains differ by at most this much are tied;
 #: amdp_optimal's enumeration returns the first of them
 GAIN_TIE_TOL = 1e-9
+
+#: largest residual ||(I - gamma P_pi) V - r_pi||_inf dmdp_policy_value
+#: accepts from its dense solve before raising SolverConvergenceError
+POLICY_VALUE_RESIDUAL_TOL = 1e-10
+
+#: sweeps dmdp_value_iteration may make before raising SolverConvergenceError
+VI_MAX_SWEEPS = 10**7
+
+#: relative value iteration: lazy weight tau of its transform, the span of
+#: successive differences at which it stops, and its sweep cap
+RVI_TAU = 0.5
+RVI_SPAN_TOL = 1e-10
+RVI_MAX_SWEEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -66,8 +80,7 @@ class AmdpOptimum:
 # discounted MDPs
 
 
-def dmdp_policy_value(m: TabularMdp, pi: Policy, gamma: float,
-                      residual_tol: float = 1e-10) -> np.ndarray:
+def dmdp_policy_value(m: TabularMdp, pi: Policy, gamma: float) -> np.ndarray:
     """Discounted value of a policy: the unique solution of
     (I - gamma P_pi) V = r_pi."""
     if not 0.0 < gamma < 1.0:
@@ -76,14 +89,14 @@ def dmdp_policy_value(m: TabularMdp, pi: Policy, gamma: float,
     A = np.eye(m.num_states) - gamma * chain.matrix
     V = np.linalg.solve(A, chain.reward)
     residual = float(np.max(np.abs(A @ V - chain.reward)))
-    if residual > residual_tol:
+    if residual > POLICY_VALUE_RESIDUAL_TOL:
         raise SolverConvergenceError(
-            f"policy evaluation residual {residual:.3e} exceeds {residual_tol:.1e}")
+            f"policy evaluation residual {residual:.3e} exceeds "
+            f"{POLICY_VALUE_RESIDUAL_TOL:.1e}")
     return V
 
 
-def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float,
-                         max_sweeps: int = 10**7):
+def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float):
     """Q-value iteration from Q = 0 until ||Q_{k+1} - Q_k||_inf is below
     target_accuracy * (1 - gamma) / (2 gamma), which certifies that the
     greedy policy is target_accuracy-optimal.
@@ -98,7 +111,7 @@ def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float,
     threshold = target_accuracy * (1.0 - gamma) / (2.0 * gamma)
     P, r = m.transitions, m.rewards
     Q = np.zeros_like(r)
-    for _ in range(max_sweeps):
+    for _ in range(VI_MAX_SWEEPS):
         V = Q.max(axis=1)
         Q_next = r + gamma * np.einsum("sat,t->sa", P, V)
         delta = float(np.max(np.abs(Q_next - Q)))
@@ -107,7 +120,7 @@ def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float,
             break
     else:
         raise SolverConvergenceError(
-            f"value iteration did not reach {threshold:.3e} in {max_sweeps} sweeps")
+            f"value iteration did not reach {threshold:.3e} in {VI_MAX_SWEEPS} sweeps")
     V = Q.max(axis=1)
     policy = DeterministicPolicy(np.argmax(Q, axis=1))
     return Q, V, policy
@@ -185,55 +198,54 @@ def bellman_optimality_residual(m: TabularMdp, gain: np.ndarray,
     return float(np.max(np.abs(gain + bias - lookahead.max(axis=1))))
 
 
-def relative_value_iteration(m: TabularMdp, tau: float = 0.5,
-                             span_tol: float = 1e-10,
-                             max_iter: int = 2_000_000):
+def relative_value_iteration(m: TabularMdp):
     """Relative value iteration on the lazy, reward-scaled transform
-    (P <- (1-tau) P + tau I, r <- (1-tau) r).
+    (P <- (1-tau) P + tau I, r <- (1-tau) r) with tau = RVI_TAU.
 
     The transform removes periodicity, scales the gain by (1-tau), and keeps
     both the bias and the greedy action sets unchanged, so the original gain
     is recovered by dividing out (1-tau).  Iterates until the span of
-    successive Bellman differences drops below span_tol; non-convergence
-    within max_iter signals a multichain or non-weakly-communicating input.
+    successive Bellman differences drops below RVI_SPAN_TOL; non-convergence
+    within RVI_MAX_SWEEPS signals a multichain or non-weakly-communicating
+    input.
 
     Returns (gain_scalar, bias, greedy_policy).
     """
+    tau = RVI_TAU
     P = aperiodicity_transform(m, tau).transitions
     r = (1.0 - tau) * m.rewards
     v = np.zeros(m.num_states)
-    for _ in range(max_iter):
+    for _ in range(RVI_MAX_SWEEPS):
         Q = r + np.einsum("sat,t->sa", P, v)
         w = Q.max(axis=1)
         delta = w - v
-        if span(delta) <= span_tol:
+        if span(delta) <= RVI_SPAN_TOL:
             gain_scaled = 0.5 * float(delta.max() + delta.min())
             policy = DeterministicPolicy(np.argmax(Q, axis=1))
             return gain_scaled / (1.0 - tau), v, policy
         v = w - w[0]
     raise SolverConvergenceError(
-        f"relative value iteration did not converge in {max_iter} sweeps "
+        f"relative value iteration did not converge in {RVI_MAX_SWEEPS} sweeps "
         "(multichain or non-weakly-communicating input?)")
 
 
-def _enumerate_gains(m: TabularMdp, budget: int):
+def _enumerate_gains(m: TabularMdp):
     """Per-state gain of every deterministic policy, (A^S, S), from one
     batched Cesaro-limit solve over all policies, unichain or not."""
-    policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m, budget)
+    policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m)
     return policies, _cesaro_limit(P_all, comm, recurrent, r_all)
 
 
-def amdp_optimal(m: TabularMdp, method: str = "auto",
-                 budget: int = 10**6) -> AmdpOptimum:
+def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     """Gain-optimal solution of the average-reward problem.
 
     method="enumerate": evaluate every deterministic policy and take the
     first, in lexicographic order of the action arrays, whose worst-state
-    gain is within GAIN_TIE_TOL of the best; more than `budget` policies
-    raise EnumerationBudgetError.  method="relative_vi": relative value
-    iteration on the lazy transform, greedy policy extraction.  The default
-    method="auto" enumerates when A^S <= budget and runs relative VI
-    otherwise.
+    gain is within GAIN_TIE_TOL of the best; more than
+    chains.ENUMERATION_BUDGET policies raise EnumerationBudgetError.
+    method="relative_vi": relative value iteration on the lazy transform,
+    greedy policy extraction.  The default method="auto" enumerates when
+    A^S <= chains.ENUMERATION_BUDGET and runs relative VI otherwise.
 
     Either way the returned gain is the exact per-state gain of the returned
     policy (dense linear algebra, not iteration), and the returned bias
@@ -242,7 +254,8 @@ def amdp_optimal(m: TabularMdp, method: str = "auto",
     solution is substituted.
     """
     if method == "auto":
-        method = ("enumerate" if m.num_actions**m.num_states <= budget
+        method = ("enumerate"
+                  if m.num_actions**m.num_states <= chains.ENUMERATION_BUDGET
                   else "relative_vi")
     wc = is_weakly_communicating(m)
     if method == "relative_vi":
@@ -253,7 +266,7 @@ def amdp_optimal(m: TabularMdp, method: str = "auto",
     if method != "enumerate":
         raise ValueError(f"unknown method {method!r}")
 
-    policies, gains = _enumerate_gains(m, budget)
+    policies, gains = _enumerate_gains(m)
     worst = gains.min(axis=1)
     best = int(np.argmax(worst >= worst.max() - GAIN_TIE_TOL))
     policy = DeterministicPolicy(policies[best])

@@ -291,3 +291,20 @@ def set_loop_weakly_communicating(m) -> bool:
                 alive.remove(u)
                 changed = True
     return not alive
+
+
+def serial_empirical_error(gm, params, trials: int, opt=None) -> list[tuple[int, float]]:
+    """(seed, exact gap) of each sampled trial, run one after another in
+    trial order: the loop empirical_error ran before its thread pool."""
+    from amdp_lab import GenerativeModel, algorithm1, amdp_gain_bias, amdp_optimal
+
+    truth = gm._truth
+    if opt is None:
+        opt = amdp_optimal(truth)
+    rho_star = float(np.max(opt.gain))
+    out = []
+    for trial in range(trials):
+        seed = gm.seed_spec.trial_seed(trial)
+        policy = algorithm1(GenerativeModel(truth, seed), params)
+        out.append((seed, rho_star - float(np.min(amdp_gain_bias(truth, policy).gain))))
+    return out

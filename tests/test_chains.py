@@ -155,7 +155,7 @@ class TestCesaroLimit:
         # served the enumeration and mixing_time
         for seed in range(40):
             m = random_mdp(2 + seed % 5, 3, seed=seed)
-            _, P_all, _, comm, recurrent, _ = _policy_batch(m, budget=10**6)
+            _, P_all, _, comm, recurrent, _ = _policy_batch(m)
             np.testing.assert_allclose(_stationary(P_all, comm, recurrent),
                                        normal_equation_stationary(P_all),
                                        rtol=0, atol=1e-12)
@@ -305,19 +305,22 @@ class TestMixingTime:
             values.append(t_mix)
         assert values[0] < values[1] < values[2]
 
-    def test_t_cap_raises_instead_of_inf(self, cycle):
+    def test_t_cap_raises_instead_of_inf(self, cycle, monkeypatch):
         # t_mix = 35 on this lazy cycle: a cap below it is an error, not inf
+        from amdp_lab import chains
         lazy = aperiodicity_transform(cycle, 0.01)
         chain = single_action_chain(lazy)
         for fn, arg in ((mixing_time, lazy), (chain_mixing_time, chain)):
+            monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 10)
             with pytest.raises(SolverConvergenceError):
-                fn(arg, t_cap=10)
-            assert fn(arg, t_cap=35) == 35.0
+                fn(arg)
+            monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 35)
+            assert fn(arg) == 35.0
 
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()
-        policies, P_all, _, _, recurrent, multi = _policy_batch(m, budget=10**6)
+        policies, P_all, _, _, recurrent, multi = _policy_batch(m)
         assert not multi.any()
         aperiodic = _batch_aperiodic(P_all > 0, recurrent)
         np.testing.assert_array_equal(~aperiodic, policies[:, 0] == 0)
@@ -336,17 +339,19 @@ class TestMixingTime:
         matrices += [induce_chain(m, DeterministicPolicy(actions)).matrix
                     for _, m in standard_corpus(count=10, master_seed=3)
                     for actions in all_deterministic_policies(
-                        m.num_states, m.num_actions, budget=10**4)[:16]]
+                        m.num_states, m.num_actions)[:16]]
         matrices += [P for S in range(1, 7) for P in _multichain_chains(rng, S, 30)]
         values = [chain_mixing_time(P) for P in matrices]
         assert values == [power_loop_mixing_time(P) for P in matrices]
         assert sum(math.isinf(v) for v in values) > 50
         assert sum(v > 1 for v in values if math.isfinite(v)) > 20
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        from amdp_lab import chains
         m = random_mdp(6, 4, seed=0)
+        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 10)
         with pytest.raises(EnumerationBudgetError):
-            mixing_time(m, budget=10)
+            mixing_time(m)
 
     def test_distance_non_increasing(self):
         # d(t) is non-increasing for an aperiodic unichain policy
@@ -507,8 +512,8 @@ class TestBlockSpanBound:
         # V_T has span at most 4 t_mix(policy), for any horizon
         checked = 0
         for _, m in standard_corpus(count=10, master_seed=3):
-            for actions in all_deterministic_policies(m.num_states, m.num_actions,
-                                                      budget=10**4)[:32]:
+            for actions in all_deterministic_policies(m.num_states,
+                                                      m.num_actions)[:32]:
                 pi = DeterministicPolicy(actions)
                 chain = induce_chain(m, pi)
                 t_mix = chain_mixing_time(chain)

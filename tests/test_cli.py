@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -239,6 +240,31 @@ class TestOptimumSolvedOnce:
         assert "--H" in capsys.readouterr().err
 
 
+class TestReductionInputs:
+    @pytest.mark.parametrize("command", SAMPLING_COMMANDS)
+    @pytest.mark.parametrize("H", ["inf", "nan"])
+    def test_non_finite_H_exits_2_before_sampling(self, command, H, m1_file,
+                                                  tmp_path, monkeypatch, capsys):
+        # gamma = 1 - eps / (12 H) would be 1 (or nan) at such an H
+        from amdp_lab import reduction
+
+        def no_sampling(*a, **kw):
+            raise AssertionError("sampled with a non-finite H bound")
+
+        monkeypatch.setattr(reduction, "algorithm1", no_sampling)
+        assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
+                               "--seed", "5", "--out", str(tmp_path)]) == 2
+        assert "H_bound must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("N", ["100,200", ","])
+    def test_reduce_takes_one_N(self, N, m1_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--mdp", m1_file, "--epsilon", "0.25", "--N", N,
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--N" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_rows_and_determinism(self, m1_file, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -262,9 +288,9 @@ class TestExperiment:
                                                  monkeypatch, capsys):
         args = ["experiment", "--mdp", m1_file, "--epsilon", "0.25",
                 "--N", "100", "--seed", "11", "--trials", "6"]
-        monkeypatch.setenv("AMDP_LAB_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.setenv("AMDP_LAB_THREADS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert main(args + ["--out", str(tmp_path / "threaded")]) == 0
         rows_s = read_csv_rows(tmp_path / "serial" / "experiment.csv")
         rows_t = read_csv_rows(tmp_path / "threaded" / "experiment.csv")

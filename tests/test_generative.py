@@ -11,13 +11,14 @@ from amdp_lab import (
     TabularMdp,
     algorithm1,
     build_empirical,
+    derive_seed,
     dmdp_value_iteration,
     hard_instance,
     perturb_rewards,
     two_state_slow_chain,
     validate_mdp,
 )
-from amdp_lab.corpus import random_mdp
+from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.reduction import reduction_params
 from oracles import drawn_counts, searchsorted_draws
 
@@ -346,6 +347,30 @@ class TestSeedSpec:
     def test_float_seed_rejected(self):
         with pytest.raises(TypeError):
             GenerativeModel(random_mdp(2, 1, seed=0), 5.0)
+
+    def test_numpy_integers_derive_like_python_ints(self):
+        assert (RngSeedSpec(np.int64(5)).transition_seed(0, 0)
+                == RngSeedSpec(5).transition_seed(0, 0))
+        assert (RngSeedSpec(np.int64(-5)).trial_seed(np.uint8(3))
+                == RngSeedSpec(-5).trial_seed(3))
+        truth = random_mdp(3, 2, 1)
+        assert np.array_equal(GenerativeModel(truth, 5).sample_batch(np.int64(0), 0, 3),
+                              GenerativeModel(truth, 5).sample_batch(0, 0, 3))
+        name_np, m_np = next(standard_corpus(count=1, master_seed=np.int64(7)))
+        name, m = next(standard_corpus(count=1, master_seed=7))
+        assert name_np == name
+        assert np.array_equal(m_np.transitions, m.transitions)
+        assert np.array_equal(m_np.rewards, m.rewards)
+
+    def test_float_seed_rejected_by_every_derivation(self):
+        with pytest.raises(TypeError):
+            derive_seed(5.0, 1)
+        with pytest.raises(TypeError):
+            derive_seed(5, 1.0)
+        with pytest.raises(TypeError):
+            RngSeedSpec(5.0).transition_seed(0, 0)
+        with pytest.raises(TypeError):
+            next(standard_corpus(count=1, master_seed=7.0))
 
     def test_streams_distinct_across_pairs(self):
         spec = RngSeedSpec(123)

@@ -18,6 +18,7 @@ from amdp_lab import (
     write_mdp,
     write_policy,
 )
+from amdp_lab.cli import main
 from amdp_lab.corpus import random_mdp
 
 
@@ -119,6 +120,16 @@ class TestInduceChain:
         with pytest.raises(ValueError):
             induce_chain(m, DeterministicPolicy(np.array([0, 1, 2])))
 
+    def test_stochastic_table_shape_mismatch(self):
+        m = random_mdp(3, 2, seed=1)
+        for probs in (np.full((2, 2), 0.5), np.full((3, 3), 1 / 3)):
+            with pytest.raises(ValueError, match="does not match"):
+                induce_chain(m, StochasticPolicy(probs))
+
+    def test_not_a_policy(self):
+        with pytest.raises(TypeError, match="not a policy"):
+            induce_chain(two_state_cycle(), np.array([0, 0]))
+
 
 class TestFileFormat:
     def test_round_trip_bitwise(self, tmp_path):
@@ -153,6 +164,20 @@ class TestFileFormat:
         path.write_text(json.dumps(doc))
         with pytest.raises(MdpFormatError, match="rewards"):
             read_mdp(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("metadata", [1, 2]), ("num_states", True), ("num_actions", True)])
+    def test_malformed_header_is_format_error(self, tmp_path, field, value):
+        # JSON true is a bool, an int subclass: one state and one action
+        # would match the array shapes
+        doc = {"num_states": 1, "num_actions": 1, "transitions": [[[1.0]]],
+               "rewards": [[0.5]], field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MdpFormatError, match=field):
+            read_mdp(path)
+        assert main(["certify", "--mdp", str(path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "certificates.csv").exists()
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"

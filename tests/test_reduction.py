@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,11 @@ from amdp_lab import (
 )
 from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
-from oracles import finite_horizon_identity_loop, finite_horizon_span_loop
+from oracles import (
+    finite_horizon_identity_loop,
+    finite_horizon_span_loop,
+    serial_empirical_error,
+)
 from test_generative import make_deterministic_truth
 
 
@@ -262,6 +268,31 @@ class TestEmpiricalError:
         a = empirical_error(GenerativeModel(truth, 5), params, 6)
         b = empirical_error(GenerativeModel(truth, 5), params, 6)
         assert a == b
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pool_matches_serial_oracle(self, cpus, monkeypatch):
+        # the pool's worker count is min(cpu count, trials); any count gives
+        # the serial loop's seeds, in trial order, and bit-identical gaps
+        truth = build_m1(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
+                                          variant="M1"))
+        params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=30)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records = empirical_error(GenerativeModel(truth, 7), params, 12)
+        expected = serial_empirical_error(GenerativeModel(truth, 7), params, 12)
+        assert [(rec.seed, rec.gap) for rec in records] == expected
+        assert len({gap for _, gap in expected}) > 1
+        assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
+                   for rec in records)
+
+    def test_colliding_trial_seeds_rejected(self):
+        class OneTrialSeed(RngSeedSpec):
+            def trial_seed(self, trial):
+                return 5
+
+        truth = make_deterministic_truth()
+        params = reduction_params(0.5, 0.1, 1.0, 3, 2, n_override=1)
+        with pytest.raises(ValueError, match="collide"):
+            empirical_error(GenerativeModel(truth, OneTrialSeed(3)), params, 2)
 
     def test_failure_rate_requires_records(self):
         with pytest.raises(ValueError):

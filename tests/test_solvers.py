@@ -95,10 +95,11 @@ class TestDmdpValueIteration:
             _, V_tight, _ = dmdp_value_iteration(m, 0.9, 1e-10)
             assert np.max(V_tight - v_pi) <= eps + 1e-9
 
-    def test_iteration_cap(self, cycle):
-        from amdp_lab import SolverConvergenceError
+    def test_iteration_cap(self, cycle, monkeypatch):
+        from amdp_lab import SolverConvergenceError, solvers
+        monkeypatch.setattr(solvers, "VI_MAX_SWEEPS", 5)
         with pytest.raises(SolverConvergenceError):
-            dmdp_value_iteration(cycle, 0.999999, 1e-12, max_sweeps=5)
+            dmdp_value_iteration(cycle, 0.999999, 1e-12)
 
 
 class TestDmdpPolicyIteration:
@@ -262,7 +263,7 @@ class TestAmdpOptimal:
     def test_enumerated_gains_match_per_class_oracle(self, D):
         # 685 of the 729 policies on M1 S6A3 are multichain
         m = build_m1(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
-        policies, gains = _enumerate_gains(m, budget=10**6)
+        policies, gains = _enumerate_gains(m)
         idx = np.arange(6)
         oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
                            @ m.rewards[idx, a] for a in policies])
@@ -273,7 +274,7 @@ class TestAmdpOptimal:
         # 20 policies tie for the optimal gain here; rounding noise in the
         # gains must not pick among them
         m = build_m1(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
-        policies, gains = _enumerate_gains(m, budget=10**6)
+        policies, gains = _enumerate_gains(m)
         worst = gains.min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
         opt = amdp_optimal(m, method="enumerate")
@@ -322,27 +323,50 @@ class TestAmdpOptimal:
             assert np.array_equal(auto.gain, enum.gain)
             assert np.array_equal(auto.bias, enum.bias)
 
-    def test_auto_uses_relative_vi_over_budget(self):
+    def test_auto_uses_relative_vi_over_budget(self, monkeypatch):
+        from amdp_lab import chains
         m = random_mdp(5, 4, seed=1)
-        auto = amdp_optimal(m, budget=100)
+        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 100)
+        auto = amdp_optimal(m)
         rvi = amdp_optimal(m, method="relative_vi")
         assert np.array_equal(auto.policy.actions, rvi.policy.actions)
         assert np.array_equal(auto.gain, rvi.gain)
         assert np.array_equal(auto.bias, rvi.bias)
 
-    def test_budget_guard(self):
-        from amdp_lab import EnumerationBudgetError
-        m = random_mdp(5, 4, seed=1)
+    def test_one_budget_binding_serves_every_enumeration(self, monkeypatch):
+        # one patch of the budget in chains moves mixing_time, the forced
+        # enumeration and auto's choice; solvers keeps no copy of it
+        from amdp_lab import EnumerationBudgetError, chains, mixing_time, solvers
+        m = random_mdp(4, 3, seed=0)  # 81 policies
+        enumerated = amdp_optimal(m)
+        rvi = amdp_optimal(m, method="relative_vi")
+        assert not np.array_equal(enumerated.bias, rvi.bias)
+        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 80)
         with pytest.raises(EnumerationBudgetError):
-            amdp_optimal(m, method="enumerate", budget=100)
+            mixing_time(m)
+        with pytest.raises(EnumerationBudgetError):
+            amdp_optimal(m, method="enumerate")
+        auto = amdp_optimal(m)
+        assert np.array_equal(auto.policy.actions, rvi.policy.actions)
+        assert np.array_equal(auto.gain, rvi.gain)
+        assert np.array_equal(auto.bias, rvi.bias)
+        assert not hasattr(solvers, "ENUMERATION_BUDGET")
 
-    def test_relative_vi_flags_non_weakly_communicating(self):
+    def test_budget_guard(self, monkeypatch):
+        from amdp_lab import EnumerationBudgetError, chains
+        m = random_mdp(5, 4, seed=1)
+        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 100)
+        with pytest.raises(EnumerationBudgetError):
+            amdp_optimal(m, method="enumerate")
+
+    def test_relative_vi_flags_non_weakly_communicating(self, monkeypatch):
         # gains differ across absorbing halves, so the span of differences
         # never settles and the iteration cap fires
-        from amdp_lab import SolverConvergenceError
+        from amdp_lab import SolverConvergenceError, solvers
         from conftest import make_two_absorbing
+        monkeypatch.setattr(solvers, "RVI_MAX_SWEEPS", 20_000)
         with pytest.raises(SolverConvergenceError):
-            relative_value_iteration(make_two_absorbing(), max_iter=20_000)
+            relative_value_iteration(make_two_absorbing())
 
     def test_enumerate_reports_non_weakly_communicating(self):
         from conftest import make_two_absorbing
@@ -350,10 +374,12 @@ class TestAmdpOptimal:
         assert not opt.weakly_communicating
         np.testing.assert_allclose(opt.gain, [0.6, 0.3, 0.9], atol=1e-12)
 
-    def test_relative_vi_gain_scaling(self):
+    def test_relative_vi_gain_scaling(self, monkeypatch):
         # the lazy solve reports the gain on the original scale
+        from amdp_lab import solvers
         m = random_mdp(5, 2, seed=21)
-        gain, bias, policy = relative_value_iteration(m, tau=0.5)
+        monkeypatch.setattr(solvers, "RVI_TAU", 0.25)
+        gain, bias, policy = relative_value_iteration(m)
         opt = amdp_optimal(m, method="enumerate")
         assert gain == pytest.approx(float(np.max(opt.gain)), abs=1e-8)
 
