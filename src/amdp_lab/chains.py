@@ -396,7 +396,12 @@ def mixing_time(m: TabularMdp) -> float:
     _batch_aperiodic): a self-loop in the closed class settles a policy, and
     the rest take O(log S) batched boolean squarings.
     """
-    _, P_all, _, comm, recurrent, multi = _policy_batch(m)
+    return _mixing_time(_policy_batch(m))
+
+
+def _mixing_time(batch) -> float:
+    """mixing_time from the _policy_batch of the MDP."""
+    _, P_all, _, comm, recurrent, multi = batch
     if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
         return math.inf
 
@@ -466,17 +471,19 @@ def is_weakly_communicating(m: TabularMdp) -> bool:
 
 
 def structural_parameters(m: TabularMdp) -> MdpParameters:
-    """Bundle (diameter, t_mix, H) for one MDP.
+    """Bundle (diameter, t_mix, H) for one MDP: solvers' one analysis, which
+    needs every policy's chain for t_mix.
 
-    H is the optimal bias span from the exact average-reward solver; both
-    order relations H <= D and H <= 8 t_mix (when the right side is finite)
-    are expected to hold and are asserted by the certification suite.
+    Both order relations H <= D and H <= 8 t_mix (when the right side is
+    finite) are expected to hold and are asserted by the certification suite.
     """
-    from .solvers import amdp_optimal  # local import: solvers builds on chains
+    from .solvers import _analysis  # local import: solvers builds on chains
 
-    D = diameter(m)
-    t_mix = mixing_time(m)
-    params = MdpParameters(diameter=D, t_mix=t_mix, H=amdp_optimal(m).H)
+    if m.num_actions ** m.num_states > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"t_mix needs all {m.num_actions}^{m.num_states} "
+                                     f"policies, over budget {ENUMERATION_BUDGET}")
+    D, t_mix, opt = _analysis(m)
+    params = MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)
     if math.isfinite(D) and params.H > D + 1e-6:
         raise ArithmeticError(
             f"internal inconsistency: bias span {params.H} exceeds diameter {D}")

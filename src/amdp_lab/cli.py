@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chains, corpus, hard_instances, reduction, solvers
+from . import corpus, hard_instances, reduction, solvers
 from .generative import GenerativeModel
 from .mdp import (
     EnumerationBudgetError,
@@ -95,25 +95,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_params(args) -> int:
-    m = read_mdp(args.mdp)
-    D = chains.diameter(m)
-    H = solvers.amdp_optimal(m).H
-    print(f"D = {D if math.isinf(D) else _fmt6(D)}")
-    try:
-        t_mix = chains.mixing_time(m)
-        print(f"t_mix = {t_mix if math.isinf(t_mix) else _fmt6(t_mix)}")
-    except EnumerationBudgetError:
-        t_mix = None
-        print("t_mix = not computed (enumeration budget exceeded)")
-    print(f"H = {_fmt6(H)}")
-    ok_D = math.isinf(D) or H <= D + 1e-6
-    print(f"H <= D: {'pass' if ok_D else 'FAIL'}")
+    D, t_mix, opt = solvers._analysis(read_mdp(args.mdp))
     if t_mix is None:
-        print("H <= 8 t_mix: skipped")
+        t_text, t_check = "not computed (enumeration budget exceeded)", "skipped"
     elif math.isinf(t_mix):
-        print("H <= 8 t_mix: vacuous (t_mix = inf)")
+        t_text, t_check = "inf", "vacuous (t_mix = inf)"
     else:
-        print(f"H <= 8 t_mix: {'pass' if H <= 8.0 * t_mix + 1e-6 else 'FAIL'}")
+        t_text = _fmt6(t_mix)
+        t_check = "pass" if opt.H <= 8.0 * t_mix + 1e-6 else "FAIL"
+    print(f"D = {D if math.isinf(D) else _fmt6(D)}")
+    print(f"t_mix = {t_text}")
+    print(f"H = {_fmt6(opt.H)}")
+    print(f"H <= D: {'pass' if math.isinf(D) or opt.H <= D + 1e-6 else 'FAIL'}")
+    print(f"H <= 8 t_mix: {t_check}")
     return EXIT_OK
 
 
@@ -135,20 +129,15 @@ def cmd_hardgen(args) -> int:
 def _instance_certificates(m: TabularMdp, instance_id: str,
                            epsilon: float) -> list[reduction.Certificate]:
     """Full per-instance certificate set used by the certify command."""
-    opt = solvers.amdp_optimal(m)
+    D, t_mix, opt = solvers._analysis(m)
     certs = [
         reduction.certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
         *reduction.certify_span_bounds(m, epsilon, instance_id, opt=opt),
         reduction.certify_finite_horizon_identity(m, opt.policy, 200, instance_id),
         reduction.certify_reduction_bound(m, epsilon, 0.0, instance_id, opt=opt),
+        reduction._certificate("bias_span_le_diameter", opt.H, D, 1e-6,
+                               instance_id),
     ]
-    D = chains.diameter(m)
-    certs.append(reduction._certificate("bias_span_le_diameter", opt.H, D,
-                                        1e-6, instance_id))
-    try:
-        t_mix = chains.mixing_time(m)
-    except EnumerationBudgetError:
-        t_mix = None
     if t_mix is not None and math.isfinite(t_mix):
         certs.append(reduction._certificate("bias_span_le_mixing", opt.H,
                                             8.0 * t_mix, 1e-6, instance_id))

@@ -239,14 +239,19 @@ def write_mdp(m: TabularMdp, path: str | Path) -> None:
     Path(path).write_text(json.dumps(mdp_to_dict(m), indent=1) + "\n")
 
 
-def read_mdp(path: str | Path, reward_cap: float = 1.0) -> TabularMdp:
+def _read_json_object(path: str | Path) -> dict:
+    """A JSON file's top-level object; MdpFormatError for anything else."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise MdpFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MdpFormatError("top-level document must be an object")
-    return mdp_from_dict(doc, reward_cap=reward_cap)
+    return doc
+
+
+def read_mdp(path: str | Path, reward_cap: float = 1.0) -> TabularMdp:
+    return mdp_from_dict(_read_json_object(path), reward_cap=reward_cap)
 
 
 def write_policy(pi: Policy, path: str | Path) -> None:
@@ -258,15 +263,17 @@ def write_policy(pi: Policy, path: str | Path) -> None:
 
 
 def read_policy(path: str | Path) -> Policy:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MdpFormatError(f"not valid JSON: {exc}") from exc
+    doc = _read_json_object(path)
     if "actions" in doc:
-        return DeterministicPolicy(np.asarray(doc["actions"], dtype=int))
+        actions = doc["actions"]
+        # bool is an int subclass, and a negative index would wrap around
+        if not (isinstance(actions, list)
+                and all(type(a) is int and a >= 0 for a in actions)):
+            raise MdpFormatError("'actions' must be a list of non-negative integers")
+        return DeterministicPolicy(np.array(actions, dtype=int))
     if "probs" in doc:
         try:
             return StochasticPolicy(np.asarray(doc["probs"], dtype=float))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise MdpFormatError(str(exc)) from exc
     raise MdpFormatError("policy file needs an 'actions' or 'probs' field")

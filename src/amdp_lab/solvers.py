@@ -229,13 +229,6 @@ def relative_value_iteration(m: TabularMdp):
         "(multichain or non-weakly-communicating input?)")
 
 
-def _enumerate_gains(m: TabularMdp):
-    """Per-state gain of every deterministic policy, (A^S, S), from one
-    batched Cesaro-limit solve over all policies, unichain or not."""
-    policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m)
-    return policies, _cesaro_limit(P_all, comm, recurrent, r_all)
-
-
 def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     """Gain-optimal solution of the average-reward problem.
 
@@ -257,21 +250,25 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
         method = ("enumerate"
                   if m.num_actions**m.num_states <= chains.ENUMERATION_BUDGET
                   else "relative_vi")
-    wc = is_weakly_communicating(m)
-    if method == "relative_vi":
-        _, bias, policy = relative_value_iteration(m)
-        gain = chain_gain_bias(induce_chain(m, policy)).gain
-        return AmdpOptimum(gain=gain, bias=bias, policy=policy,
-                           H=span(bias), weakly_communicating=wc)
-    if method != "enumerate":
+    if method == "enumerate":
+        return _enumerated_optimum(m, _policy_batch(m))
+    if method != "relative_vi":
         raise ValueError(f"unknown method {method!r}")
+    _, bias, policy = relative_value_iteration(m)
+    gain = chain_gain_bias(induce_chain(m, policy)).gain
+    return AmdpOptimum(gain=gain, bias=bias, policy=policy, H=span(bias),
+                       weakly_communicating=is_weakly_communicating(m))
 
-    policies, gains = _enumerate_gains(m)
-    worst = gains.min(axis=1)
-    best = int(np.argmax(worst >= worst.max() - GAIN_TIE_TOL))
-    policy = DeterministicPolicy(policies[best])
+
+def _enumerated_optimum(m: TabularMdp, batch) -> AmdpOptimum:
+    """amdp_optimal's enumeration, over the _policy_batch of m: every
+    policy's per-state gain from one batched Cesaro-limit solve."""
+    policies, P_all, r_all, comm, recurrent, _ = batch
+    worst = _cesaro_limit(P_all, comm, recurrent, r_all).min(axis=1)
+    policy = DeterministicPolicy(policies[np.argmax(worst >= worst.max() - GAIN_TIE_TOL)])
     gb = chain_gain_bias(induce_chain(m, policy))
     bias = gb.bias
+    wc = is_weakly_communicating(m)
     # tie-heavy instances can make the argmax policy non-greedy w.r.t. its
     # own bias; the optimality equation only has a constant-gain solution in
     # the weakly communicating case, so the substitution is gated on that
@@ -279,6 +276,16 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
         _, bias, _ = relative_value_iteration(m)
     return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy,
                        H=span(bias), weakly_communicating=wc)
+
+
+def _analysis(m: TabularMdp):
+    """(D, t_mix, optimum) of one MDP, t_mix and the optimum from one
+    _policy_batch; over the budget t_mix is None and relative VI solves."""
+    D = chains.diameter(m)
+    if m.num_actions**m.num_states > chains.ENUMERATION_BUDGET:
+        return D, None, amdp_optimal(m, method="relative_vi")
+    batch = _policy_batch(m)
+    return D, chains._mixing_time(batch), _enumerated_optimum(m, batch)
 
 
 def h_gamma_star(m: TabularMdp, gamma: float, opt: AmdpOptimum) -> np.ndarray:

@@ -308,3 +308,32 @@ def serial_empirical_error(gm, params, trials: int, opt=None) -> list[tuple[int,
         policy = algorithm1(GenerativeModel(truth, seed), params)
         out.append((seed, rho_star - float(np.min(amdp_gain_bias(truth, policy).gain))))
     return out
+
+
+def separate_instance_certificates(m, instance_id: str, epsilon: float) -> list:
+    """The certify command's per-instance certificates with every quantity
+    computed on its own: amdp_optimal, the four certificate builders,
+    diameter and mixing_time (None over the enumeration budget), so that
+    mixing_time and amdp_optimal each enumerate every policy."""
+    import math
+
+    from amdp_lab import EnumerationBudgetError, chains, reduction, solvers
+
+    opt = solvers.amdp_optimal(m)
+    certs = [
+        reduction.certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
+        *reduction.certify_span_bounds(m, epsilon, instance_id, opt=opt),
+        reduction.certify_finite_horizon_identity(m, opt.policy, 200, instance_id),
+        reduction.certify_reduction_bound(m, epsilon, 0.0, instance_id, opt=opt),
+    ]
+    D = chains.diameter(m)
+    certs.append(reduction._certificate("bias_span_le_diameter", opt.H, D,
+                                        1e-6, instance_id))
+    try:
+        t_mix = chains.mixing_time(m)
+    except EnumerationBudgetError:
+        t_mix = None
+    if t_mix is not None and math.isfinite(t_mix):
+        certs.append(reduction._certificate("bias_span_le_mixing", opt.H,
+                                            8.0 * t_mix, 1e-6, instance_id))
+    return certs

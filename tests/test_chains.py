@@ -505,6 +505,25 @@ class TestStructuralParameters:
             if math.isfinite(params.t_mix):
                 assert params.H <= 8.0 * params.t_mix + 1e-6
 
+    def test_matches_separate_calls(self):
+        # one shared enumeration gives the same numbers, bit for bit
+        for _, m in standard_corpus(count=100, master_seed=7):
+            params = structural_parameters(m)
+            assert ((params.diameter, params.t_mix, params.H)
+                    == (diameter(m), mixing_time(m), amdp_optimal(m).H))
+
+    def test_over_budget_raises_before_solving(self, monkeypatch):
+        from amdp_lab import chains, solvers
+
+        def no_relative_vi(m):
+            raise AssertionError("relative VI ran before the budget check")
+
+        m = random_mdp(4, 3, seed=0)  # 81 policies
+        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 80)
+        monkeypatch.setattr(solvers, "relative_value_iteration", no_relative_vi)
+        with pytest.raises(EnumerationBudgetError):
+            structural_parameters(m)
+
 
 class TestBlockSpanBound:
     def test_finite_horizon_span_bounded_by_mixing(self):

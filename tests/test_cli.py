@@ -5,8 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from amdp_lab import read_mdp, two_state_cycle, two_state_slow_chain, write_mdp
-from amdp_lab.cli import main
+from amdp_lab import (
+    HardInstanceSpec,
+    hard_instance,
+    read_mdp,
+    two_state_cycle,
+    two_state_slow_chain,
+    write_mdp,
+)
+from amdp_lab.cli import _instance_certificates, main
+from amdp_lab.corpus import standard_corpus
+from oracles import separate_instance_certificates
 
 
 @pytest.fixture
@@ -23,6 +32,16 @@ def m1_file(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     return str(tmp_path / "M1_S6_A3_D32_eps0.03125.json")
+
+
+@pytest.fixture
+def m1_s14_file(tmp_path):
+    # 4^14 policies: over the enumeration budget
+    code = main(["hardgen", "--S", "14", "--A", "4", "--D", "32",
+                 "--epsilon", "0.03125", "--variant", "M1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    return str(tmp_path / "M1_S14_A4_D32_eps0.03125.json")
 
 
 def read_csv_rows(path):
@@ -66,18 +85,15 @@ class TestSolve:
                      "--method", "relative_vi"]) == 0
         assert "rho = (0.500000, 0.500000)" in capsys.readouterr().out
 
-    def test_amdp_over_enumeration_budget_matches_params(self, tmp_path, capsys):
+    def test_amdp_over_enumeration_budget_matches_params(self, m1_s14_file,
+                                                         capsys):
         # 4^14 policies exceed the enumeration budget; the default method
-        # falls back to relative VI, as params' amdp_optimal call does
-        assert main(["hardgen", "--S", "14", "--A", "4", "--D", "32",
-                     "--epsilon", "0.03125", "--variant", "M1",
-                     "--out", str(tmp_path)]) == 0
-        path = str(tmp_path / "M1_S14_A4_D32_eps0.03125.json")
+        # falls back to relative VI, as params' analysis does
         capsys.readouterr()
-        assert main(["solve", "amdp", "--mdp", path]) == 0
+        assert main(["solve", "amdp", "--mdp", m1_s14_file]) == 0
         solved = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("H = ")]
-        assert main(["params", "--mdp", path]) == 0
+        assert main(["params", "--mdp", m1_s14_file]) == 0
         assert solved == [line for line in capsys.readouterr().out.splitlines()
                           if line.startswith("H = ")]
         assert solved == ["H = 1.777778"]
@@ -103,6 +119,13 @@ class TestParams:
         assert "t_mix = inf" in out
         assert "H = 0.500000" in out
         assert "H <= D: pass" in out
+        assert "H <= 8 t_mix: vacuous (t_mix = inf)" in out
+
+    def test_over_budget_skips_mixing(self, m1_s14_file, capsys):
+        assert main(["params", "--mdp", m1_s14_file]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "t_mix = not computed (enumeration budget exceeded)" in out
+        assert "H <= 8 t_mix: skipped" in out
 
     def test_m1_reports_order_relation(self, m1_file, capsys):
         assert main(["params", "--mdp", m1_file]) == 0
@@ -238,6 +261,56 @@ class TestOptimumSolvedOnce:
         assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
                                "--seed", "5", "--out", str(tmp_path)]) == 2
         assert "--H" in capsys.readouterr().err
+
+
+class TestPoliciesEnumeratedOnce:
+    """params and certify take t_mix and the optimum from one enumeration."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        from amdp_lab import chains
+        calls = []
+        original = chains.all_deterministic_policies
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return original(*a, **kw)
+
+        monkeypatch.setattr(chains, "all_deterministic_policies", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", [["certify", "--out"], ["params"]])
+    def test_m1_s6a3_enumerates_once(self, command, enumerations, m1_file,
+                                     tmp_path, capsys):
+        args = command + [str(tmp_path)] if command[0] == "certify" else command
+        assert main(args + ["--mdp", m1_file]) == 0
+        assert enumerations == [(6, 3)]
+
+    def test_over_budget_params_enumerates_nothing(self, enumerations,
+                                                   m1_s14_file, capsys):
+        assert main(["params", "--mdp", m1_s14_file]) == 0
+        assert enumerations == []
+
+
+class TestOneAnalysisMatchesSeparatePath:
+    """certify's per-instance certificates equal those of the path that
+    solved, enumerated and measured each quantity separately."""
+
+    def test_corpus(self):
+        mixing = 0
+        for instance_id, m in standard_corpus(count=200, master_seed=7):
+            certs = _instance_certificates(m, instance_id, 0.25)
+            assert certs == separate_instance_certificates(m, instance_id, 0.25)
+            mixing += certs[-1].name == "bias_span_le_mixing"
+        assert mixing > 100  # the finite-t_mix branch is exercised
+
+    @pytest.mark.parametrize("variant", ["M0", "M1"])
+    @pytest.mark.parametrize("D", [32, 1e3, 1e4])
+    def test_hard_family(self, variant, D):
+        m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32,
+                                           variant=variant))
+        assert (_instance_certificates(m, variant, 0.25)
+                == separate_instance_certificates(m, variant, 0.25))
 
 
 class TestReductionInputs:

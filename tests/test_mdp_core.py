@@ -197,3 +197,36 @@ class TestFileFormat:
         (tmp_path / "p.json").write_text("{}")
         with pytest.raises(MdpFormatError):
             read_policy(tmp_path / "p.json")
+
+    def test_policy_number_is_format_error(self, tmp_path):
+        (tmp_path / "p.json").write_text("5")
+        with pytest.raises(MdpFormatError, match="object"):
+            read_policy(tmp_path / "p.json")
+
+    def test_policy_not_json(self, tmp_path):
+        (tmp_path / "p.json").write_text('{"actions": [0, 1')
+        with pytest.raises(MdpFormatError, match="JSON"):
+            read_policy(tmp_path / "p.json")
+
+    def test_policy_float_actions_not_truncated(self, tmp_path):
+        # np.asarray(..., dtype=int) would read these as [0, 1]
+        (tmp_path / "p.json").write_text('{"actions": [0.7, 1.9]}')
+        with pytest.raises(MdpFormatError, match="actions"):
+            read_policy(tmp_path / "p.json")
+
+    def test_policy_nested_actions_is_format_error(self, tmp_path):
+        (tmp_path / "p.json").write_text('{"actions": [[0, 1]]}')
+        with pytest.raises(MdpFormatError, match="actions"):
+            read_policy(tmp_path / "p.json")
+
+    @pytest.mark.parametrize("actions", ["[true, 0]", "[-1, 0]", '"01"', "3"])
+    def test_policy_actions_must_be_index_list(self, tmp_path, actions):
+        (tmp_path / "p.json").write_text('{"actions": %s}' % actions)
+        with pytest.raises(MdpFormatError, match="actions"):
+            read_policy(tmp_path / "p.json")
+
+    @pytest.mark.parametrize("probs", ['{"a": 1}', "[[0.5, 0.5], [1.0]]", "[1.0]"])
+    def test_policy_bad_probs_is_format_error(self, tmp_path, probs):
+        (tmp_path / "p.json").write_text('{"probs": %s}' % probs)
+        with pytest.raises(MdpFormatError):
+            read_policy(tmp_path / "p.json")

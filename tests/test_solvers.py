@@ -20,7 +20,8 @@ from amdp_lab import (
 )
 from amdp_lab.hard_instances import HardInstanceSpec
 from amdp_lab.corpus import random_mdp, standard_corpus
-from amdp_lab.solvers import _enumerate_gains, horizon_iterates
+from amdp_lab.chains import _cesaro_limit, _policy_batch
+from amdp_lab.solvers import horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
     bellman_evaluation,
@@ -263,7 +264,8 @@ class TestAmdpOptimal:
     def test_enumerated_gains_match_per_class_oracle(self, D):
         # 685 of the 729 policies on M1 S6A3 are multichain
         m = build_m1(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
-        policies, gains = _enumerate_gains(m)
+        policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m)
+        gains = _cesaro_limit(P_all, comm, recurrent, r_all)
         idx = np.arange(6)
         oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
                            @ m.rewards[idx, a] for a in policies])
@@ -274,7 +276,8 @@ class TestAmdpOptimal:
         # 20 policies tie for the optimal gain here; rounding noise in the
         # gains must not pick among them
         m = build_m1(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
-        policies, gains = _enumerate_gains(m)
+        policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m)
+        gains = _cesaro_limit(P_all, comm, recurrent, r_all)
         worst = gains.min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
         opt = amdp_optimal(m, method="enumerate")

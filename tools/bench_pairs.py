@@ -23,8 +23,14 @@ from pathlib import Path
 
 
 def seed_range(text: str) -> list[int]:
+    """Seeds lo-hi inclusive (or one seed); fewer than two are rejected,
+    because the summary's quartiles need at least two pairs."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} names {len(seeds)} seeds; at least two are needed")
+    return seeds
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
