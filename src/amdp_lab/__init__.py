@@ -66,6 +66,7 @@ from .reduction import (
     algorithm1,
     certify_finite_horizon_identity,
     certify_gain_discount_gap,
+    certify_instance,
     certify_reduction_bound,
     certify_span_bounds,
     empirical_error,

@@ -431,11 +431,8 @@ def aperiodicity_transform(m: TabularMdp, tau: float) -> TabularMdp:
     unchanged, so stationary distributions and gains are preserved."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    P = (1.0 - tau) * m.transitions
-    P = P + tau * np.eye(m.num_states)[:, None, :]
-    meta = dict(m.metadata)
-    meta["lazy_tau"] = meta.get("lazy_tau", 0.0) + tau * (1.0 - meta.get("lazy_tau", 0.0))
-    return TabularMdp(m.num_states, m.num_actions, P, m.rewards, meta)
+    P = (1.0 - tau) * m.transitions + tau * np.eye(m.num_states)[:, None, :]
+    return TabularMdp(m.num_states, m.num_actions, P, m.rewards, dict(m.metadata))
 
 
 def union_support(m: TabularMdp) -> np.ndarray:

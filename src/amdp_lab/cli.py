@@ -70,7 +70,7 @@ def cmd_solve(args) -> int:
     if args.kind == "dmdp":
         if args.gamma is None:
             raise MdpFormatError("solve dmdp needs --gamma")
-        Q, V, policy = solvers.dmdp_value_iteration(m, args.gamma, args.accuracy)
+        _, V, policy = solvers.dmdp_policy_iteration(m, args.gamma)
         print(f"V = {_vector6(V)}")
         print(f"policy = {list(map(int, policy.actions))}")
         if out:
@@ -96,17 +96,18 @@ def cmd_solve(args) -> int:
 
 def cmd_params(args) -> int:
     D, t_mix, opt = solvers._analysis(read_mdp(args.mdp))
+    le_diameter, *le_mixing = reduction._parameter_bounds(opt.H, D, t_mix, "")
     if t_mix is None:
         t_text, t_check = "not computed (enumeration budget exceeded)", "skipped"
     elif math.isinf(t_mix):
         t_text, t_check = "inf", "vacuous (t_mix = inf)"
     else:
         t_text = _fmt6(t_mix)
-        t_check = "pass" if opt.H <= 8.0 * t_mix + 1e-6 else "FAIL"
+        t_check = "pass" if le_mixing[0].passed else "FAIL"
     print(f"D = {D if math.isinf(D) else _fmt6(D)}")
     print(f"t_mix = {t_text}")
     print(f"H = {_fmt6(opt.H)}")
-    print(f"H <= D: {'pass' if math.isinf(D) or opt.H <= D + 1e-6 else 'FAIL'}")
+    print(f"H <= D: {'pass' if le_diameter.passed else 'FAIL'}")
     print(f"H <= 8 t_mix: {t_check}")
     return EXIT_OK
 
@@ -126,24 +127,6 @@ def cmd_hardgen(args) -> int:
     return EXIT_OK
 
 
-def _instance_certificates(m: TabularMdp, instance_id: str,
-                           epsilon: float) -> list[reduction.Certificate]:
-    """Full per-instance certificate set used by the certify command."""
-    D, t_mix, opt = solvers._analysis(m)
-    certs = [
-        reduction.certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
-        *reduction.certify_span_bounds(m, epsilon, instance_id, opt=opt),
-        reduction.certify_finite_horizon_identity(m, opt.policy, 200, instance_id),
-        reduction.certify_reduction_bound(m, epsilon, 0.0, instance_id, opt=opt),
-        reduction._certificate("bias_span_le_diameter", opt.H, D, 1e-6,
-                               instance_id),
-    ]
-    if t_mix is not None and math.isfinite(t_mix):
-        certs.append(reduction._certificate("bias_span_le_mixing", opt.H,
-                                            8.0 * t_mix, 1e-6, instance_id))
-    return certs
-
-
 def cmd_certify(args) -> int:
     instances: list[tuple[str, TabularMdp]] = []
     if args.mdp:
@@ -159,7 +142,7 @@ def cmd_certify(args) -> int:
 
     certs: list[reduction.Certificate] = []
     for instance_id, m in instances:
-        certs.extend(_instance_certificates(m, instance_id, args.epsilon))
+        certs.extend(reduction.certify_instance(m, args.epsilon, instance_id))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "certificates.csv"
@@ -259,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["dmdp", "amdp"])
     p.add_argument("--mdp", required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--accuracy", type=float, default=1e-9)
     p.add_argument("--method", choices=["auto", "enumerate", "relative_vi"],
                    default="auto")
     p.add_argument("--out")

@@ -176,9 +176,6 @@ def build_m0(spec: HardInstanceSpec) -> TabularMdp:
     P = np.zeros((S, A, S))
     r = np.zeros((S, A))
     p_swap = (1.0 + 8.0 * spec.epsilon) / spec.D_prime
-    if p_swap > 1.0:
-        raise InfeasibleInstanceError(
-            f"(1 + 8 eps) / D' = {p_swap} exceeds 1; component probabilities invalid")
 
     for node in range(n_int):
         s = state_of(node)

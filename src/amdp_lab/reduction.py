@@ -27,8 +27,10 @@ from .generative import GenerativeModel, build_empirical, perturb_rewards
 from .mdp import DeterministicPolicy, Policy, TabularMdp, span
 from .solvers import (
     AmdpOptimum,
+    _analysis,
     amdp_gain_bias,
     amdp_optimal,
+    chain_gain_bias,
     dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
@@ -129,63 +131,120 @@ def gamma_for_accuracy(epsilon: float, H: float) -> float:
     return 0.5
 
 
+#: last step T of the finite-horizon span bound and identity
+HORIZON = 200
+
+
+def _gain_gap(name, gain, scaled, tolerance, instance_id) -> Certificate:
+    """||gain - scaled||_inf <= sp(scaled), scaled a (1-gamma) V_gamma."""
+    return _certificate(name, float(np.max(np.abs(gain - scaled))), span(scaled),
+                        tolerance, instance_id)
+
+
+def _calibrated(m: TabularMdp, epsilon: float, opt: AmdpOptimum):
+    """(gamma, V*_gamma, its greedy policy, V^{pi*}_gamma) at the calibrated
+    gamma = gamma_for_accuracy(epsilon, H), pi* = opt.policy."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    gamma = gamma_for_accuracy(epsilon, opt.H)
+    _, V_star, pi_hat = dmdp_policy_iteration(m, gamma)
+    return gamma, V_star, pi_hat, dmdp_policy_value(m, opt.policy, gamma)
+
+
+def _policy_horizon(m: TabularMdp, pi: Policy, horizon: int):
+    """(chain, gain/bias, iterates V_1..V_horizon) of one policy."""
+    chain = induce_chain(m, pi)
+    return (chain, chain_gain_bias(chain),
+            horizon_iterates(chain.matrix, chain.reward, horizon))
+
+
+def _span_bounds(epsilon, calibrated, gb, V, instance_id) -> list[Certificate]:
+    gamma, V_star, _, V_pi = calibrated
+    return [
+        _certificate("optimal_value_span", span((1.0 - gamma) * V_star),
+                     4.0 * epsilon, 1e-7, instance_id),
+        _certificate("optimal_policy_value_span", span((1.0 - gamma) * V_pi),
+                     4.0 * epsilon, 1e-7, instance_id),
+        _certificate("finite_horizon_span", float(np.max(V.max(axis=1) - V.min(axis=1))),
+                     2.0 * span(gb.bias), 1e-7, instance_id),
+    ]
+
+
+def _horizon_identity(chain, gb, V, instance_id) -> Certificate:
+    propagated = horizon_iterates(chain.matrix, 0.0, len(V), gb.bias)  # P^T bias
+    predicted = np.arange(1, len(V) + 1)[:, None] * gb.gain + gb.bias - propagated
+    return _certificate("finite_horizon_identity",
+                        float(np.max(np.abs(V - predicted))), 0.0, 1e-8, instance_id)
+
+
+def _reduction_links(m, epsilon, eps_gamma, calibrated, opt, instance_id):
+    gamma, V_star, pi_hat, V_opt_pi = calibrated
+    V_hat = V_star
+    if eps_gamma > 0.0:  # the eps_gamma-accurate solve the argument allows
+        _, _, pi_hat = dmdp_value_iteration(m, gamma, eps_gamma)
+        V_hat = dmdp_policy_value(m, pi_hat, gamma)
+    rho_hat = amdp_gain_bias(m, pi_hat).gain
+
+    scale, tol = 1.0 - gamma, 1e-6
+    return [
+        _gain_gap("link_gain_gap_at_optimal_policy", opt.gain, scale * V_opt_pi,
+                  tol, instance_id),
+        _certificate("link_optimal_policy_value_span", span(scale * V_opt_pi),
+                     4.0 * epsilon, tol, instance_id),
+        _certificate("link_optimal_value_span", span(scale * V_star),
+                     4.0 * epsilon, tol, instance_id),
+        _certificate("link_policy_dominance",
+                     float(np.max(V_opt_pi - V_star)), 0.0, tol, instance_id),
+        _certificate("link_solver_accuracy", float(np.max(np.abs(V_star - V_hat))),
+                     eps_gamma, tol, instance_id),
+        _certificate("link_span_passing", span(scale * V_hat),
+                     span(scale * V_star) + 2.0 * scale * eps_gamma, tol, instance_id),
+        _gain_gap("link_gain_gap_at_solved_policy", rho_hat, scale * V_hat, tol,
+                  instance_id),
+        _certificate("reduction_bound",
+                     float(np.max(opt.gain)) - float(np.min(rho_hat)),
+                     8.0 * epsilon + 3.0 * scale * eps_gamma, tol, instance_id),
+    ]
+
+
+def _parameter_bounds(H, D, t_mix, instance_id) -> list[Certificate]:
+    """H <= D, and H <= 8 t_mix when t_mix is finite (None: not computed)."""
+    certs = [_certificate("bias_span_le_diameter", H, D, 1e-6, instance_id)]
+    if t_mix is not None and math.isfinite(t_mix):
+        certs.append(_certificate("bias_span_le_mixing", H, 8.0 * t_mix, 1e-6,
+                                  instance_id))
+    return certs
+
+
 def certify_gain_discount_gap(m: TabularMdp, pi: Policy, gamma: float,
                               instance_id: str = "") -> Certificate:
     """Check ||gain - (1-gamma) V_gamma||_inf <= sp((1-gamma) V_gamma) for
     one policy at one discount."""
-    gain = amdp_gain_bias(m, pi).gain
-    scaled = (1.0 - gamma) * dmdp_policy_value(m, pi, gamma)
-    return _certificate("gain_discount_gap",
-                        float(np.max(np.abs(gain - scaled))), span(scaled),
-                        1e-8, instance_id)
+    return _gain_gap("gain_discount_gap", amdp_gain_bias(m, pi).gain,
+                     (1.0 - gamma) * dmdp_policy_value(m, pi, gamma), 1e-8,
+                     instance_id)
 
 
 def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
-                        opt: AmdpOptimum | None = None,
-                        horizon: int = 200) -> list[Certificate]:
+                        opt: AmdpOptimum | None = None) -> list[Certificate]:
     """Span bounds behind the reduction, at gamma = 1 - epsilon / H:
 
       * sp((1-gamma) V*_gamma)            <= 4 epsilon
       * sp((1-gamma) V^{pi*}_gamma)       <= 4 epsilon
-      * max_{T <= horizon} sp(V_T^{pi*})  <= 2 sp(bias of pi*)
+      * max_{T <= HORIZON} sp(V_T^{pi*})  <= 2 sp(bias of pi*)
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if opt is None:
         opt = amdp_optimal(m)
-    gamma = gamma_for_accuracy(epsilon, opt.H)
-    tol = 1e-7
-
-    _, V_star, _ = dmdp_policy_iteration(m, gamma)
-    certs = [_certificate("optimal_value_span",
-                          span((1.0 - gamma) * V_star), 4.0 * epsilon, tol,
-                          instance_id)]
-    V_pi = dmdp_policy_value(m, opt.policy, gamma)
-    certs.append(_certificate("optimal_policy_value_span",
-                              span((1.0 - gamma) * V_pi), 4.0 * epsilon, tol,
-                              instance_id))
-    chain = induce_chain(m, opt.policy)
-    policy_bias_span = span(amdp_gain_bias(m, opt.policy).bias)
-    V = horizon_iterates(chain.matrix, chain.reward, horizon)
-    worst = float(np.max(V.max(axis=1) - V.min(axis=1)))
-    certs.append(_certificate("finite_horizon_span", worst,
-                              2.0 * policy_bias_span, tol, instance_id))
-    return certs
+    _, gb, V = _policy_horizon(m, opt.policy, HORIZON)
+    return _span_bounds(epsilon, _calibrated(m, epsilon, opt), gb, V, instance_id)
 
 
 def certify_finite_horizon_identity(m: TabularMdp, pi: Policy,
-                                    horizon: int = 200,
+                                    horizon: int = HORIZON,
                                     instance_id: str = "") -> Certificate:
     """Check V_T = T gain + bias - P^T bias for all T up to the horizon; the
     certificate carries the worst residual."""
-    chain = induce_chain(m, pi)
-    gb = amdp_gain_bias(m, pi)
-    V = horizon_iterates(chain.matrix, chain.reward, horizon)
-    propagated = horizon_iterates(chain.matrix, 0.0, horizon, gb.bias)  # P^T bias
-    T = np.arange(1, horizon + 1)[:, None]
-    predicted = T * gb.gain + gb.bias - propagated
-    worst = float(np.max(np.abs(V - predicted)))
-    return _certificate("finite_horizon_identity", worst, 0.0, 1e-8, instance_id)
+    return _horizon_identity(*_policy_horizon(m, pi, horizon), instance_id)
 
 
 def reduction_chain_certificates(m: TabularMdp, epsilon: float,
@@ -200,44 +259,8 @@ def reduction_chain_certificates(m: TabularMdp, epsilon: float,
     otherwise."""
     if opt is None:
         opt = amdp_optimal(m)
-    gamma = gamma_for_accuracy(epsilon, opt.H)
-    tol = 1e-6
-    rho_star = float(np.max(opt.gain))
-
-    _, V_star, pi_hat = dmdp_policy_iteration(m, gamma)
-    V_opt_pi = dmdp_policy_value(m, opt.policy, gamma)
-    V_hat = V_star
-    if eps_gamma > 0.0:  # the eps_gamma-accurate solve the argument allows
-        _, _, pi_hat = dmdp_value_iteration(m, gamma, eps_gamma)
-        V_hat = dmdp_policy_value(m, pi_hat, gamma)
-    rho_hat = amdp_gain_bias(m, pi_hat).gain
-
-    scale = 1.0 - gamma
-    certs = [
-        _certificate("link_gain_gap_at_optimal_policy",
-                     float(np.max(np.abs(opt.gain - scale * V_opt_pi))),
-                     span(scale * V_opt_pi), tol, instance_id),
-        _certificate("link_optimal_policy_value_span",
-                     span(scale * V_opt_pi), 4.0 * epsilon, tol, instance_id),
-        _certificate("link_optimal_value_span",
-                     span(scale * V_star), 4.0 * epsilon, tol, instance_id),
-        _certificate("link_policy_dominance",
-                     float(np.max(V_opt_pi - V_star)), 0.0, tol, instance_id),
-        _certificate("link_solver_accuracy",
-                     float(np.max(np.abs(V_star - V_hat))), eps_gamma, tol,
-                     instance_id),
-        _certificate("link_span_passing",
-                     span(scale * V_hat),
-                     span(scale * V_star) + 2.0 * scale * eps_gamma, tol,
-                     instance_id),
-        _certificate("link_gain_gap_at_solved_policy",
-                     float(np.max(np.abs(rho_hat - scale * V_hat))),
-                     span(scale * V_hat), tol, instance_id),
-        _certificate("reduction_bound",
-                     rho_star - float(np.min(rho_hat)),
-                     8.0 * epsilon + 3.0 * scale * eps_gamma, tol, instance_id),
-    ]
-    return certs
+    return _reduction_links(m, epsilon, eps_gamma, _calibrated(m, epsilon, opt),
+                            opt, instance_id)
 
 
 def certify_reduction_bound(m: TabularMdp, epsilon: float, eps_gamma: float,
@@ -245,8 +268,24 @@ def certify_reduction_bound(m: TabularMdp, epsilon: float, eps_gamma: float,
                             opt: AmdpOptimum | None = None) -> Certificate:
     """The headline reduction certificate alone; see
     reduction_chain_certificates for the full argument."""
-    return reduction_chain_certificates(m, epsilon, eps_gamma, instance_id,
-                                        opt)[-1]
+    return reduction_chain_certificates(m, epsilon, eps_gamma, instance_id, opt)[-1]
+
+
+def certify_instance(m: TabularMdp, epsilon: float,
+                     instance_id: str) -> list[Certificate]:
+    """The certify command's certificates of one instance, in order.  D, t_mix
+    and pi* come from one analysis, and the calibrated discounted solve and
+    pi*'s horizon iterates are computed once and shared."""
+    D, t_mix, opt = _analysis(m)
+    calibrated = _calibrated(m, epsilon, opt)
+    chain, gb, V = _policy_horizon(m, opt.policy, HORIZON)
+    return [
+        certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
+        *_span_bounds(epsilon, calibrated, gb, V, instance_id),
+        _horizon_identity(chain, gb, V, instance_id),
+        _reduction_links(m, epsilon, 0.0, calibrated, opt, instance_id)[-1],
+        *_parameter_bounds(opt.H, D, t_mix, instance_id),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +310,7 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
 
     Gaps come from the exact solvers on the hidden truth; samples never
     enter the evaluation.  Trials are independent and run on a thread pool
-    of one worker per CPU, up to the trial count; colliding derived seeds
-    raise ValueError.
+    of one worker per CPU, up to the trial count.
     """
     # imported here: concurrent.futures loads logging, which would add about
     # 16 ms to `import amdp_lab`
@@ -283,8 +321,6 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
         opt = amdp_optimal(truth)
     rho_star = float(np.max(opt.gain))
     seeds = [gm.seed_spec.trial_seed(trial) for trial in range(trials)]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("derived trial seeds collide; change the master seed")
 
     def run(seed: int) -> TrialRecord:
         start = time.perf_counter()

@@ -13,8 +13,9 @@ from amdp_lab import (
     two_state_slow_chain,
     write_mdp,
 )
-from amdp_lab.cli import _instance_certificates, main
+from amdp_lab.cli import main
 from amdp_lab.corpus import standard_corpus
+from amdp_lab.reduction import certify_instance
 from oracles import separate_instance_certificates
 
 
@@ -64,6 +65,30 @@ class TestSolve:
         assert main(["solve", "dmdp", "--mdp", cycle_file, "--gamma", "0.9"]) == 0
         out = capsys.readouterr().out
         assert "V = (5.263158, 4.736842)" in out
+
+    @pytest.mark.parametrize("instance", ["cycle", "m1"])
+    def test_dmdp_is_the_exact_optimum(self, instance, cycle_file, m1_file,
+                                       tmp_path, capsys):
+        from amdp_lab import dmdp_policy_iteration, dmdp_value_iteration
+        from amdp_lab.reduction import format_number
+        path = cycle_file if instance == "cycle" else m1_file
+        m = read_mdp(path)
+        assert main(["solve", "dmdp", "--mdp", path, "--gamma", "0.9",
+                     "--out", str(tmp_path / "solved")]) == 0
+        written = json.loads((tmp_path / "solved" / "values.json").read_text())
+        _, V, policy = dmdp_policy_iteration(m, 0.9)
+        assert written["values"] == [float(format_number(x)) for x in V]
+        _, V_vi, _ = dmdp_value_iteration(m, 0.9, 1e-10)
+        assert np.max(np.abs(V - V_vi)) <= 1e-8
+        out = capsys.readouterr().out
+        assert f"policy = {list(map(int, policy.actions))}" in out
+
+    def test_dmdp_has_no_accuracy_flag(self, cycle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "dmdp", "--mdp", cycle_file, "--gamma", "0.9",
+                  "--accuracy", "1e-6"])
+        assert exc.value.code == 2
+        assert "--accuracy" in capsys.readouterr().err
 
     def test_amdp_self_loop(self, tmp_path, capsys):
         from amdp_lab import TabularMdp
@@ -293,13 +318,13 @@ class TestPoliciesEnumeratedOnce:
 
 
 class TestOneAnalysisMatchesSeparatePath:
-    """certify's per-instance certificates equal those of the path that
-    solved, enumerated and measured each quantity separately."""
+    """certify_instance's certificates equal those of the path that solved,
+    enumerated and measured each quantity separately."""
 
     def test_corpus(self):
         mixing = 0
         for instance_id, m in standard_corpus(count=200, master_seed=7):
-            certs = _instance_certificates(m, instance_id, 0.25)
+            certs = certify_instance(m, 0.25, instance_id)
             assert certs == separate_instance_certificates(m, instance_id, 0.25)
             mixing += certs[-1].name == "bias_span_le_mixing"
         assert mixing > 100  # the finite-t_mix branch is exercised
@@ -309,8 +334,28 @@ class TestOneAnalysisMatchesSeparatePath:
     def test_hard_family(self, variant, D):
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32,
                                            variant=variant))
-        assert (_instance_certificates(m, variant, 0.25)
+        assert (certify_instance(m, 0.25, variant)
                 == separate_instance_certificates(m, variant, 0.25))
+
+
+class TestCertifySharesQuantities:
+    """One certify op solves the calibrated discounted problem once and runs
+    the optimal policy's horizon recursion once for its V stack and once for
+    P^T bias."""
+
+    def test_m1_s6a3_call_counts(self, m1_file, tmp_path, monkeypatch, capsys):
+        from amdp_lab import reduction
+        calls = {}
+        for name in ("horizon_iterates", "dmdp_policy_iteration",
+                     "dmdp_policy_value"):
+            def counting(*a, _original=getattr(reduction, name), _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*a, **kw)
+
+            monkeypatch.setattr(reduction, name, counting)
+        assert main(["certify", "--mdp", m1_file, "--out", str(tmp_path)]) == 0
+        assert calls == {"horizon_iterates": 2, "dmdp_policy_iteration": 1,
+                         "dmdp_policy_value": 2}
 
 
 class TestReductionInputs:

@@ -230,6 +230,12 @@ class TestCertificates:
         assert final.name == "reduction_bound"
         assert final.lhs == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, 2.0])
+    def test_reduction_chain_rejects_epsilon_outside_unit_interval(self, cycle,
+                                                                   epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            reduction_chain_certificates(cycle, epsilon, 0.0, "cycle")
+
     def test_reduction_chain_m1_exact_solve_recovers_optimal(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
         m = build_m1(spec)
@@ -283,16 +289,6 @@ class TestEmpiricalError:
         assert len({gap for _, gap in expected}) > 1
         assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
                    for rec in records)
-
-    def test_colliding_trial_seeds_rejected(self):
-        class OneTrialSeed(RngSeedSpec):
-            def trial_seed(self, trial):
-                return 5
-
-        truth = make_deterministic_truth()
-        params = reduction_params(0.5, 0.1, 1.0, 3, 2, n_override=1)
-        with pytest.raises(ValueError, match="collide"):
-            empirical_error(GenerativeModel(truth, OneTrialSeed(3)), params, 2)
 
     def test_failure_rate_requires_records(self):
         with pytest.raises(ValueError):
