@@ -472,20 +472,18 @@ def structural_parameters(m: TabularMdp) -> MdpParameters:
     needs every policy's chain for t_mix.
 
     Both order relations H <= D and H <= 8 t_mix (when the right side is
-    finite) are expected to hold and are asserted by the certification suite.
+    finite) must hold; the certificates that certify writes for them raise
+    ArithmeticError here when one fails.
     """
-    from .solvers import _analysis  # local import: solvers builds on chains
+    from .reduction import _parameter_bounds  # local imports: both build on chains
+    from .solvers import _analysis
 
     if m.num_actions ** m.num_states > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(f"t_mix needs all {m.num_actions}^{m.num_states} "
                                      f"policies, over budget {ENUMERATION_BUDGET}")
     D, t_mix, opt = _analysis(m)
-    params = MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)
-    if math.isfinite(D) and params.H > D + 1e-6:
-        raise ArithmeticError(
-            f"internal inconsistency: bias span {params.H} exceeds diameter {D}")
-    if math.isfinite(t_mix) and params.H > 8.0 * t_mix + 1e-6:
-        raise ArithmeticError(
-            f"internal inconsistency: bias span {params.H} exceeds 8 * t_mix "
-            f"= {8.0 * t_mix}")
-    return params
+    for cert in _parameter_bounds(opt.H, D, t_mix, ""):
+        if not cert.passed:
+            raise ArithmeticError(f"internal inconsistency: {cert.name} fails, "
+                                  f"bias span {cert.lhs} > {cert.rhs}")
+    return MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)

@@ -133,7 +133,7 @@ def cmd_certify(args) -> int:
         for path in args.mdp:
             m = read_mdp(path)
             instances.append((_instance_id(m, path), m))
-    elif args.count:
+    elif args.count is not None:
         instances = list(corpus.standard_corpus(
             count=args.count, max_states=args.smax, max_actions=args.amax,
             master_seed=args.seed))

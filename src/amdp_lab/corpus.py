@@ -52,6 +52,10 @@ def standard_corpus(count: int = 1000, max_states: int = 6, max_actions: int = 4
     Sizes vary with the instance stream: 2..max_states states and
     1..max_actions actions.  Fully reproducible from master_seed.
     """
+    for name, value, least in (("count", count, 1), ("max_states", max_states, 2),
+                               ("max_actions", max_actions, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     for i in range(count):
         seed = derive_seed(master_seed, _TAG_CORPUS, i)
         rng = np.random.Generator(np.random.PCG64(seed))

@@ -11,7 +11,7 @@ component k.  Every instance is communicating with diameter at most D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,9 +49,10 @@ class HardInstanceSpec:
         if self.A < 3:
             raise InfeasibleInstanceError(f"A must be at least 3, got {self.A}")
         floor_D = max(16 * _ceil_log(self.A, self.S), 16)
-        if self.D < floor_D:
+        if not floor_D <= self.D < math.inf:
             raise InfeasibleInstanceError(
-                f"D = {self.D} inadmissible: need D >= max(16*ceil(log_A S), 16) = {floor_D}")
+                f"D = {self.D} inadmissible: need finite "
+                f"D >= max(16*ceil(log_A S), 16) = {floor_D}")
         if not 0.0 < self.epsilon <= EPSILON_CAP:
             raise InfeasibleInstanceError(
                 f"epsilon must lie in (0, 1/32], got {self.epsilon}")
@@ -158,92 +159,70 @@ def component_mdp(D_prime: float, epsilon: float, A_prime: int) -> TabularMdp:
                                 "epsilon": epsilon})
 
 
-def build_m0(spec: HardInstanceSpec) -> TabularMdp:
-    """Assemble the M0 skeleton for the given spec (any variant shares it)."""
-    S, A = spec.S, spec.A
-    arity = spec.A_prime
-    n_int, K = spec.num_internal, spec.K
-    children, parent = _plan_tree(n_int, K, arity)
+def hard_instance(spec: HardInstanceSpec) -> TabularMdp:
+    """Build the instance named by spec.variant in one pass.
+
+    Component action a moves x_j to y_j with probability leak[j, a], and
+    y_j back with (1 + 8 eps) / D'; the last action climbs the tree from
+    x_j and stays at y_j.  leak is (1 + 8 eps) / D' in M0; M1 and MKL lower
+    column 0 to 1 / D', and MKL entry (k - 1, l - 1) to (1 - 8 eps) / D'.
+    """
+    S, A, K, n_int = spec.S, spec.A, spec.K, spec.num_internal
+    children, parent = _plan_tree(n_int, K, spec.A_prime)
+    p_swap = (1.0 + 8.0 * spec.epsilon) / spec.D_prime
+    leak = np.full((K, spec.A_prime), p_swap)
+    if spec.variant != "M0":
+        leak[:, 0] = 1.0 / spec.D_prime
+    if spec.variant == "MKL":
+        leak[spec.k - 1, spec.l - 1] = (1.0 - 8.0 * spec.epsilon) / spec.D_prime
 
     # state ids: internal tree nodes keep 0..n_int-1; leaf j becomes the
     # component pair (x, y) = (n_int + 2j, n_int + 2j + 1)
     def state_of(node: int) -> int:
         return node if node < n_int else n_int + 2 * (node - n_int)
 
-    x_states = [n_int + 2 * j for j in range(K)]
-    y_states = [n_int + 2 * j + 1 for j in range(K)]
-
     P = np.zeros((S, A, S))
     r = np.zeros((S, A))
-    p_swap = (1.0 + 8.0 * spec.epsilon) / spec.D_prime
-
     for node in range(n_int):
-        s = state_of(node)
         acts = [state_of(c) for c in children[node]]
         if node != 0:
             acts.append(state_of(parent[node]))
         for a in range(A):
-            P[s, a, acts[a] if a < len(acts) else s] = 1.0
+            P[node, a, acts[a] if a < len(acts) else node] = 1.0
 
-    for j in range(K):
-        x, y = x_states[j], y_states[j]
-        for a in range(arity):
-            P[x, a, y] = p_swap
-            P[x, a, x] = 1.0 - p_swap
-            r[x, a] = 1.0
-            P[y, a, x] = p_swap
-            P[y, a, y] = 1.0 - p_swap
-        P[x, A - 1, state_of(parent[n_int + j])] = 1.0  # back up the tree
-        P[y, A - 1, y] = 1.0
+    x = n_int + 2 * np.arange(K)
+    y = x + 1
+    xc, yc, comp = x[:, None], y[:, None], np.arange(spec.A_prime)
+    P[xc, comp, yc] = leak
+    P[xc, comp, xc] = 1.0 - leak
+    P[yc, comp, xc] = p_swap
+    P[yc, comp, yc] = 1.0 - p_swap
+    r[x, :-1] = 1.0
+    P[x, A - 1, [state_of(parent[n_int + j]) for j in range(K)]] = 1.0
+    P[y, A - 1, y] = 1.0
 
-    meta = {"name": "M0", "S": S, "A": A, "D": spec.D, "epsilon": spec.epsilon,
-            "variant": "M0", "x_states": x_states, "y_states": y_states,
+    mkl = spec.variant == "MKL"
+    meta = {"name": f"M_{spec.k},{spec.l}" if mkl else spec.variant, "S": S, "A": A,
+            "D": spec.D, "epsilon": spec.epsilon, "variant": spec.variant,
+            "x_states": x.tolist(), "y_states": y.tolist(),
             "internal_states": list(range(n_int))}
+    if mkl:
+        meta.update(k=spec.k, l=spec.l)
     return TabularMdp(S, A, P, r, metadata=meta)
 
 
-def _lower_swap(m: TabularMdp, x: int, y: int, action: int, p_new: float,
-                meta_update: dict) -> TabularMdp:
-    P = m.transitions.copy()
-    P[x, action, y] = p_new
-    P[x, action, x] = 1.0 - p_new  # self-loop takes the freed mass exactly
-    meta = dict(m.metadata)
-    meta.update(meta_update)
-    return TabularMdp(m.num_states, m.num_actions, P, m.rewards, metadata=meta)
+def build_m0(spec: HardInstanceSpec) -> TabularMdp:
+    """The M0 skeleton for the given spec (any variant shares it)."""
+    return hard_instance(replace(spec, variant="M0"))
 
 
 def build_m1(spec: HardInstanceSpec) -> TabularMdp:
     """M1: at every x state, the first component action leaks to y only with
     probability 1 / D', making it the strictly best action there."""
-    m = build_m0(spec)
-    p_slow = 1.0 / spec.D_prime
-    for x, y in zip(m.metadata["x_states"], m.metadata["y_states"]):
-        m = _lower_swap(m, x, y, 0, p_slow, {})
-    meta = dict(m.metadata)
-    meta.update({"name": "M1", "variant": "M1"})
-    return TabularMdp(m.num_states, m.num_actions, m.transitions, m.rewards,
-                      metadata=meta)
+    return hard_instance(replace(spec, variant="M1"))
 
 
 def build_mkl(spec: HardInstanceSpec, k: int, l: int) -> TabularMdp:
     """MKL: M1 with the swap probability of action l at component k lowered
     to (1 - 8 eps) / D', which makes action l the best choice at that x."""
-    if not 1 <= k <= spec.K:
-        raise InfeasibleInstanceError(f"k must lie in [1, {spec.K}], got {k}")
-    if not 2 <= l <= spec.A_prime:
-        raise InfeasibleInstanceError(f"l must lie in [2, {spec.A_prime}], got {l}")
-    m = build_m1(spec)
-    x = m.metadata["x_states"][k - 1]
-    y = m.metadata["y_states"][k - 1]
-    p_fast = (1.0 - 8.0 * spec.epsilon) / spec.D_prime
-    return _lower_swap(m, x, y, l - 1, p_fast,
-                       {"name": f"M_{k},{l}", "variant": "MKL", "k": k, "l": l})
-
-
-def hard_instance(spec: HardInstanceSpec) -> TabularMdp:
-    """Build the instance named by spec.variant."""
-    if spec.variant == "M0":
-        return build_m0(spec)
-    if spec.variant == "M1":
-        return build_m1(spec)
-    return build_mkl(spec, spec.k, spec.l)
+    return hard_instance(replace(spec, variant="MKL", k=k, l=l))

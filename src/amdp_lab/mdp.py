@@ -208,7 +208,7 @@ def mdp_to_dict(m: TabularMdp) -> dict:
     return doc
 
 
-def mdp_from_dict(doc: dict, reward_cap: float = 1.0) -> TabularMdp:
+def mdp_from_dict(doc: dict) -> TabularMdp:
     S = _require(doc, "num_states")
     A = _require(doc, "num_actions")
     # JSON true/false load as bool, which is an int subclass
@@ -229,7 +229,7 @@ def mdp_from_dict(doc: dict, reward_cap: float = 1.0) -> TabularMdp:
     if rewards.shape != (S, A):
         raise MdpFormatError(f"rewards shape {rewards.shape} does not match ({S}, {A})")
     m = TabularMdp(S, A, transitions, rewards, metadata)
-    problems = validate_mdp(m, reward_cap=reward_cap)
+    problems = validate_mdp(m)
     if problems:
         raise MdpFormatError("invalid MDP: " + "; ".join(problems))
     return m
@@ -250,8 +250,8 @@ def _read_json_object(path: str | Path) -> dict:
     return doc
 
 
-def read_mdp(path: str | Path, reward_cap: float = 1.0) -> TabularMdp:
-    return mdp_from_dict(_read_json_object(path), reward_cap=reward_cap)
+def read_mdp(path: str | Path) -> TabularMdp:
+    return mdp_from_dict(_read_json_object(path))
 
 
 def write_policy(pi: Policy, path: str | Path) -> None:

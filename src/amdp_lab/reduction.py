@@ -38,6 +38,11 @@ from .solvers import (
     induce_chain,
 )
 
+#: the paper's universal constants: C_TILDE scales the per-pair sample
+#: size, C_P the reward perturbation xi
+C_TILDE = 1.0
+C_P = 1.0
+
 
 @dataclass(frozen=True)
 class ReductionParams:
@@ -59,13 +64,11 @@ class ReductionParams:
 
 def reduction_params(epsilon: float, delta: float, H_bound: float,
                      num_states: int, num_actions: int,
-                     n_override: int | None = None,
-                     c_tilde: float = 1.0, c_p: float = 1.0) -> ReductionParams:
+                     n_override: int | None = None) -> ReductionParams:
     """Derive the full schedule from (epsilon, delta, H_bound) and the sizes.
 
-    The sample size defaults to ceil(c_tilde * H * eps^-3 * ln(SA/(eps delta)))
-    unless n_override pins it; the universal constants c_tilde and c_p are
-    configuration knobs with default 1.
+    The sample size defaults to ceil(C_TILDE * H * eps^-3 * ln(SA/(eps delta)))
+    unless n_override pins it; xi carries the factor C_P.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -75,13 +78,13 @@ def reduction_params(epsilon: float, delta: float, H_bound: float,
         raise ValueError(f"H_bound must be finite and at least 1, got {H_bound}")
     gamma = 1.0 - epsilon / (12.0 * H_bound)
     eps_gamma = epsilon / (12.0 * (1.0 - gamma))
-    xi = c_p * (1.0 - gamma) * eps_gamma / (num_states**5 * num_actions**5)
+    xi = C_P * (1.0 - gamma) * eps_gamma / (num_states**5 * num_actions**5)
     if n_override is not None:
         if n_override < 1:
             raise ValueError("n_override must be positive")
         n = int(n_override)
     else:
-        n = math.ceil(c_tilde * H_bound * epsilon**-3
+        n = math.ceil(C_TILDE * H_bound * epsilon**-3
                       * math.log(num_states * num_actions / (epsilon * delta)))
     return ReductionParams(epsilon=epsilon, delta=delta, H_bound=H_bound,
                            gamma=gamma, eps_gamma=eps_gamma, xi=xi, n_per_pair=n)

@@ -337,3 +337,67 @@ def separate_instance_certificates(m, instance_id: str, epsilon: float) -> list:
         certs.append(reduction._certificate("bias_span_le_mixing", opt.H,
                                             8.0 * t_mix, 1e-6, instance_id))
     return certs
+
+
+def multipass_hard_instance(spec):
+    """The hard-family instance built in passes: fill the M0 skeleton state
+    by state, then rewrite one x row per lowered swap (every component for
+    M1, then component k for MKL), copying the tensor and metadata each
+    time, the route the builders took before the one-pass leak table."""
+    from amdp_lab import TabularMdp
+    from amdp_lab.hard_instances import _plan_tree
+
+    S, A, arity = spec.S, spec.A, spec.A_prime
+    n_int, K = spec.num_internal, spec.K
+    children, parent = _plan_tree(n_int, K, arity)
+
+    def state_of(node: int) -> int:
+        return node if node < n_int else n_int + 2 * (node - n_int)
+
+    x_states = [n_int + 2 * j for j in range(K)]
+    y_states = [n_int + 2 * j + 1 for j in range(K)]
+    P = np.zeros((S, A, S))
+    r = np.zeros((S, A))
+    p_swap = (1.0 + 8.0 * spec.epsilon) / spec.D_prime
+    for node in range(n_int):
+        s = state_of(node)
+        acts = [state_of(c) for c in children[node]]
+        if node != 0:
+            acts.append(state_of(parent[node]))
+        for a in range(A):
+            P[s, a, acts[a] if a < len(acts) else s] = 1.0
+    for j in range(K):
+        x, y = x_states[j], y_states[j]
+        for a in range(arity):
+            P[x, a, y] = p_swap
+            P[x, a, x] = 1.0 - p_swap
+            r[x, a] = 1.0
+            P[y, a, x] = p_swap
+            P[y, a, y] = 1.0 - p_swap
+        P[x, A - 1, state_of(parent[n_int + j])] = 1.0
+        P[y, A - 1, y] = 1.0
+    m = TabularMdp(S, A, P, r, metadata={
+        "name": "M0", "S": S, "A": A, "D": spec.D, "epsilon": spec.epsilon,
+        "variant": "M0", "x_states": x_states, "y_states": y_states,
+        "internal_states": list(range(n_int))})
+
+    def lower_swap(m, x, y, action, p_new, meta_update):
+        P = m.transitions.copy()
+        P[x, action, y] = p_new
+        P[x, action, x] = 1.0 - p_new
+        meta = dict(m.metadata)
+        meta.update(meta_update)
+        return TabularMdp(m.num_states, m.num_actions, P, m.rewards, metadata=meta)
+
+    if spec.variant == "M0":
+        return m
+    for x, y in zip(x_states, y_states):
+        m = lower_swap(m, x, y, 0, 1.0 / spec.D_prime, {})
+    m = TabularMdp(S, A, m.transitions, m.rewards,
+                   metadata={**m.metadata, "name": "M1", "variant": "M1"})
+    if spec.variant == "M1":
+        return m
+    k, l = spec.k, spec.l
+    return lower_swap(m, x_states[k - 1], y_states[k - 1], l - 1,
+                      (1.0 - 8.0 * spec.epsilon) / spec.D_prime,
+                      {"name": f"M_{k},{l}", "variant": "MKL", "k": k, "l": l})

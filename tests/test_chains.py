@@ -512,6 +512,20 @@ class TestStructuralParameters:
             assert ((params.diameter, params.t_mix, params.H)
                     == (diameter(m), mixing_time(m), amdp_optimal(m).H))
 
+    @pytest.mark.parametrize("D, t_mix, H, failing", [
+        (2.0, math.inf, 3.0, "bias_span_le_diameter"),
+        (math.inf, 0.25, 3.0, "bias_span_le_mixing"),
+    ])
+    def test_failed_order_relation_raises(self, monkeypatch, D, t_mix, H, failing):
+        from types import SimpleNamespace
+
+        from amdp_lab import solvers
+
+        monkeypatch.setattr(solvers, "_analysis",
+                            lambda m: (D, t_mix, SimpleNamespace(H=H)))
+        with pytest.raises(ArithmeticError, match=failing):
+            structural_parameters(two_state_slow_chain(7))
+
     def test_over_budget_raises_before_solving(self, monkeypatch):
         from amdp_lab import chains, solvers
 

@@ -186,9 +186,13 @@ class TestHardgen:
         assert diff.shape == (1, 2)
 
     def test_inadmissible_D_exits_2(self, tmp_path, capsys):
-        assert main(["hardgen", "--S", "14", "--A", "4", "--D", "8",
-                     "--epsilon", "0.03125", "--out", str(tmp_path)]) == 2
-        assert "D >= max(16*ceil(log_A S), 16)" in capsys.readouterr().err
+        # nan and inf used to pass the D floor: nan wrote a file read_mdp
+        # rejects, inf one whose y states absorb
+        for D in ("8", "nan", "inf"):
+            assert main(["hardgen", "--S", "14", "--A", "4", "--D", D,
+                         "--epsilon", "0.03125", "--out", str(tmp_path)]) == 2
+            assert "D >= max(16*ceil(log_A S), 16)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCertify:
@@ -218,6 +222,17 @@ class TestCertify:
 
     def test_needs_input(self, tmp_path, capsys):
         assert main(["certify", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--count", "-5"], "count must be at least 1, got -5"),
+        (["--count", "0"], "count must be at least 1, got 0"),
+        (["--count", "3", "--smax", "1"], "max_states must be at least 2, got 1"),
+        (["--count", "3", "--amax", "0"], "max_actions must be at least 1, got 0"),
+    ])
+    def test_bad_corpus_spec_exits_2(self, tmp_path, capsys, flags, message):
+        assert main(["certify", *flags, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReduce:

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,10 @@ from amdp_lab import (
     hard_instance,
     is_communicating,
     validate_mdp,
+    write_mdp,
 )
 from amdp_lab.hard_instances import HardInstanceSpec
+from oracles import multipass_hard_instance
 
 EPS = 1.0 / 32.0
 SPEC6 = HardInstanceSpec(S=6, A=3, D=32, epsilon=EPS, variant="M0")
@@ -194,3 +199,52 @@ class TestM1AndMkl:
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=EPS, variant="MKL", k=1, l=2)
         m = hard_instance(spec)
         assert m.metadata["variant"] == "MKL"
+
+
+def _grid_specs():
+    """Every variant and admissible (k, l) over five shapes, four D and two
+    eps, skipping the (shape, D) pairs below the spec's D floor."""
+    for S, A in ((6, 3), (14, 4), (9, 3), (20, 5), (30, 4)):
+        for D in (32, 64, 1e3, 1e4):
+            for eps in (1 / 32, 0.01):
+                try:
+                    base = HardInstanceSpec(S=S, A=A, D=D, epsilon=eps)
+                except InfeasibleInstanceError:
+                    continue
+                yield base
+                yield replace(base, variant="M1")
+                for k in range(1, base.K + 1):
+                    for l in range(2, base.A_prime + 1):
+                        yield replace(base, variant="MKL", k=k, l=l)
+
+
+class TestOnePassBuilder:
+    """hard_instance fills one leak table; the files it writes equal those of
+    the multi-pass oracle, whichever public builder is called."""
+
+    def test_written_bytes_match_multipass_oracle(self, tmp_path):
+        path = tmp_path / "m.json"
+
+        def written(m) -> bytes:
+            write_mdp(m, path)
+            return path.read_bytes()
+
+        variants = {"M0": 0, "M1": 0, "MKL": 0}
+        for spec in _grid_specs():
+            expected = written(multipass_hard_instance(spec))
+            built = {"M0": build_m0, "M1": build_m1,
+                     "MKL": lambda s: build_mkl(s, s.k, s.l)}[spec.variant](spec)
+            assert written(hard_instance(spec)) == expected, spec
+            assert written(built) == expected, spec
+            variants[spec.variant] += 1
+        assert variants == {"M0": 38, "M1": 38, "MKL": 408}
+
+    @pytest.mark.parametrize("k, l, message", [
+        (0, 2, "k must lie in [1, 5], got 0"),
+        (6, 2, "k must lie in [1, 5], got 6"),
+        (1, 1, "l must lie in [2, 3], got 1"),
+        (1, 4, "l must lie in [2, 3], got 4"),
+    ])
+    def test_build_mkl_range_errors(self, k, l, message):
+        with pytest.raises(InfeasibleInstanceError, match=re.escape(message)):
+            build_mkl(SPEC14, k=k, l=l)

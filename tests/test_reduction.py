@@ -23,6 +23,7 @@ from amdp_lab import (
     gamma_for_accuracy,
     induce_chain,
     perturb_rewards,
+    reduction,
     reduction_chain_certificates,
     reduction_params,
     two_state_slow_chain,
@@ -56,14 +57,16 @@ class TestReductionParams:
                 assert 0.0 < p.gamma < 1.0
                 assert 0.0 < p.eps_gamma <= 1.0 / (1.0 - p.gamma) + 1e-9
 
-    def test_xi_formula(self):
-        p = reduction_params(0.5, 0.1, 2.0, 6, 3, c_p=2.0)
+    def test_xi_formula(self, monkeypatch):
+        monkeypatch.setattr(reduction, "C_P", 2.0)
+        p = reduction_params(0.5, 0.1, 2.0, 6, 3)
         expected = 2.0 * (1 - p.gamma) * p.eps_gamma / (6**5 * 3**5)
         assert p.xi == pytest.approx(expected, rel=1e-12)
 
-    def test_sample_size_formula_and_override(self):
+    def test_sample_size_formula_and_override(self, monkeypatch):
         import math
-        p = reduction_params(0.5, 0.1, 2.0, 6, 3, c_tilde=1.5)
+        monkeypatch.setattr(reduction, "C_TILDE", 1.5)
+        p = reduction_params(0.5, 0.1, 2.0, 6, 3)
         expected = math.ceil(1.5 * 2.0 * 0.5**-3 * math.log(18 / (0.5 * 0.1)))
         assert p.n_per_pair == expected
         assert reduction_params(0.5, 0.1, 2.0, 6, 3, n_override=77).n_per_pair == 77
