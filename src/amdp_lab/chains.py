@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,16 +150,18 @@ def _stationary(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray) -> np.nd
 
 
 def _cesaro_limit(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray,
-                  r: np.ndarray | None = None) -> np.ndarray:
+                  r: np.ndarray | None = None,
+                  nu: np.ndarray | None = None) -> np.ndarray:
     """Cesaro limit P* of a chain or batch of chains, or the gain P* r when
     rewards r (..., S) are given.
 
-    Rows of recurrent states are their class's stationary distribution
-    (_stationary); transient rows follow from the absorption system
-    (I - diag(transient) P) x = y, solved once with y the class-masked
-    stationary rows, or those rows applied to r.
+    Rows of recurrent states are their class's stationary distribution nu
+    (_stationary, solved here unless given); transient rows follow from the
+    absorption system (I - diag(transient) P) x = y, solved once with y the
+    class-masked stationary rows, or those rows applied to r.
     """
-    nu = _stationary(P, comm, recurrent)
+    if nu is None:
+        nu = _stationary(P, comm, recurrent)
     y = (comm & recurrent[..., None]) * nu[..., None, :]
     if r is not None:
         y = y @ r[..., None]
@@ -205,8 +207,10 @@ def all_deterministic_policies(num_states: int, num_actions: int) -> np.ndarray:
         raise EnumerationBudgetError(
             f"{num_actions}^{num_states} = {count} policies exceeds budget "
             f"{ENUMERATION_BUDGET}")
-    return np.array(list(product(range(num_actions), repeat=num_states)),
-                    dtype=int).reshape(count, num_states)
+    # state j's action is digit j of the policy's index in base A, most
+    # significant first, so the last state varies fastest
+    place = num_actions ** np.arange(num_states - 1, -1, -1)
+    return np.arange(count)[:, None] // place % num_actions
 
 
 def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
@@ -216,16 +220,31 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
     return m.transitions[idx, policies], m.rewards[idx, policies]
 
 
-def _policy_batch(m: TabularMdp):
-    """Every deterministic policy with its induced chains, classified in one
-    batch: (policies, P_all, r_all, comm, recurrent, multi), where comm and
-    recurrent are the _structure_masks of each chain's support and multi[i]
-    is True when policy i's chain has more than one closed class."""
+class _PolicyBatch(NamedTuple):
+    """Every deterministic policy of an MDP with its induced chains: comm and
+    recurrent are the _structure_masks of each chain's support, multi[i] is
+    True when policy i's chain has more than one closed class, and nu holds
+    each chain's _stationary rows."""
+
+    policies: np.ndarray
+    P_all: np.ndarray
+    r_all: np.ndarray
+    comm: np.ndarray
+    recurrent: np.ndarray
+    multi: np.ndarray
+    nu: np.ndarray
+
+
+def _policy_batch(m: TabularMdp) -> _PolicyBatch:
+    """Every deterministic policy with its induced chains, classified and
+    given their stationary distributions in one batch, which the mixing time
+    and the enumerated optimum both read."""
     policies = all_deterministic_policies(m.num_states, m.num_actions)
     P_all, r_all = induced_chain_batch(m, policies)
     comm, recurrent = _structure_masks(P_all > 0)
     multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
-    return policies, P_all, r_all, comm, recurrent, multi
+    return _PolicyBatch(policies, P_all, r_all, comm, recurrent, multi,
+                        _stationary(P_all, comm, recurrent))
 
 
 def _batch_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
@@ -394,32 +413,30 @@ def mixing_time(m: TabularMdp) -> float:
 
     Aperiodicity is decided for the whole policy stack at once (see
     _batch_aperiodic): a self-loop in the closed class settles a policy, and
-    the rest take O(log S) batched boolean squarings.
+    the rest take O(log S) batched boolean squarings.  Each step multiplies
+    only the powers of the policies that have not mixed yet.
     """
     return _mixing_time(_policy_batch(m))
 
 
-def _mixing_time(batch) -> float:
+def _mixing_time(batch: _PolicyBatch) -> float:
     """mixing_time from the _policy_batch of the MDP."""
-    _, P_all, _, comm, recurrent, multi = batch
-    if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
+    if np.any(batch.multi) or not np.all(_batch_aperiodic(batch.P_all > 0,
+                                                          batch.recurrent)):
         return math.inf
 
-    n = P_all.shape[0]
-    nus = _stationary(P_all, comm, recurrent)
-    hit = np.zeros(n)
-    pending = np.ones(n, dtype=bool)
-    X = P_all.copy()
+    P, nu = batch.P_all, batch.nu
+    X = P
     for t in range(1, MIXING_MAX_STEPS + 1):
-        dist = np.abs(X - nus[:, None, :]).sum(axis=2).max(axis=1)
-        newly = pending & (dist <= MIXING_THRESHOLD)
-        hit[newly] = t
-        pending &= ~newly
+        dist = np.abs(X - nu[:, None, :]).sum(axis=2).max(axis=1)
+        pending = ~(dist <= MIXING_THRESHOLD)  # a nan distance has not mixed
         if not pending.any():
-            return float(hit.max())
-        X = np.matmul(X, P_all)
+            return float(t)
+        if not pending.all():
+            X, P, nu = X[pending], P[pending], nu[pending]
+        X = np.matmul(X, P)
     raise SolverConvergenceError(
-        f"{int(pending.sum())} policies did not mix within {MIXING_MAX_STEPS} steps")
+        f"{len(P)} policies did not mix within {MIXING_MAX_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

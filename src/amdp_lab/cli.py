@@ -113,6 +113,9 @@ def cmd_params(args) -> int:
 
 
 def cmd_hardgen(args) -> int:
+    if args.variant != "MKL" and (args.k is not None or args.l is not None):
+        raise ValueError(f"--k and --l apply only to --variant MKL, "
+                         f"not {args.variant}")
     spec = hard_instances.HardInstanceSpec(
         S=args.S, A=args.A, D=args.D, epsilon=args.epsilon,
         variant=args.variant, k=args.k, l=args.l)

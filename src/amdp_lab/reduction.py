@@ -27,7 +27,9 @@ from .generative import GenerativeModel, build_empirical, perturb_rewards
 from .mdp import DeterministicPolicy, Policy, TabularMdp, span
 from .solvers import (
     AmdpOptimum,
+    GainBias,
     _analysis,
+    _power_iterates,
     amdp_gain_bias,
     amdp_optimal,
     chain_gain_bias,
@@ -154,10 +156,12 @@ def _calibrated(m: TabularMdp, epsilon: float, opt: AmdpOptimum):
     return gamma, V_star, pi_hat, dmdp_policy_value(m, opt.policy, gamma)
 
 
-def _policy_horizon(m: TabularMdp, pi: Policy, horizon: int):
-    """(chain, gain/bias, iterates V_1..V_horizon) of one policy."""
+def _policy_horizon(m: TabularMdp, pi: Policy, horizon: int,
+                    gb: GainBias | None = None):
+    """(chain, gain/bias, iterates V_1..V_horizon) of one policy; gb, when
+    given, is its gain/bias."""
     chain = induce_chain(m, pi)
-    return (chain, chain_gain_bias(chain),
+    return (chain, chain_gain_bias(chain) if gb is None else gb,
             horizon_iterates(chain.matrix, chain.reward, horizon))
 
 
@@ -174,7 +178,7 @@ def _span_bounds(epsilon, calibrated, gb, V, instance_id) -> list[Certificate]:
 
 
 def _horizon_identity(chain, gb, V, instance_id) -> Certificate:
-    propagated = horizon_iterates(chain.matrix, 0.0, len(V), gb.bias)  # P^T bias
+    propagated = _power_iterates(chain.matrix, gb.bias, len(V))  # P^T bias
     predicted = np.arange(1, len(V) + 1)[:, None] * gb.gain + gb.bias - propagated
     return _certificate("finite_horizon_identity",
                         float(np.max(np.abs(V - predicted))), 0.0, 1e-8, instance_id)
@@ -186,7 +190,8 @@ def _reduction_links(m, epsilon, eps_gamma, calibrated, opt, instance_id):
     if eps_gamma > 0.0:  # the eps_gamma-accurate solve the argument allows
         _, _, pi_hat = dmdp_value_iteration(m, gamma, eps_gamma)
         V_hat = dmdp_policy_value(m, pi_hat, gamma)
-    rho_hat = amdp_gain_bias(m, pi_hat).gain
+    rho_hat = (opt.gain if np.array_equal(pi_hat.actions, opt.policy.actions)
+               else amdp_gain_bias(m, pi_hat).gain)
 
     scale, tol = 1.0 - gamma, 1e-6
     return [
@@ -223,7 +228,11 @@ def certify_gain_discount_gap(m: TabularMdp, pi: Policy, gamma: float,
                               instance_id: str = "") -> Certificate:
     """Check ||gain - (1-gamma) V_gamma||_inf <= sp((1-gamma) V_gamma) for
     one policy at one discount."""
-    return _gain_gap("gain_discount_gap", amdp_gain_bias(m, pi).gain,
+    return _discount_gap(m, pi, amdp_gain_bias(m, pi).gain, gamma, instance_id)
+
+
+def _discount_gap(m, pi, gain, gamma, instance_id) -> Certificate:
+    return _gain_gap("gain_discount_gap", gain,
                      (1.0 - gamma) * dmdp_policy_value(m, pi, gamma), 1e-8,
                      instance_id)
 
@@ -238,7 +247,8 @@ def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
     """
     if opt is None:
         opt = amdp_optimal(m)
-    _, gb, V = _policy_horizon(m, opt.policy, HORIZON)
+    _, gb, V = _policy_horizon(m, opt.policy, HORIZON,
+                               GainBias(opt.gain, opt.policy_bias))
     return _span_bounds(epsilon, _calibrated(m, epsilon, opt), gb, V, instance_id)
 
 
@@ -277,13 +287,15 @@ def certify_reduction_bound(m: TabularMdp, epsilon: float, eps_gamma: float,
 def certify_instance(m: TabularMdp, epsilon: float,
                      instance_id: str) -> list[Certificate]:
     """The certify command's certificates of one instance, in order.  D, t_mix
-    and pi* come from one analysis, and the calibrated discounted solve and
-    pi*'s horizon iterates are computed once and shared."""
+    and pi* (with its own gain/bias) come from one analysis, and the
+    calibrated discounted solve and pi*'s horizon iterates are computed once
+    and shared."""
     D, t_mix, opt = _analysis(m)
     calibrated = _calibrated(m, epsilon, opt)
-    chain, gb, V = _policy_horizon(m, opt.policy, HORIZON)
+    chain, gb, V = _policy_horizon(m, opt.policy, HORIZON,
+                                   GainBias(opt.gain, opt.policy_bias))
     return [
-        certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
+        _discount_gap(m, opt.policy, opt.gain, 0.9, instance_id),
         *_span_bounds(epsilon, calibrated, gb, V, instance_id),
         _horizon_identity(chain, gb, V, instance_id),
         _reduction_links(m, epsilon, 0.0, calibrated, opt, instance_id)[-1],

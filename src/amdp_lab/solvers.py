@@ -67,13 +67,16 @@ class GainBias:
 class AmdpOptimum:
     """Optimal average-reward solution: constant optimal gain (as a vector),
     a bias solving the Bellman optimality equation, a gain-optimal
-    deterministic policy, and H = sp(bias)."""
+    deterministic policy, H = sp(bias), and the policy's own bias
+    (chain_gain_bias, whose gain is ``gain``), which is ``bias`` unless a
+    relative-VI bias was substituted."""
 
     gain: np.ndarray
     bias: np.ndarray
     policy: DeterministicPolicy
     H: float
     weakly_communicating: bool
+    policy_bias: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +157,17 @@ def chain_gain_bias(chain: InducedChain) -> GainBias:
     (I - P + P*) h = (I - P*) r, the deviation-matrix form, which enforces
     P* h = 0 (stationary-weighted zero mean on every recurrent class).
     """
-    P, r = chain.matrix, chain.reward
-    P_star = _cesaro_limit(P, *_structure_masks(P > 0))
+    P = chain.matrix
+    return _gain_bias(P, chain.reward, *_structure_masks(P > 0))
+
+
+def _gain_bias(P: np.ndarray, r: np.ndarray, comm: np.ndarray,
+               recurrent: np.ndarray, nu: np.ndarray | None = None) -> GainBias:
+    """chain_gain_bias of the chain (P, r), given the _structure_masks of its
+    support and, optionally, its _stationary rows nu."""
+    P_star = _cesaro_limit(P, comm, recurrent, nu=nu)
     gain = P_star @ r
-    S = P.shape[0]
-    bias = np.linalg.solve(np.eye(S) - P + P_star, r - gain)
+    bias = np.linalg.solve(np.eye(len(P)) - P + P_star, r - gain)
     return GainBias(gain=gain, bias=bias)
 
 
@@ -167,17 +176,28 @@ def amdp_gain_bias(m: TabularMdp, pi: Policy) -> GainBias:
     return chain_gain_bias(induce_chain(m, pi))
 
 
-def horizon_iterates(P: np.ndarray, r: np.ndarray | float, T: int,
-                     start: np.ndarray | None = None) -> np.ndarray:
+def horizon_iterates(P: np.ndarray, r: np.ndarray, T: int) -> np.ndarray:
     """Stacked iterates V_1..V_T of the backward recursion V_k = r + P V_{k-1}
-    from V_0 = start (zero by default), as a (T, S) array."""
+    from V_0 = 0, as a (T, S) array."""
     if T < 1:
         raise ValueError("T must be a positive integer")
-    V = np.zeros(P.shape[0]) if start is None else start
+    V = np.zeros(P.shape[0])
     out = np.empty((T, P.shape[0]))
     for k in range(T):
         V = r + P @ V
         out[k] = V
+    return out
+
+
+def _power_iterates(P: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:
+    """Stacked P^1 x .. P^T x as a (T, S) array, by doubling: with the first
+    k rows and Q = P^k in hand, the next k rows are P^k applied to them, and
+    Q is squared, so it takes about 2 log2(T) matrix products."""
+    out, Q = (P @ x)[None], P
+    while len(out) < T:
+        out = np.concatenate([out, out[:T - len(out)] @ Q.T])
+        if len(out) < T:
+            Q = Q @ Q
     return out
 
 
@@ -255,18 +275,23 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     if method != "relative_vi":
         raise ValueError(f"unknown method {method!r}")
     _, bias, policy = relative_value_iteration(m)
-    gain = chain_gain_bias(induce_chain(m, policy)).gain
-    return AmdpOptimum(gain=gain, bias=bias, policy=policy, H=span(bias),
-                       weakly_communicating=is_weakly_communicating(m))
+    gb = chain_gain_bias(induce_chain(m, policy))
+    return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy, H=span(bias),
+                       weakly_communicating=is_weakly_communicating(m),
+                       policy_bias=gb.bias)
 
 
 def _enumerated_optimum(m: TabularMdp, batch) -> AmdpOptimum:
     """amdp_optimal's enumeration, over the _policy_batch of m: every
-    policy's per-state gain from one batched Cesaro-limit solve."""
-    policies, P_all, r_all, comm, recurrent, _ = batch
-    worst = _cesaro_limit(P_all, comm, recurrent, r_all).min(axis=1)
-    policy = DeterministicPolicy(policies[np.argmax(worst >= worst.max() - GAIN_TIE_TOL)])
-    gb = chain_gain_bias(induce_chain(m, policy))
+    policy's per-state gain from one batched Cesaro-limit solve on the
+    batch's stationary rows; the chosen policy's gain/bias reads its masks
+    and stationary rows from the batch too."""
+    worst = _cesaro_limit(batch.P_all, batch.comm, batch.recurrent, batch.r_all,
+                          nu=batch.nu).min(axis=1)
+    i = int(np.argmax(worst >= worst.max() - GAIN_TIE_TOL))
+    policy = DeterministicPolicy(batch.policies[i])
+    gb = _gain_bias(batch.P_all[i], batch.r_all[i], batch.comm[i],
+                    batch.recurrent[i], batch.nu[i])
     bias = gb.bias
     wc = is_weakly_communicating(m)
     # tie-heavy instances can make the argmax policy non-greedy w.r.t. its
@@ -275,7 +300,7 @@ def _enumerated_optimum(m: TabularMdp, batch) -> AmdpOptimum:
     if wc and bellman_optimality_residual(m, gb.gain, bias) > 1e-8:
         _, bias, _ = relative_value_iteration(m)
     return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy,
-                       H=span(bias), weakly_communicating=wc)
+                       H=span(bias), weakly_communicating=wc, policy_bias=gb.bias)
 
 
 def _analysis(m: TabularMdp):

@@ -151,6 +151,54 @@ def power_loop_mixing_time(P: np.ndarray, threshold: float = 0.5,
     return None
 
 
+def full_stack_mixing_time(m, threshold: float = 0.5,
+                           t_cap: int = 100_000) -> float:
+    """Worst-case mixing time over every deterministic policy, stepping the
+    whole (n, S, S) stack of powers until the slowest policy mixes: the loop
+    mixing_time ran before it stepped only the unmixed policies.  Multichain
+    and periodic verdicts come from the production batch.  None when t_cap
+    is reached."""
+    from amdp_lab.chains import _batch_aperiodic, _policy_batch, _stationary
+
+    policies, P_all, _, comm, recurrent, multi, _ = _policy_batch(m)
+    if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
+        return float("inf")
+    nus = _stationary(P_all, comm, recurrent)
+    hit = np.zeros(len(policies))
+    pending = np.ones(len(policies), dtype=bool)
+    X = P_all.copy()
+    for t in range(1, t_cap + 1):
+        dist = np.abs(X - nus[:, None, :]).sum(axis=2).max(axis=1)
+        newly = pending & (dist <= threshold)
+        hit[newly] = t
+        pending &= ~newly
+        if not pending.any():
+            return float(hit.max())
+        X = np.matmul(X, P_all)
+    return None
+
+
+def stepped_power_iterates(P: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:
+    """Stacked P^1 x .. P^T x, one matrix-vector step per power: the
+    recursion the finite-horizon identity used for P^T bias before it
+    doubled."""
+    out = np.empty((T, len(x)))
+    for k in range(T):
+        x = P @ x
+        out[k] = x
+    return out
+
+
+def product_policies(num_states: int, num_actions: int) -> np.ndarray:
+    """All deterministic policies in lexicographic order from
+    itertools.product: the listing all_deterministic_policies made before it
+    used index arithmetic."""
+    from itertools import product
+
+    return np.array(list(product(range(num_actions), repeat=num_states)),
+                    dtype=int).reshape(num_actions**num_states, num_states)
+
+
 def finite_horizon_span_loop(P: np.ndarray, r: np.ndarray, horizon: int) -> float:
     """max_{T <= horizon} sp(V_T), one recursion step and one span per T: the
     per-step loop that certify_span_bounds replaced."""

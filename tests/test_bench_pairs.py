@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,32 @@ def test_fewer_than_two_seeds_rejected_before_any_run(seeds, tmp_path,
 
 def test_seed_range():
     assert bench_pairs.seed_range("101-103") == [101, 102, 103]
+
+
+@pytest.mark.parametrize("bad", [None, "parent", "change"])
+def test_incorrect_run_recorded_then_exit_1(bad, tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "change" if "change" in str(checkout) else "parent"
+        failed = 3 if side == bad and seed == 102 else 0
+        return {"correct": failed == 0, "attempted": 10, "failed": failed,
+                "metrics": {"ops_per_s": {"value": float(seed), "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    monkeypatch.setattr(bench_pairs, "head_commit", lambda path: path.name)
+    out = tmp_path / "pairs.json"
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--seeds", "101-103", "--out", str(out)])
+    summary = json.loads(out.read_text())["summary"]["reduce_sweep"]
+    assert summary["attempted"] == {"parent": 30, "change": 30}
+    failed = {"parent": 0, "change": 0}
+    if bad:
+        failed[bad] = 3
+    assert summary["failed"] == failed
+    assert code == (1 if bad else 0)
+    assert ("incorrect" in capsys.readouterr().err) == bool(bad)

@@ -40,10 +40,12 @@ from oracles import (
     hitting_time_single_chain,
     set_loop_weakly_communicating,
     value_iteration_hitting_times,
+    full_stack_mixing_time,
     normal_equation_stationary,
     per_class_limiting_matrix,
     policy_loop_aperiodic,
     power_loop_mixing_time,
+    product_policies,
 )
 
 
@@ -155,9 +157,8 @@ class TestCesaroLimit:
         # served the enumeration and mixing_time
         for seed in range(40):
             m = random_mdp(2 + seed % 5, 3, seed=seed)
-            _, P_all, _, comm, recurrent, _ = _policy_batch(m)
-            np.testing.assert_allclose(_stationary(P_all, comm, recurrent),
-                                       normal_equation_stationary(P_all),
+            batch = _policy_batch(m)
+            np.testing.assert_allclose(batch.nu, normal_equation_stationary(batch.P_all),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("S", range(1, 8))
@@ -285,6 +286,18 @@ def _assert_hitting_times_match_oracle(ms) -> None:
             assert diameter(m) == pytest.approx(worst, rel=1e-9, abs=0)
 
 
+class TestPolicyEnumeration:
+    def test_matches_product_oracle(self):
+        # every (S, A) with A^S <= 4096, up to S = 12 and A = 64
+        # and one-action MDPs past numpy's limit on array dimensions
+        sizes = [(S, A) for S in range(1, 13) for A in range(1, 65) if A**S <= 4096]
+        assert len(sizes) > 150
+        sizes += [(64, 1), (100, 1)]
+        for S, A in sizes:
+            assert np.array_equal(all_deterministic_policies(S, A),
+                                  product_policies(S, A))
+
+
 class TestMixingTime:
     def test_cycle_is_periodic(self, cycle):
         assert math.isinf(mixing_time(cycle))
@@ -320,7 +333,7 @@ class TestMixingTime:
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()
-        policies, P_all, _, _, recurrent, multi = _policy_batch(m)
+        policies, P_all, _, _, recurrent, multi, _ = _policy_batch(m)
         assert not multi.any()
         aperiodic = _batch_aperiodic(P_all > 0, recurrent)
         np.testing.assert_array_equal(~aperiodic, policies[:, 0] == 0)
@@ -345,6 +358,28 @@ class TestMixingTime:
         assert values == [power_loop_mixing_time(P) for P in matrices]
         assert sum(math.isinf(v) for v in values) > 50
         assert sum(v > 1 for v in values if math.isfinite(v)) > 20
+
+    def test_chain_of_100_states(self):
+        # a lazy 100-cycle with a uniform jump: its one-action MDP has more
+        # states than numpy allows array dimensions
+        S = 100
+        P = 0.5 * np.eye(S) + 0.3 * np.roll(np.eye(S), 1, axis=1) + 0.2 / S
+        t_mix = chain_mixing_time(P)
+        assert t_mix == power_loop_mixing_time(P)
+        assert t_mix > 1
+
+    def test_matches_full_stack_oracle(self):
+        # stepping only the unmixed policies changes no t_mix: the corpus,
+        # then lazy transforms of a few corpus MDPs, where t_mix is long
+        corpus = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        values = [mixing_time(m) for m in corpus]
+        assert values == [full_stack_mixing_time(m) for m in corpus]
+        assert sum(math.isfinite(v) for v in values) > 100
+        slow = [aperiodicity_transform(m, tau) for tau in (0.9, 0.99)
+                for m in corpus if m.num_states >= 4 and m.num_actions >= 2][::20]
+        values = [mixing_time(m) for m in slow]
+        assert values == [full_stack_mixing_time(m) for m in slow]
+        assert sum(v > 100 for v in values if math.isfinite(v)) >= 2
 
     def test_budget_guard(self, monkeypatch):
         from amdp_lab import chains

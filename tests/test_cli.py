@@ -185,6 +185,16 @@ class TestHardgen:
         diff = np.argwhere(np.any(m1.transitions != mkl.transitions, axis=2))
         assert diff.shape == (1, 2)
 
+    @pytest.mark.parametrize("variant", ["M0", "M1"])
+    @pytest.mark.parametrize("extra", [["--k", "99", "--l", "-4"], ["--k", "1"],
+                                       ["--l", "1"]])
+    def test_k_l_only_with_mkl(self, variant, extra, tmp_path, capsys):
+        assert main(["hardgen", "--S", "6", "--A", "3", "--D", "32",
+                     "--epsilon", "0.03125", "--variant", variant,
+                     "--out", str(tmp_path)] + extra) == 2
+        assert "--variant MKL" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_inadmissible_D_exits_2(self, tmp_path, capsys):
         # nan and inf used to pass the D floor: nan wrote a file read_mdp
         # rejects, inf one whose y states absorb
@@ -354,23 +364,52 @@ class TestOneAnalysisMatchesSeparatePath:
 
 
 class TestCertifySharesQuantities:
-    """One certify op solves the calibrated discounted problem once and runs
-    the optimal policy's horizon recursion once for its V stack and once for
-    P^T bias."""
+    """One certify op solves the calibrated discounted problem once, runs the
+    optimal policy's horizon recursion once (P^T bias comes from doubling),
+    and evaluates each policy's gain/bias once (_gain_bias, which
+    chain_gain_bias and the enumeration call): pi*'s in the optimum, the
+    discounted optimum pi_hat's only where it differs from pi*."""
 
-    def test_m1_s6a3_call_counts(self, m1_file, tmp_path, monkeypatch, capsys):
-        from amdp_lab import reduction
-        calls = {}
-        for name in ("horizon_iterates", "dmdp_policy_iteration",
-                     "dmdp_policy_value"):
-            def counting(*a, _original=getattr(reduction, name), _name=name, **kw):
-                calls[_name] = calls.get(_name, 0) + 1
+    @pytest.fixture
+    def certify_calls(self, tmp_path, monkeypatch):
+        """Run certify on one file; return the call counts and the number of
+        distinct chains whose gain/bias was evaluated."""
+        from amdp_lab import reduction, solvers
+        names = ("horizon_iterates", "dmdp_policy_iteration", "dmdp_policy_value",
+                 "_gain_bias", "amdp_gain_bias")
+        calls = dict.fromkeys(names, 0)
+        chains = set()
+        for name in names:
+            def counting(*a, _original=getattr(solvers, name), _name=name, **kw):
+                calls[_name] += 1
+                if _name == "_gain_bias":
+                    chains.add(a[0].tobytes())
                 return _original(*a, **kw)
 
-            monkeypatch.setattr(reduction, name, counting)
-        assert main(["certify", "--mdp", m1_file, "--out", str(tmp_path)]) == 0
-        assert calls == {"horizon_iterates": 2, "dmdp_policy_iteration": 1,
-                         "dmdp_policy_value": 2}
+            for module in (solvers, reduction):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+
+        def run(path):
+            assert main(["certify", "--mdp", path, "--out", str(tmp_path)]) == 0
+            return calls, len(chains)
+        return run
+
+    def test_m1_s6a3_call_counts(self, certify_calls, m1_file, capsys):
+        # pi* = [0,0,0,0,0,0], pi_hat = [1,0,0,0,0,0]: one evaluation each
+        assert certify_calls(m1_file) == (
+            {"horizon_iterates": 1, "dmdp_policy_iteration": 1,
+             "dmdp_policy_value": 2, "_gain_bias": 2, "amdp_gain_bias": 1}, 2)
+
+    @pytest.mark.parametrize("fixture", [
+        "cycle_file",   # one action: pi_hat = pi*
+        "m1_s14_file",  # over the budget: the relative-VI optimum, pi_hat = pi*
+    ])
+    def test_optimal_discounted_policy_reuses_gain(self, fixture, certify_calls,
+                                                   request, capsys):
+        assert certify_calls(request.getfixturevalue(fixture)) == (
+            {"horizon_iterates": 1, "dmdp_policy_iteration": 1,
+             "dmdp_policy_value": 2, "_gain_bias": 1, "amdp_gain_bias": 0}, 1)
 
 
 class TestReductionInputs:

@@ -18,10 +18,10 @@ from amdp_lab import (
     relative_value_iteration,
     span,
 )
-from amdp_lab.hard_instances import HardInstanceSpec
+from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.chains import _cesaro_limit, _policy_batch
-from amdp_lab.solvers import horizon_iterates
+from amdp_lab.solvers import _power_iterates, horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
     bellman_evaluation,
@@ -30,6 +30,7 @@ from oracles import (
     finite_values,
     per_class_limiting_matrix,
     slow_path_best_gain,
+    stepped_power_iterates,
 )
 
 GAMMAS = (0.5, 0.9, 0.99)
@@ -244,6 +245,15 @@ class TestAmdpOptimal:
         np.testing.assert_allclose(opt.gain, gb.gain, atol=1e-12)
         assert opt.H == pytest.approx(span(gb.bias), abs=1e-9)
 
+    def test_one_action_mdp_of_100_states(self):
+        # auto enumerates the single policy, whatever the number of states
+        m = random_mdp(100, 1, seed=5)
+        opt = amdp_optimal(m)
+        gb = amdp_gain_bias(m, DeterministicPolicy(np.zeros(100, dtype=int)))
+        assert np.array_equal(opt.policy.actions, np.zeros(100, dtype=int))
+        np.testing.assert_allclose(opt.gain, gb.gain, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(opt.policy_bias, gb.bias, rtol=0, atol=1e-9)
+
     def test_m1_optimal_gain_and_policy(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
         m = build_m1(spec)
@@ -264,8 +274,8 @@ class TestAmdpOptimal:
     def test_enumerated_gains_match_per_class_oracle(self, D):
         # 685 of the 729 policies on M1 S6A3 are multichain
         m = build_m1(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
-        policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m)
-        gains = _cesaro_limit(P_all, comm, recurrent, r_all)
+        policies, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
+        gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
         idx = np.arange(6)
         oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
                            @ m.rewards[idx, a] for a in policies])
@@ -276,8 +286,8 @@ class TestAmdpOptimal:
         # 20 policies tie for the optimal gain here; rounding noise in the
         # gains must not pick among them
         m = build_m1(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
-        policies, P_all, r_all, comm, recurrent, _ = _policy_batch(m)
-        gains = _cesaro_limit(P_all, comm, recurrent, r_all)
+        policies, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
+        gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
         worst = gains.min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
         opt = amdp_optimal(m, method="enumerate")
@@ -448,10 +458,27 @@ class TestFiniteHorizon:
             assert np.array_equal(stack[T - 1],
                                   finite_values(chain.matrix, chain.reward, T))
         start = np.arange(4.0)
-        pushed = horizon_iterates(chain.matrix, 0.0, 3, start)
+        pushed = _power_iterates(chain.matrix, start, 3)
         np.testing.assert_allclose(
             pushed[2], np.linalg.matrix_power(chain.matrix, 3) @ start,
             atol=1e-12)
+
+    def test_power_iterates_match_stepped_oracle(self):
+        # doubling against one matrix-vector step per power, on every corpus
+        # optimum's bias and the hard family's, whose entries reach 309 at
+        # D = 1e4: the bound is 1e-12 per unit of ||bias||_inf (the two
+        # routes differ by 1.6e-12 on M0 there, 6e-15 relative)
+        ms = [m for _, m in standard_corpus(count=100, master_seed=7)]
+        ms += [hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32,
+                                              variant=variant))
+               for variant in ("M0", "M1") for D in (32, 1e3, 1e4)]
+        for m in ms:
+            opt = amdp_optimal(m)
+            P, h = induce_chain(m, opt.policy).matrix, opt.policy_bias
+            for T in (1, 2, 3, 7, 64, 200):
+                np.testing.assert_allclose(
+                    _power_iterates(P, h, T), stepped_power_iterates(P, h, T),
+                    rtol=0, atol=1e-12 * max(1.0, float(np.max(np.abs(h)))))
 
     def test_identity_with_gain_and_bias(self):
         # V_T = T rho + h - P^T h, for any policy, any T

@@ -5,7 +5,9 @@ Runs ``bench/run.py --trace 0`` in two checkouts, one seed at a time, on each
 named workload, alternating which side runs first from seed to seed, and
 records every run's last stdout line (the end-to-end metrics) with its seed,
 side and commit.  A summary gives each metric's median and quartiles per
-side and the number of pairs the change won.
+side, the number of pairs the change won, and each side's attempted and
+failed ops.  ``bench/run.py`` exits 0 on wrong outputs, so after writing the
+JSON this script exits 1 if any run was not correct.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --seeds 101-110 --workloads reduce_sweep certify_corpus --out BENCH_9.json
@@ -33,6 +35,11 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+def head_commit(checkout: Path) -> str:
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -45,10 +52,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
+        rows = {"attempted": {"parent": 0, "change": 0},
+                "failed": {"parent": 0, "change": 0}}
         for r in runs:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
-        rows = {}
+                for count in ("attempted", "failed"):
+                    rows[count][r["side"]] += r["result"][count]
         for name, direction in better.items():
             sides = {side: [p[side][name]["value"] for p in pairs.values()]
                      for side in ("parent", "change")}
@@ -74,10 +84,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    commits = {side: subprocess.run(["git", "rev-parse", "HEAD"], cwd=path,
-                                    capture_output=True, text=True,
-                                    check=True).stdout.strip()
-               for side, path in checkouts.items()}
+    commits = {side: head_commit(path) for side, path in checkouts.items()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = []
@@ -93,7 +100,12 @@ def main(argv=None) -> int:
     record = {"command": f"bench/run.py --seconds {args.seconds:g} --trace 0",
               "runs": runs, "summary": summarize(runs, better)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    incorrect = [r for r in runs if not r["result"]["correct"]]
+    for r in incorrect:
+        print(f"{r['workload']} seed {r['seed']} {r['side']}: incorrect, "
+              f"{r['result']['failed']}/{r['result']['attempted']} ops failed",
+              file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
