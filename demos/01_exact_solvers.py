@@ -8,6 +8,7 @@ each quantity next to its closed form.
 import numpy as np
 
 import amdp_lab as lab
+from amdp_lab.solvers import horizon_iterates
 
 cycle = lab.two_state_cycle()          # deterministic 2-cycle, rewards (1, 0)
 pi = lab.DeterministicPolicy(np.array([0, 0]))
@@ -37,8 +38,9 @@ print("its span equals sp(V*_g); the vector itself solves the discounted "
       "optimality equation rewritten with the average-reward gain")
 
 print("\n== finite horizon ==")
+chain = lab.induce_chain(cycle, pi)
 for T in (1, 2, 5):
-    print(f"V_{T} = {lab.finite_horizon_value(cycle, pi, T)}")
+    print(f"V_{T} = {horizon_iterates(chain.matrix, chain.reward, T)[-1]}")
 print("V_T tracks T * gain + bias - P^T bias exactly, at every horizon")
 
 print("\n== a slowly-leaving chain ==")

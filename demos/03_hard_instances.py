@@ -4,6 +4,8 @@ Builds the tree-of-components skeleton and its two perturbed variants,
 and confirms the closed-form component gains against the exact solver.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import amdp_lab as lab
@@ -15,13 +17,13 @@ print(f"derived: {spec.A_prime} component actions, component slowness "
       f"D' = {spec.D_prime}, K = {spec.K} components, "
       f"{spec.num_internal} router states")
 
-m0 = lab.build_m0(spec)
+m0 = lab.hard_instance(spec)
 print(f"\nM0: x states {m0.metadata['x_states']}, "
       f"y states {m0.metadata['y_states']}, "
       f"routers {m0.metadata['internal_states']}")
 print(f"diameter = {lab.diameter(m0):.3f} (must stay below D = 32)")
 
-m1 = lab.build_m1(spec)
+m1 = lab.hard_instance(replace(spec, variant="M1"))
 opt = lab.amdp_optimal(m1, method="relative_vi")
 print(f"\nM1 optimal gain = {float(opt.gain[0]):.12f}")
 print(f"closed form (1+8e)/(2+8e) = {(1 + 8/32) / (2 + 8/32):.12f}")
@@ -29,7 +31,7 @@ print(f"optimal actions at x states: "
       f"{[int(opt.policy.actions[x]) for x in m1.metadata['x_states']]} "
       "(the slowed-down first action everywhere)")
 
-mkl = lab.build_mkl(spec, k=2, l=3)
+mkl = lab.hard_instance(replace(spec, variant="MKL", k=2, l=3))
 opt_kl = lab.amdp_optimal(mkl, method="relative_vi")
 x = mkl.metadata["x_states"][1]
 print(f"\nM_(2,3) optimal gain = {float(opt_kl.gain[0]):.12f} "

@@ -35,9 +35,6 @@ from .generative import (
 )
 from .hard_instances import (
     HardInstanceSpec,
-    build_m0,
-    build_m1,
-    build_mkl,
     closed_form_component_gain,
     component_mdp,
     hard_instance,
@@ -49,7 +46,6 @@ from .mdp import (
     InfeasibleInstanceError,
     MdpFormatError,
     SolverConvergenceError,
-    StochasticPolicy,
     TabularMdp,
     induce_chain,
     read_mdp,
@@ -86,7 +82,6 @@ from .solvers import (
     dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
-    finite_horizon_value,
     h_gamma_star,
     relative_value_iteration,
 )

@@ -131,6 +131,8 @@ def cmd_hardgen(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.mdp is not None and args.count is not None:
+        raise ValueError("certify takes --mdp files or --count, not both")
     instances: list[tuple[str, TabularMdp]] = []
     if args.mdp:
         for path in args.mdp:

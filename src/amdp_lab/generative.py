@@ -140,10 +140,6 @@ class GenerativeModel:
         counts[support] = beyond[:-1] - beyond[1:]
         return counts
 
-    def sample_next(self, s: int, a: int) -> int:
-        """Draw one next state from P(.|s, a)."""
-        return int(self.sample_batch(s, a, 1)[0])
-
 
 @dataclass(frozen=True)
 class EmpiricalModel:

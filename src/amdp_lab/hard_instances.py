@@ -11,7 +11,7 @@ component k.  Every instance is communicating with diameter at most D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,19 +210,3 @@ def hard_instance(spec: HardInstanceSpec) -> TabularMdp:
         meta.update(k=spec.k, l=spec.l)
     return TabularMdp(S, A, P, r, metadata=meta)
 
-
-def build_m0(spec: HardInstanceSpec) -> TabularMdp:
-    """The M0 skeleton for the given spec (any variant shares it)."""
-    return hard_instance(replace(spec, variant="M0"))
-
-
-def build_m1(spec: HardInstanceSpec) -> TabularMdp:
-    """M1: at every x state, the first component action leaks to y only with
-    probability 1 / D', making it the strictly best action there."""
-    return hard_instance(replace(spec, variant="M1"))
-
-
-def build_mkl(spec: HardInstanceSpec, k: int, l: int) -> TabularMdp:
-    """MKL: M1 with the swap probability of action l at component k lowered
-    to (1 - 8 eps) / D', which makes action l the best choice at that x."""
-    return hard_instance(replace(spec, variant="MKL", k=k, l=l))

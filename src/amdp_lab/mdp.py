@@ -85,24 +85,6 @@ class DeterministicPolicy:
 
 
 @dataclass(frozen=True)
-class StochasticPolicy:
-    """State -> distribution over actions, stored as an (S, A) row-stochastic table."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = _freeze(self.probs)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 2:
-            raise ValueError("probs must be a 2-D array")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > PROB_TOL):
-            raise ValueError("each probs row must be a probability distribution")
-
-
-Policy = DeterministicPolicy | StochasticPolicy
-
-
-@dataclass(frozen=True)
 class InducedChain:
     """Markov chain obtained by fixing a policy: matrix P_pi and reward r_pi."""
 
@@ -159,30 +141,17 @@ def span(v: np.ndarray) -> float:
     return float(np.max(v) - np.min(v))
 
 
-def induce_chain(m: TabularMdp, pi: Policy) -> InducedChain:
-    """Collapse the MDP under a policy:
-
-        P_pi[s, s'] = sum_a pi(a|s) P[s, a, s']
-        r_pi[s]     = sum_a pi(a|s) r[s, a]
-
-    For a deterministic policy this is exact row selection.
-    """
-    if isinstance(pi, DeterministicPolicy):
-        if len(pi) != m.num_states:
-            raise ValueError(f"policy has {len(pi)} states, MDP has {m.num_states}")
-        if np.any(pi.actions < 0) or np.any(pi.actions >= m.num_actions):
-            raise ValueError("policy selects an out-of-range action")
-        idx = np.arange(m.num_states)
-        return InducedChain(m.transitions[idx, pi.actions],
-                            m.rewards[idx, pi.actions])
-    if not isinstance(pi, StochasticPolicy):
+def induce_chain(m: TabularMdp, pi: DeterministicPolicy) -> InducedChain:
+    """Collapse the MDP under a policy by row selection:
+    P_pi[s, s'] = P[s, pi(s), s'] and r_pi[s] = r[s, pi(s)]."""
+    if not isinstance(pi, DeterministicPolicy):
         raise TypeError(f"not a policy: {type(pi).__name__}")
-    if pi.probs.shape != (m.num_states, m.num_actions):
-        raise ValueError(f"policy table {pi.probs.shape} does not match "
-                         f"({m.num_states}, {m.num_actions})")
-    matrix = np.einsum("sa,sat->st", pi.probs, m.transitions)
-    reward = np.einsum("sa,sa->s", pi.probs, m.rewards)
-    return InducedChain(matrix, reward)
+    if len(pi) != m.num_states:
+        raise ValueError(f"policy has {len(pi)} states, MDP has {m.num_states}")
+    if np.any(pi.actions < 0) or np.any(pi.actions >= m.num_actions):
+        raise ValueError("policy selects an out-of-range action")
+    idx = np.arange(m.num_states)
+    return InducedChain(m.transitions[idx, pi.actions], m.rewards[idx, pi.actions])
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +223,12 @@ def read_mdp(path: str | Path) -> TabularMdp:
     return mdp_from_dict(_read_json_object(path))
 
 
-def write_policy(pi: Policy, path: str | Path) -> None:
-    if isinstance(pi, DeterministicPolicy):
-        doc = {"actions": [int(a) for a in pi.actions]}
-    else:
-        doc = {"probs": pi.probs.tolist()}
+def write_policy(pi: DeterministicPolicy, path: str | Path) -> None:
+    doc = {"actions": [int(a) for a in pi.actions]}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def read_policy(path: str | Path) -> Policy:
+def read_policy(path: str | Path) -> DeterministicPolicy:
     doc = _read_json_object(path)
     if "actions" in doc:
         actions = doc["actions"]
@@ -271,9 +237,4 @@ def read_policy(path: str | Path) -> Policy:
                 and all(type(a) is int and a >= 0 for a in actions)):
             raise MdpFormatError("'actions' must be a list of non-negative integers")
         return DeterministicPolicy(np.array(actions, dtype=int))
-    if "probs" in doc:
-        try:
-            return StochasticPolicy(np.asarray(doc["probs"], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise MdpFormatError(str(exc)) from exc
-    raise MdpFormatError("policy file needs an 'actions' or 'probs' field")
+    raise MdpFormatError("policy file needs an 'actions' field")

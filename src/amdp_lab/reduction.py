@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .generative import GenerativeModel, build_empirical, perturb_rewards
-from .mdp import DeterministicPolicy, Policy, TabularMdp, span
+from .mdp import DeterministicPolicy, TabularMdp, span
 from .solvers import (
     AmdpOptimum,
     GainBias,
@@ -156,7 +156,7 @@ def _calibrated(m: TabularMdp, epsilon: float, opt: AmdpOptimum):
     return gamma, V_star, pi_hat, dmdp_policy_value(m, opt.policy, gamma)
 
 
-def _policy_horizon(m: TabularMdp, pi: Policy, horizon: int,
+def _policy_horizon(m: TabularMdp, pi: DeterministicPolicy, horizon: int,
                     gb: GainBias | None = None):
     """(chain, gain/bias, iterates V_1..V_horizon) of one policy; gb, when
     given, is its gain/bias."""
@@ -224,7 +224,7 @@ def _parameter_bounds(H, D, t_mix, instance_id) -> list[Certificate]:
     return certs
 
 
-def certify_gain_discount_gap(m: TabularMdp, pi: Policy, gamma: float,
+def certify_gain_discount_gap(m: TabularMdp, pi: DeterministicPolicy, gamma: float,
                               instance_id: str = "") -> Certificate:
     """Check ||gain - (1-gamma) V_gamma||_inf <= sp((1-gamma) V_gamma) for
     one policy at one discount."""
@@ -252,7 +252,7 @@ def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
     return _span_bounds(epsilon, _calibrated(m, epsilon, opt), gb, V, instance_id)
 
 
-def certify_finite_horizon_identity(m: TabularMdp, pi: Policy,
+def certify_finite_horizon_identity(m: TabularMdp, pi: DeterministicPolicy,
                                     horizon: int = HORIZON,
                                     instance_id: str = "") -> Certificate:
     """Check V_T = T gain + bias - P^T bias for all T up to the horizon; the

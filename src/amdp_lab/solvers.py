@@ -6,6 +6,9 @@ a stated accuracy, for callers that want a deliberately inexact solve.
 Average-reward: gain/bias of a policy through the limiting and deviation
 matrices, and the optimal gain/bias/policy either by brute-force policy
 enumeration or by relative value iteration on a lazy transform of the MDP.
+The enumeration is exact throughout: on a weakly communicating MDP its bias
+is the elementwise max of the gain-optimal (tied) policies' biases, which is
+the bias of a bias-optimal policy (Puterman 1994, ch. 10).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .chains import (
 from .mdp import (
     DeterministicPolicy,
     InducedChain,
-    Policy,
     SolverConvergenceError,
     TabularMdp,
     induce_chain,
@@ -34,7 +36,8 @@ from .mdp import (
 )
 
 #: policies whose worst-state gains differ by at most this much are tied;
-#: amdp_optimal's enumeration returns the first of them
+#: amdp_optimal's enumeration returns the first of them, and on a weakly
+#: communicating MDP the elementwise max of all their biases
 GAIN_TIE_TOL = 1e-9
 
 #: largest residual ||(I - gamma P_pi) V - r_pi||_inf dmdp_policy_value
@@ -67,9 +70,11 @@ class GainBias:
 class AmdpOptimum:
     """Optimal average-reward solution: constant optimal gain (as a vector),
     a bias solving the Bellman optimality equation, a gain-optimal
-    deterministic policy, H = sp(bias), and the policy's own bias
-    (chain_gain_bias, whose gain is ``gain``), which is ``bias`` unless a
-    relative-VI bias was substituted."""
+    deterministic policy, H = sp(bias), and that policy's own bias
+    (chain_gain_bias, whose gain is ``gain``).  From the enumeration of a
+    weakly communicating MDP, ``bias`` is the elementwise max of the tied
+    policies' biases, the optimal bias; otherwise it is ``policy_bias``
+    (enumeration) or the relative-VI bias."""
 
     gain: np.ndarray
     bias: np.ndarray
@@ -83,7 +88,8 @@ class AmdpOptimum:
 # discounted MDPs
 
 
-def dmdp_policy_value(m: TabularMdp, pi: Policy, gamma: float) -> np.ndarray:
+def dmdp_policy_value(m: TabularMdp, pi: DeterministicPolicy,
+                      gamma: float) -> np.ndarray:
     """Discounted value of a policy: the unique solution of
     (I - gamma P_pi) V = r_pi."""
     if not 0.0 < gamma < 1.0:
@@ -163,15 +169,17 @@ def chain_gain_bias(chain: InducedChain) -> GainBias:
 
 def _gain_bias(P: np.ndarray, r: np.ndarray, comm: np.ndarray,
                recurrent: np.ndarray, nu: np.ndarray | None = None) -> GainBias:
-    """chain_gain_bias of the chain (P, r), given the _structure_masks of its
-    support and, optionally, its _stationary rows nu."""
+    """chain_gain_bias of the chain (P, r), or of each chain of a batch
+    (..., S, S), given the _structure_masks of its support and, optionally,
+    its _stationary rows nu."""
     P_star = _cesaro_limit(P, comm, recurrent, nu=nu)
-    gain = P_star @ r
-    bias = np.linalg.solve(np.eye(len(P)) - P + P_star, r - gain)
+    gain = (P_star @ r[..., None])[..., 0]
+    bias = np.linalg.solve(np.eye(P.shape[-1]) - P + P_star,
+                           (r - gain)[..., None])[..., 0]
     return GainBias(gain=gain, bias=bias)
 
 
-def amdp_gain_bias(m: TabularMdp, pi: Policy) -> GainBias:
+def amdp_gain_bias(m: TabularMdp, pi: DeterministicPolicy) -> GainBias:
     """Gain and bias of a policy on an MDP; see chain_gain_bias."""
     return chain_gain_bias(induce_chain(m, pi))
 
@@ -199,12 +207,6 @@ def _power_iterates(P: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:
         if len(out) < T:
             Q = Q @ Q
     return out
-
-
-def finite_horizon_value(m: TabularMdp, pi: Policy, T: int) -> np.ndarray:
-    """Undiscounted T-step value V_T; the last row of horizon_iterates."""
-    chain = induce_chain(m, pi)
-    return horizon_iterates(chain.matrix, chain.reward, T)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +263,12 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     A^S <= chains.ENUMERATION_BUDGET and runs relative VI otherwise.
 
     Either way the returned gain is the exact per-state gain of the returned
-    policy (dense linear algebra, not iteration), and the returned bias
-    solves the Bellman optimality equation: when the argmax policy's own
-    bias fails that equation (possible with tie policies), the relative-VI
-    solution is substituted.
+    policy (dense linear algebra, not iteration), and policy_bias is that
+    policy's own bias.  The returned bias solves the Bellman optimality
+    equation.  From the enumeration of a weakly communicating MDP it is the
+    elementwise max of every tied policy's bias, the bias of a bias-optimal
+    policy, so H is exact and does not depend on which tied policy is
+    returned; from relative VI it is the iterate's bias.
     """
     if method == "auto":
         method = ("enumerate"
@@ -284,23 +288,24 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
 def _enumerated_optimum(m: TabularMdp, batch) -> AmdpOptimum:
     """amdp_optimal's enumeration, over the _policy_batch of m: every
     policy's per-state gain from one batched Cesaro-limit solve on the
-    batch's stationary rows; the chosen policy's gain/bias reads its masks
-    and stationary rows from the batch too."""
+    batch's stationary rows, then the gain/bias of the tied policies from
+    one batched deviation solve on those rows too (of the first alone when
+    m is not weakly communicating)."""
     worst = _cesaro_limit(batch.P_all, batch.comm, batch.recurrent, batch.r_all,
                           nu=batch.nu).min(axis=1)
-    i = int(np.argmax(worst >= worst.max() - GAIN_TIE_TOL))
-    policy = DeterministicPolicy(batch.policies[i])
-    gb = _gain_bias(batch.P_all[i], batch.r_all[i], batch.comm[i],
-                    batch.recurrent[i], batch.nu[i])
-    bias = gb.bias
+    tied = np.flatnonzero(worst >= worst.max() - GAIN_TIE_TOL)
     wc = is_weakly_communicating(m)
-    # tie-heavy instances can make the argmax policy non-greedy w.r.t. its
-    # own bias; the optimality equation only has a constant-gain solution in
-    # the weakly communicating case, so the substitution is gated on that
-    if wc and bellman_optimality_residual(m, gb.gain, bias) > 1e-8:
-        _, bias, _ = relative_value_iteration(m)
-    return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy,
-                       H=span(bias), weakly_communicating=wc, policy_bias=gb.bias)
+    if not wc:
+        tied = tied[:1]
+    gb = _gain_bias(batch.P_all[tied], batch.r_all[tied], batch.comm[tied],
+                    batch.recurrent[tied], batch.nu[tied])
+    # the bias-optimal policy's bias is the elementwise max of the
+    # gain-optimal policies' biases (Puterman 1994, ch. 10)
+    bias = gb.bias.max(axis=0)
+    return AmdpOptimum(gain=gb.gain[0], bias=bias,
+                       policy=DeterministicPolicy(batch.policies[tied[0]]),
+                       H=span(bias), weakly_communicating=wc,
+                       policy_bias=gb.bias[0])
 
 
 def _analysis(m: TabularMdp):

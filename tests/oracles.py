@@ -121,6 +121,31 @@ def slow_path_best_gain(m) -> tuple[np.ndarray, float]:
     return np.array(candidates[best]), float(scores[best])
 
 
+def first_tie_optimum(m):
+    """The enumeration's first tied policy with its own gain/bias from one
+    unbatched deviation solve, and a bias repaired to solve the optimality
+    equation: that own bias, or on a weakly communicating input whose own
+    bias misses the equation by more than 1e-8, the relative-VI bias.
+    Returns (actions, gain, policy_bias, bias)."""
+    from amdp_lab import solvers
+    from amdp_lab.chains import (_cesaro_limit, _policy_batch,
+                                 is_weakly_communicating)
+
+    b = _policy_batch(m)
+    worst = _cesaro_limit(b.P_all, b.comm, b.recurrent, b.r_all,
+                          nu=b.nu).min(axis=1)
+    i = int(np.argmax(worst >= worst.max() - solvers.GAIN_TIE_TOL))
+    P, r = b.P_all[i], b.r_all[i]
+    P_star = _cesaro_limit(P, b.comm[i], b.recurrent[i], nu=b.nu[i])
+    gain = P_star @ r
+    own = np.linalg.solve(np.eye(len(P)) - P + P_star, r - gain)
+    bias = own
+    if (is_weakly_communicating(m)
+            and solvers.bellman_optimality_residual(m, gain, own) > 1e-8):
+        _, bias, _ = solvers.relative_value_iteration(m)
+    return b.policies[i], gain, own, bias
+
+
 def policy_loop_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
     """Aperiodicity of each chain's single closed class from its integer
     period, one BFS per chain: the per-policy loop that the batched test in

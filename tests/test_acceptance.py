@@ -9,6 +9,7 @@ D = 32, eps = 1/32.
 import io
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def _hard_instance_certificates(fresh: bool = False) -> list[lab.Certificate]:
                                   32.0, 1e-9, f"M0_S{S}"))
         for k in range(1, spec1.K + 1):
             for l in range(2, spec1.A_prime + 1):
-                mkl = lab.build_mkl(spec1, k=k, l=l)
+                mkl = lab.hard_instance(replace(spec1, variant="MKL", k=k, l=l))
                 iid = f"MKL_S{S}_k{k}_l{l}"
                 opt = optimum(iid, mkl, fresh=fresh)
                 certs.append(_certificate("gain_matches_closed_form",
@@ -262,7 +263,7 @@ def test_criterion_6_hard_instances():
 
 def _monte_carlo_run(fresh: bool = False):
     spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=HARD_EPS, variant="M1")
-    truth = lab.build_m1(spec)
+    truth = lab.hard_instance(spec)
     opt = optimum("M1_S6", truth, fresh=fresh)
     H = max(opt.H, 1.0)
     params = lab.reduction_params(0.25, 0.05, H, truth.num_states,

@@ -15,7 +15,6 @@ from amdp_lab import (
     chain_mixing_time,
     decompose_chain,
     diameter,
-    finite_horizon_value,
     hard_instance,
     induce_chain,
     is_communicating,
@@ -35,6 +34,7 @@ from amdp_lab.chains import (
     all_deterministic_policies,
 )
 from amdp_lab.corpus import random_mdp, standard_corpus
+from amdp_lab.solvers import horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbing
 from oracles import (
     hitting_time_single_chain,
@@ -589,7 +589,7 @@ class TestBlockSpanBound:
                     continue
                 members = decompose_chain(chain.matrix).recurrent_classes[0]
                 for T in (1, 10, 100):
-                    V = finite_horizon_value(m, pi, T)
+                    V = horizon_iterates(chain.matrix, chain.reward, T)[-1]
                     assert span(V[members]) <= 4.0 * t_mix + 1e-6
                 checked += 1
         assert checked > 50

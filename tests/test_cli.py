@@ -233,6 +233,14 @@ class TestCertify:
     def test_needs_input(self, tmp_path, capsys):
         assert main(["certify", "--out", str(tmp_path)]) == 2
 
+    def test_mdp_and_count_exit_2(self, cycle_file, tmp_path, capsys):
+        # --count used to be ignored silently when --mdp named files
+        out = tmp_path / "out"
+        assert main(["certify", "--mdp", cycle_file, "--count", "3",
+                     "--out", str(out)]) == 2
+        assert "--mdp files or --count, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--count", "-5"], "count must be at least 1, got -5"),
         (["--count", "0"], "count must be at least 1, got 0"),

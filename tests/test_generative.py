@@ -41,28 +41,28 @@ def make_deterministic_truth():
 class TestSampling:
     def test_deterministic_row_always_hits(self):
         gm = GenerativeModel(make_deterministic_truth(), 1)
-        assert all(gm.sample_next(0, 0) == 1 for _ in range(20))
-        assert all(gm.sample_next(0, 1) == 2 for _ in range(20))
+        assert all(gm.sample_batch(0, 0, 1)[0] == 1 for _ in range(20))
+        assert all(gm.sample_batch(0, 1, 1)[0] == 2 for _ in range(20))
 
     def test_same_seed_same_outputs(self):
         truth = random_mdp(4, 2, seed=3)
         a = GenerativeModel(truth, 99)
         b = GenerativeModel(truth, 99)
-        draws_a = [a.sample_next(s, 0) for s in (0, 1, 2, 3) for _ in range(10)]
-        draws_b = [b.sample_next(s, 0) for s in (0, 1, 2, 3) for _ in range(10)]
+        draws_a = [a.sample_batch(s, 0, 1)[0] for s in (0, 1, 2, 3) for _ in range(10)]
+        draws_b = [b.sample_batch(s, 0, 1)[0] for s in (0, 1, 2, 3) for _ in range(10)]
         assert draws_a == draws_b
 
     def test_interleaving_does_not_change_streams(self):
         truth = random_mdp(3, 2, seed=5)
         a = GenerativeModel(truth, 42)
         b = GenerativeModel(truth, 42)
-        seq_a = [a.sample_next(0, 0) for _ in range(50)]
+        seq_a = [a.sample_batch(0, 0, 1)[0] for _ in range(50)]
         # consume other pairs in between on b
         seq_b = []
         for i in range(50):
-            b.sample_next(1, 1)
-            seq_b.append(b.sample_next(0, 0))
-            b.sample_next(2, 0)
+            b.sample_batch(1, 1, 1)
+            seq_b.append(b.sample_batch(0, 0, 1)[0])
+            b.sample_batch(2, 0, 1)
         assert seq_a == seq_b
 
     def test_batch_equals_singles(self):
@@ -70,14 +70,14 @@ class TestSampling:
         a = GenerativeModel(truth, 5)
         b = GenerativeModel(truth, 5)
         batch = a.sample_batch(1, 0, 40)
-        singles = np.array([b.sample_next(1, 0) for _ in range(40)])
+        singles = np.array([b.sample_batch(1, 0, 1)[0] for _ in range(40)])
         assert np.array_equal(batch, singles)
 
     def test_counter_exact(self):
         truth = random_mdp(3, 2, seed=8)
         gm = GenerativeModel(truth, 5)
         gm.sample_batch(0, 0, 7)
-        gm.sample_next(0, 0)
+        gm.sample_batch(0, 0, 1)
         gm.sample_batch(2, 1, 3)
         assert gm.sample_counter[0, 0] == 8
         assert gm.sample_counter[2, 1] == 3
@@ -94,9 +94,9 @@ class TestSampling:
     def test_out_of_range(self):
         gm = GenerativeModel(random_mdp(2, 1, seed=0), 1)
         with pytest.raises(IndexError):
-            gm.sample_next(2, 0)
+            gm.sample_batch(2, 0, 1)
         with pytest.raises(IndexError):
-            gm.sample_next(0, 1)
+            gm.sample_batch(0, 1, 1)
 
     def test_truth_not_exposed(self):
         gm = GenerativeModel(random_mdp(2, 1, seed=0), 1)

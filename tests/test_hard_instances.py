@@ -9,9 +9,6 @@ from amdp_lab import (
     InfeasibleInstanceError,
     amdp_gain_bias,
     amdp_optimal,
-    build_m0,
-    build_m1,
-    build_mkl,
     closed_form_component_gain,
     component_mdp,
     diameter,
@@ -68,7 +65,7 @@ class TestSpecAdmissibility:
         with pytest.raises(InfeasibleInstanceError):
             HardInstanceSpec(S=6, A=3, D=32, epsilon=EPS, variant="MKL", k=1, l=3)
         with pytest.raises(InfeasibleInstanceError):
-            build_mkl(SPEC6, k=1, l=1)
+            replace(SPEC6, variant="MKL", k=1, l=1)
 
 
 class TestComponent:
@@ -108,7 +105,7 @@ class TestComponent:
 
 class TestM0:
     def test_counts_match_figure_shape(self):
-        m = build_m0(SPEC14)
+        m = hard_instance(SPEC14)
         assert m.num_states == 14 and m.num_actions == 4
         assert len(m.metadata["x_states"]) == 5
         assert len(m.metadata["y_states"]) == 5
@@ -116,15 +113,15 @@ class TestM0:
         assert validate_mdp(m) == []
 
     def test_diameter_within_bound(self):
-        assert diameter(build_m0(SPEC14)) <= 32.0 + 1e-9
-        assert diameter(build_m0(SPEC6)) <= 32.0 + 1e-9
+        assert diameter(hard_instance(SPEC14)) <= 32.0 + 1e-9
+        assert diameter(hard_instance(SPEC6)) <= 32.0 + 1e-9
 
     def test_communicating(self):
-        assert is_communicating(build_m0(SPEC14))
-        assert is_communicating(build_m0(SPEC6))
+        assert is_communicating(hard_instance(SPEC14))
+        assert is_communicating(hard_instance(SPEC6))
 
     def test_all_rows_valid_and_deterministic_outside_components(self):
-        m = build_m0(SPEC6)
+        m = hard_instance(SPEC6)
         internal = m.metadata["internal_states"]
         for s in internal:
             for a in range(m.num_actions):
@@ -134,7 +131,7 @@ class TestM0:
 
 class TestM1AndMkl:
     def test_m1_gain_five_ninths(self):
-        m = build_m1(SPEC6)
+        m = hard_instance(replace(SPEC6, variant="M1"))
         opt = amdp_optimal(m, method="enumerate")
         np.testing.assert_allclose(opt.gain, 5 / 9, atol=1e-10)
         for x in m.metadata["x_states"]:
@@ -149,7 +146,7 @@ class TestM1AndMkl:
                 margin, abs=1e-15)
 
     def test_m1_deviating_component_action_costs_gain(self):
-        m = build_m1(SPEC6)
+        m = hard_instance(replace(SPEC6, variant="M1"))
         opt = amdp_optimal(m, method="enumerate")
         for x in m.metadata["x_states"]:
             for other in range(1, SPEC6.A_prime):
@@ -159,7 +156,7 @@ class TestM1AndMkl:
                 assert float(np.min(gain)) <= 5 / 9 - EPS
 
     def test_mkl_gain_and_action(self):
-        m = build_mkl(SPEC6, k=2, l=2)
+        m = hard_instance(replace(SPEC6, variant="MKL", k=2, l=2))
         opt = amdp_optimal(m, method="enumerate")
         np.testing.assert_allclose(opt.gain, 0.625, atol=1e-10)
         x = m.metadata["x_states"][1]
@@ -167,7 +164,7 @@ class TestM1AndMkl:
 
     def test_mkl_nondistinguished_components_keep_first_action(self):
         # away from component k, the first action still dominates locally
-        m = build_mkl(SPEC6, k=2, l=2)
+        m = hard_instance(replace(SPEC6, variant="MKL", k=2, l=2))
         x_other = m.metadata["x_states"][0]
         y_other = m.metadata["y_states"][0]
         p_first = m.transitions[x_other, 0, y_other]
@@ -180,10 +177,10 @@ class TestM1AndMkl:
         assert p_first == pytest.approx(1 / SPEC6.D_prime)
 
     def test_mkl_differs_from_m1_in_one_row(self):
-        m1 = build_m1(SPEC14)
+        m1 = hard_instance(replace(SPEC14, variant="M1"))
         for k in (1, 3, 5):
             for l in (2, 3):
-                mkl = build_mkl(SPEC14, k=k, l=l)
+                mkl = hard_instance(replace(SPEC14, variant="MKL", k=k, l=l))
                 diff = np.argwhere(np.any(mkl.transitions != m1.transitions, axis=2))
                 assert diff.shape == (1, 2)
                 s, a = diff[0]
@@ -191,7 +188,10 @@ class TestM1AndMkl:
                 assert a == l - 1
 
     def test_variants_keep_diameter_bound(self):
-        for m in (build_m1(SPEC14), build_mkl(SPEC14, 2, 3), build_m1(SPEC6)):
+        for spec in (replace(SPEC14, variant="M1"),
+                     replace(SPEC14, variant="MKL", k=2, l=3),
+                     replace(SPEC6, variant="M1")):
+            m = hard_instance(spec)
             assert diameter(m) <= 32.0 + 1e-9
             assert validate_mdp(m) == []
 
@@ -220,7 +220,7 @@ def _grid_specs():
 
 class TestOnePassBuilder:
     """hard_instance fills one leak table; the files it writes equal those of
-    the multi-pass oracle, whichever public builder is called."""
+    the multi-pass oracle."""
 
     def test_written_bytes_match_multipass_oracle(self, tmp_path):
         path = tmp_path / "m.json"
@@ -232,10 +232,7 @@ class TestOnePassBuilder:
         variants = {"M0": 0, "M1": 0, "MKL": 0}
         for spec in _grid_specs():
             expected = written(multipass_hard_instance(spec))
-            built = {"M0": build_m0, "M1": build_m1,
-                     "MKL": lambda s: build_mkl(s, s.k, s.l)}[spec.variant](spec)
             assert written(hard_instance(spec)) == expected, spec
-            assert written(built) == expected, spec
             variants[spec.variant] += 1
         assert variants == {"M0": 38, "M1": 38, "MKL": 408}
 
@@ -247,4 +244,4 @@ class TestOnePassBuilder:
     ])
     def test_build_mkl_range_errors(self, k, l, message):
         with pytest.raises(InfeasibleInstanceError, match=re.escape(message)):
-            build_mkl(SPEC14, k=k, l=l)
+            replace(SPEC14, variant="MKL", k=k, l=l)

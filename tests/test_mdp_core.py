@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from amdp_lab import (
     DeterministicPolicy,
     MdpFormatError,
-    StochasticPolicy,
     TabularMdp,
     induce_chain,
     read_mdp,
@@ -88,30 +87,10 @@ class TestInduceChain:
             assert np.array_equal(chain.matrix[s], m.transitions[s, a])
             assert chain.reward[s] == m.rewards[s, a]
 
-    def test_uniform_over_identical_actions(self):
-        base = random_mdp(3, 1, seed=5)
-        P = np.repeat(base.transitions, 2, axis=1)
-        r = np.repeat(base.rewards, 2, axis=1)
-        m = TabularMdp(3, 2, P, r)
-        pi = StochasticPolicy(np.full((3, 2), 0.5))
-        chain = induce_chain(m, pi)
-        np.testing.assert_allclose(chain.matrix, base.transitions[:, 0, :], atol=1e-15)
-
     def test_cycle_single_action(self):
         chain = induce_chain(two_state_cycle(), DeterministicPolicy(np.array([0, 0])))
         assert np.array_equal(chain.matrix, [[0.0, 1.0], [1.0, 0.0]])
         assert np.array_equal(chain.reward, [1.0, 0.0])
-
-    def test_mixture_is_convex_combination(self):
-        m = random_mdp(4, 2, seed=3)
-        a0 = induce_chain(m, DeterministicPolicy(np.zeros(4, dtype=int)))
-        a1 = induce_chain(m, DeterministicPolicy(np.ones(4, dtype=int)))
-        w = 0.3
-        mix = induce_chain(m, StochasticPolicy(np.tile([1 - w, w], (4, 1))))
-        np.testing.assert_allclose(mix.matrix, (1 - w) * a0.matrix + w * a1.matrix,
-                                   atol=1e-15)
-        np.testing.assert_allclose(mix.reward, (1 - w) * a0.reward + w * a1.reward,
-                                   atol=1e-15)
 
     def test_dimension_mismatch(self):
         m = random_mdp(3, 2, seed=1)
@@ -119,12 +98,6 @@ class TestInduceChain:
             induce_chain(m, DeterministicPolicy(np.array([0, 1])))
         with pytest.raises(ValueError):
             induce_chain(m, DeterministicPolicy(np.array([0, 1, 2])))
-
-    def test_stochastic_table_shape_mismatch(self):
-        m = random_mdp(3, 2, seed=1)
-        for probs in (np.full((2, 2), 0.5), np.full((3, 3), 1 / 3)):
-            with pytest.raises(ValueError, match="does not match"):
-                induce_chain(m, StochasticPolicy(probs))
 
     def test_not_a_policy(self):
         with pytest.raises(TypeError, match="not a policy"):
@@ -189,9 +162,6 @@ class TestFileFormat:
         det = DeterministicPolicy(np.array([1, 0, 2]))
         write_policy(det, tmp_path / "p.json")
         assert np.array_equal(read_policy(tmp_path / "p.json").actions, det.actions)
-        sto = StochasticPolicy(np.array([[0.25, 0.75], [0.5, 0.5]]))
-        write_policy(sto, tmp_path / "s.json")
-        assert np.array_equal(read_policy(tmp_path / "s.json").probs, sto.probs)
 
     def test_policy_schema_error(self, tmp_path):
         (tmp_path / "p.json").write_text("{}")
@@ -223,6 +193,13 @@ class TestFileFormat:
     def test_policy_actions_must_be_index_list(self, tmp_path, actions):
         (tmp_path / "p.json").write_text('{"actions": %s}' % actions)
         with pytest.raises(MdpFormatError, match="actions"):
+            read_policy(tmp_path / "p.json")
+
+    def test_policy_probs_file_is_format_error(self, tmp_path):
+        # stochastic policies are not read: a valid action-probability table
+        # is an error like any other file without an 'actions' field
+        (tmp_path / "p.json").write_text('{"probs": [[0.25, 0.75], [0.5, 0.5]]}')
+        with pytest.raises(MdpFormatError, match="'actions' field"):
             read_policy(tmp_path / "p.json")
 
     @pytest.mark.parametrize("probs", ['{"a": 1}', "[[0.5, 0.5], [1.0]]", "[1.0]"])

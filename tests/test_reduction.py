@@ -10,7 +10,6 @@ from amdp_lab import (
     algorithm1,
     amdp_gain_bias,
     amdp_optimal,
-    build_m1,
     certify_finite_horizon_identity,
     certify_gain_discount_gap,
     certify_reduction_bound,
@@ -30,7 +29,7 @@ from amdp_lab import (
     write_certificates_csv,
 )
 from amdp_lab.corpus import standard_corpus
-from amdp_lab.hard_instances import HardInstanceSpec
+from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from oracles import (
     finite_horizon_identity_loop,
     finite_horizon_span_loop,
@@ -118,8 +117,8 @@ class TestAlgorithm1:
         # and 2: the exact solve returns the policy of the value iteration
         # that algorithm1 ran before, whose values are accuracy/2-close
         for S, A in ((6, 3), (14, 4)):
-            truth = build_m1(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
-                                              variant="M1"))
+            truth = hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
+                                                   variant="M1"))
             H = max(amdp_optimal(truth).H, 1.0)
             params = reduction_params(0.25, 0.05, H, S, A, n_override=1000)
             accuracy = min(1e-9 / (1 - params.gamma), params.eps_gamma / 10.0)
@@ -140,7 +139,7 @@ class TestAlgorithm1:
 
     def test_deterministic_in_seed(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
-        truth = build_m1(spec)
+        truth = hard_instance(spec)
         params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=500)
         p1 = algorithm1(GenerativeModel(truth, 21), params)
         p2 = algorithm1(GenerativeModel(truth, 21), params)
@@ -199,7 +198,7 @@ class TestCertificates:
 
     def test_span_bounds_hard_instances(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
-        m = build_m1(spec)
+        m = hard_instance(spec)
         for eps in (0.5, 0.1):
             assert all(c.passed for c in certify_span_bounds(m, eps))
 
@@ -241,7 +240,7 @@ class TestCertificates:
 
     def test_reduction_chain_m1_exact_solve_recovers_optimal(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
-        m = build_m1(spec)
+        m = hard_instance(spec)
         cert = certify_reduction_bound(m, 0.1, 0.0, "m1")
         assert cert.lhs == pytest.approx(0.0, abs=1e-9)
         assert cert.passed
@@ -272,7 +271,7 @@ class TestEmpiricalError:
 
     def test_rerun_identical(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
-        truth = build_m1(spec)
+        truth = hard_instance(spec)
         params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=300)
         a = empirical_error(GenerativeModel(truth, 5), params, 6)
         b = empirical_error(GenerativeModel(truth, 5), params, 6)
@@ -282,8 +281,8 @@ class TestEmpiricalError:
     def test_pool_matches_serial_oracle(self, cpus, monkeypatch):
         # the pool's worker count is min(cpu count, trials); any count gives
         # the serial loop's seeds, in trial order, and bit-identical gaps
-        truth = build_m1(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
-                                          variant="M1"))
+        truth = hard_instance(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
+                                               variant="M1"))
         params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=30)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         records = empirical_error(GenerativeModel(truth, 7), params, 12)

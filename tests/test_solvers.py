@@ -7,12 +7,10 @@ from amdp_lab import (
     amdp_gain_bias,
     amdp_optimal,
     bellman_optimality_residual,
-    build_m1,
     decompose_chain,
     dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
-    finite_horizon_value,
     h_gamma_star,
     induce_chain,
     relative_value_iteration,
@@ -28,6 +26,7 @@ from oracles import (
     cesaro_bias,
     cesaro_gain,
     finite_values,
+    first_tie_optimum,
     per_class_limiting_matrix,
     slow_path_best_gain,
     stepped_power_iterates,
@@ -256,7 +255,7 @@ class TestAmdpOptimal:
 
     def test_m1_optimal_gain_and_policy(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
-        m = build_m1(spec)
+        m = hard_instance(spec)
         opt = amdp_optimal(m, method="enumerate")
         np.testing.assert_allclose(opt.gain, 5.0 / 9.0, atol=1e-10)
         for x in m.metadata["x_states"]:
@@ -273,7 +272,7 @@ class TestAmdpOptimal:
     @pytest.mark.parametrize("D", [32, 1e3, 1e4])
     def test_enumerated_gains_match_per_class_oracle(self, D):
         # 685 of the 729 policies on M1 S6A3 are multichain
-        m = build_m1(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
+        m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
         policies, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
         gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
         idx = np.arange(6)
@@ -285,7 +284,7 @@ class TestAmdpOptimal:
     def test_ties_resolve_to_first_policy(self):
         # 20 policies tie for the optimal gain here; rounding noise in the
         # gains must not pick among them
-        m = build_m1(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
+        m = hard_instance(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
         policies, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
         gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
         worst = gains.min(axis=1)
@@ -293,7 +292,7 @@ class TestAmdpOptimal:
         opt = amdp_optimal(m, method="enumerate")
         assert np.array_equal(opt.policy.actions, np.zeros(6, dtype=int))
         assert np.array_equal(opt.policy.actions, slow_path_best_gain(m)[0])
-        assert opt.H == pytest.approx(500 / 9, abs=1e-6)
+        assert opt.H == pytest.approx(500 / 9, rel=1e-12, abs=0)
 
     def test_methods_agree(self):
         for _, m in standard_corpus(count=40, master_seed=17):
@@ -310,8 +309,8 @@ class TestAmdpOptimal:
             assert span(opt.gain) <= 1e-9  # constant gain when weakly communicating
             assert opt.weakly_communicating
 
-    def test_residual_fallback_on_tie_heavy_instance(self):
-        # the funnel's argmax policy keeps the invariant through the fallback
+    def test_optimality_equation_on_transient_funnel(self):
+        # the funnel's state 0 is transient under its only policy
         m = make_transient_funnel()
         opt = amdp_optimal(m, method="enumerate")
         assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
@@ -397,6 +396,88 @@ class TestAmdpOptimal:
         assert gain == pytest.approx(float(np.max(opt.gain)), abs=1e-8)
 
 
+def _tied_bias_fixture() -> TabularMdp:
+    """S2A3 whose optimal gain 1 several policies reach: the first of them,
+    [0, 0], leaves state 1 for state 0 and has bias -1.5 there, while
+    [0, 2] stays put earning 1 in both states, bias 0, so H = 0."""
+    P = np.zeros((2, 3, 2))
+    P[0] = [[1, 0], [0.5, 0.5], [0, 1]]
+    P[1] = [[2 / 3, 1 / 3], [1 / 3, 2 / 3], [0, 1]]
+    return TabularMdp(2, 3, P, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+def _enumeration_cases():
+    """The first 200 seed-7 corpus instances and the S6A3 hard family."""
+    ms = [m for _, m in standard_corpus(count=200, master_seed=7)]
+    for D in (32, 1e3, 1e4):
+        for variant, kl in (("M0", {}), ("M1", {}), ("MKL", {"k": 2, "l": 2})):
+            ms.append(hard_instance(HardInstanceSpec(
+                S=6, A=3, D=D, epsilon=1 / 32, variant=variant, **kl)))
+    return ms
+
+
+class TestBiasOptimalH:
+    """On a weakly communicating input the enumeration's bias is the
+    elementwise max of the tied policies' biases: the bias of a
+    bias-optimal policy, so H is exact and canonical."""
+
+    def test_policy_and_gain_match_first_tie_oracle(self):
+        lone = 0
+        for m in _enumeration_cases():
+            actions, gain, policy_bias, bias = first_tie_optimum(m)
+            opt = amdp_optimal(m, method="enumerate")
+            assert np.array_equal(opt.policy.actions, actions)
+            assert np.array_equal(opt.gain, gain)
+            assert np.array_equal(opt.policy_bias, policy_bias)
+            assert np.all(opt.bias >= policy_bias - 1e-9)
+            # a lone gain-optimal policy keeps the old bias bit for bit
+            _, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
+            worst = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu).min(axis=1)
+            if np.sum(worst >= worst.max() - 1e-9) == 1:
+                assert np.array_equal(opt.bias, bias)
+                lone += 1
+        assert lone == 200  # the corpus instances; every hard instance ties
+
+    def test_bias_is_blackwell_policy_bias(self):
+        # discounted PI at gamma = 1 - 1e-6 returns a Blackwell-optimal
+        # policy here, and a Blackwell-optimal policy is bias-optimal
+        for m in _enumeration_cases() + [_tied_bias_fixture()]:
+            opt = amdp_optimal(m, method="enumerate")
+            _, _, pi = dmdp_policy_iteration(m, 1 - 1e-6)
+            np.testing.assert_allclose(
+                opt.bias, amdp_gain_bias(m, pi).bias,
+                rtol=0, atol=1e-10 * max(1.0, opt.H))
+
+    @pytest.mark.parametrize("D", [32, 1e3, 1e4])
+    @pytest.mark.parametrize("variant", ["M0", "M1"])
+    def test_hard_family_H_closed_form(self, variant, D):
+        # H = 2D'/5 on M0 and 4D'/9 on M1, D' = D/8
+        spec = HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant=variant)
+        ratio = {"M0": 2 / 5, "M1": 4 / 9}[variant]
+        opt = amdp_optimal(hard_instance(spec))
+        assert opt.H == pytest.approx(ratio * spec.D_prime, rel=1e-12, abs=0)
+
+    def test_tied_policies_bias_max_gives_zero_span(self):
+        m = _tied_bias_fixture()
+        opt = amdp_optimal(m, method="enumerate")
+        assert np.array_equal(opt.policy.actions, [0, 0])
+        np.testing.assert_allclose(opt.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(opt.bias, [0.0, 0.0], rtol=0, atol=1e-12)
+        assert opt.H == pytest.approx(0.0, abs=1e-12)
+
+    def test_enumeration_runs_no_relative_vi(self, monkeypatch):
+        from amdp_lab import solvers
+
+        def no_relative_vi(m):
+            raise AssertionError("the enumeration ran relative VI")
+
+        monkeypatch.setattr(solvers, "relative_value_iteration", no_relative_vi)
+        spec = HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 32, variant="M1")
+        for m in (hard_instance(spec), _tied_bias_fixture(), make_transient_funnel()):
+            opt = amdp_optimal(m, method="enumerate")
+            assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-10
+
+
 class TestHGammaStar:
     def test_self_loop_is_zero(self, self_loop):
         opt = amdp_optimal(self_loop, method="enumerate")
@@ -433,21 +514,23 @@ class TestHGammaStar:
 
 class TestFiniteHorizon:
     def test_one_step_is_reward(self, cycle, cycle_policy):
-        V = finite_horizon_value(cycle, cycle_policy, 1)
+        chain = induce_chain(cycle, cycle_policy)
+        V = horizon_iterates(chain.matrix, chain.reward, 1)[-1]
         np.testing.assert_allclose(V, [1.0, 0.0], atol=1e-15)
 
     def test_cycle_five_steps(self, cycle, cycle_policy):
-        np.testing.assert_allclose(finite_horizon_value(cycle, cycle_policy, 5),
-                                   [3.0, 2.0], atol=1e-12)
+        chain = induce_chain(cycle, cycle_policy)
+        np.testing.assert_allclose(
+            horizon_iterates(chain.matrix, chain.reward, 5)[-1], [3.0, 2.0], atol=1e-12)
 
     def test_matches_oracle_recursion(self):
         m = random_mdp(4, 2, seed=6)
         pi = DeterministicPolicy(np.array([1, 0, 1, 0]))
         chain = induce_chain(m, pi)
         for T in (1, 7, 33):
-            np.testing.assert_allclose(finite_horizon_value(m, pi, T),
-                                       finite_values(chain.matrix, chain.reward, T),
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                horizon_iterates(chain.matrix, chain.reward, T)[-1],
+                finite_values(chain.matrix, chain.reward, T), atol=1e-12)
 
     def test_iterates_stack_every_horizon(self):
         m = random_mdp(4, 2, seed=6)
@@ -496,5 +579,6 @@ class TestFiniteHorizon:
                                            atol=1e-8)
 
     def test_rejects_bad_horizon(self, cycle, cycle_policy):
+        chain = induce_chain(cycle, cycle_policy)
         with pytest.raises(ValueError):
-            finite_horizon_value(cycle, cycle_policy, 0)
+            horizon_iterates(chain.matrix, chain.reward, 0)
