@@ -8,16 +8,13 @@ the supporting inequalities on concrete instances.
 
 from .chains import (
     ChainStructure,
-    MdpParameters,
     aperiodicity_transform,
-    chain_mixing_time,
     decompose_chain,
     diameter,
     is_communicating,
     is_weakly_communicating,
     min_expected_hitting_times,
     mixing_time,
-    structural_parameters,
 )
 from .corpus import (
     random_mdp,
@@ -36,7 +33,6 @@ from .generative import (
 from .hard_instances import (
     HardInstanceSpec,
     closed_form_component_gain,
-    component_mdp,
     hard_instance,
 )
 from .mdp import (
@@ -57,6 +53,7 @@ from .mdp import (
 )
 from .reduction import (
     Certificate,
+    MdpParameters,
     ReductionParams,
     TrialRecord,
     algorithm1,
@@ -70,6 +67,7 @@ from .reduction import (
     gamma_for_accuracy,
     reduction_chain_certificates,
     reduction_params,
+    structural_parameters,
     write_certificates_csv,
     write_certificates_report,
 )

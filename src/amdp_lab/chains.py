@@ -43,9 +43,10 @@ MIXING_THRESHOLD = 0.5
 #: steps mixing_time may take before raising SolverConvergenceError
 MIXING_MAX_STEPS = 100_000
 
-#: bytes one chunk of the hitting-time solve may hold in each (chunk, S, S)
-#: float64 stack, so peak memory stays a few times this for any S (at
-#: S = 200, 2 MB chunks also ran faster than 8 MB ones)
+#: bytes one chunk of the hitting-time solve, or of the enumeration's tie
+#: set, may hold in each (chunk, S, S) float64 stack, so peak memory stays a
+#: few times this for any S (at S = 200, 2 MB chunks also ran faster than
+#: 8 MB ones)
 _CHUNK_BYTES = 1 << 21
 
 
@@ -64,16 +65,6 @@ class ChainStructure:
     stationary: tuple[np.ndarray, ...]
     limiting_matrix: np.ndarray
     period: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MdpParameters:
-    """Bundle of structural parameters: diameter, worst-case mixing time, and
-    the optimal bias span."""
-
-    diameter: float
-    t_mix: float
-    H: float
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +384,6 @@ def diameter(m: TabularMdp) -> float:
 # mixing time
 
 
-def chain_mixing_time(chain: InducedChain | np.ndarray) -> float:
-    """Mixing time of one chain: mixing_time of its one-action MDP, so +inf
-    for a periodic or multichain chain and SolverConvergenceError past
-    MIXING_MAX_STEPS."""
-    P = chain.matrix if isinstance(chain, InducedChain) else np.asarray(chain, dtype=float)
-    S = P.shape[0]
-    return mixing_time(TabularMdp(S, 1, P[:, None, :], np.zeros((S, 1))))
-
-
 def mixing_time(m: TabularMdp) -> float:
     """Worst-case mixing time over all deterministic policies: the first t
     at which every policy's chain is within MIXING_THRESHOLD of its
@@ -466,11 +448,8 @@ def is_communicating(m: TabularMdp) -> bool:
 def is_weakly_communicating(m: TabularMdp) -> bool:
     """True when the states split into one communicating closed set plus
     states that are transient under every policy."""
-    support = union_support(m)
-    comm, recurrent = _structure_masks(support)
-    if not np.any(recurrent):
-        return False
-    rec_states = np.flatnonzero(recurrent)
+    comm, recurrent = _structure_masks(union_support(m))
+    rec_states = np.flatnonzero(recurrent)  # never empty: some class is closed
     if not np.all(comm[np.ix_(rec_states, rec_states)]):
         return False  # more than one closed class in the union digraph
     # Outside the closed class, no subset may be closable by some policy:
@@ -483,24 +462,3 @@ def is_weakly_communicating(m: TabularMdp) -> bool:
         alive = kept
     return True
 
-
-def structural_parameters(m: TabularMdp) -> MdpParameters:
-    """Bundle (diameter, t_mix, H) for one MDP: solvers' one analysis, which
-    needs every policy's chain for t_mix.
-
-    Both order relations H <= D and H <= 8 t_mix (when the right side is
-    finite) must hold; the certificates that certify writes for them raise
-    ArithmeticError here when one fails.
-    """
-    from .reduction import _parameter_bounds  # local imports: both build on chains
-    from .solvers import _analysis
-
-    if m.num_actions ** m.num_states > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(f"t_mix needs all {m.num_actions}^{m.num_states} "
-                                     f"policies, over budget {ENUMERATION_BUDGET}")
-    D, t_mix, opt = _analysis(m)
-    for cert in _parameter_bounds(opt.H, D, t_mix, ""):
-        if not cert.passed:
-            raise ArithmeticError(f"internal inconsistency: {cert.name} fails, "
-                                  f"bias span {cert.lhs} > {cert.rhs}")
-    return MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)

@@ -10,11 +10,11 @@ from .mdp import TabularMdp
 _TAG_CORPUS = 0x9A3F_52C1_7E88_0004
 
 
-def two_state_cycle(r0: float = 1.0, r1: float = 0.0) -> TabularMdp:
-    """Deterministic two-state cycle with a single action; the canonical
-    periodic chain (gain 1/2, bias (1/4, -1/4) for the default rewards)."""
+def two_state_cycle() -> TabularMdp:
+    """Deterministic two-state cycle with a single action and rewards (1, 0);
+    the canonical periodic chain (gain 1/2, bias (1/4, -1/4))."""
     P = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
-    r = np.array([[r0], [r1]])
+    r = np.array([[1.0], [0.0]])
     return TabularMdp(2, 1, P, r, metadata={"name": "two_state_cycle"})
 
 
@@ -39,12 +39,6 @@ def random_mdp(num_states: int, num_actions: int, seed: int) -> TabularMdp:
                       metadata={"name": f"random-{seed:#x}"})
 
 
-def random_deterministic_policy(num_states: int, num_actions: int,
-                                seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, num_actions, size=num_states)
-
-
 def standard_corpus(count: int = 1000, max_states: int = 6, max_actions: int = 4,
                     master_seed: int = 7):
     """Yield (instance_id, TabularMdp) pairs for the seeded random corpus.
@@ -63,6 +57,4 @@ def standard_corpus(count: int = 1000, max_states: int = 6, max_actions: int = 4
         A = int(rng.integers(1, max_actions + 1))
         instance_id = f"corpus-{master_seed}-{i:04d}"
         m = random_mdp(S, A, derive_seed(seed, 1))
-        meta = dict(m.metadata)
-        meta["name"] = instance_id
-        yield instance_id, TabularMdp(S, A, m.transitions, m.rewards, meta)
+        yield instance_id, TabularMdp(S, A, m.transitions, m.rewards, {"name": instance_id})

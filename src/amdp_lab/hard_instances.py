@@ -90,10 +90,12 @@ def _plan_tree(n_internal: int, n_leaves: int, arity: int):
     """Deterministic tree with exactly n_internal non-leaf nodes and
     n_leaves leaves, each node holding at most ``arity`` children.
 
-    Internal nodes fill breadth-first; every childless internal node then
-    receives one leaf before the remaining leaves fill breadth-first.
-    Returns (children, parent) over node ids 0..n_internal-1 (internal,
-    root = 0) and n_internal..n_internal+n_leaves-1 (leaves).
+    Internal node k hangs under node (k - 1) // arity; each internal node
+    left childless takes one leaf, in node order; the remaining leaves fill
+    the free slots, in node order.  The spec's K >= num_internal leaves
+    enough for the childless nodes.  Returns (children, parent) over node
+    ids 0..n_internal-1 (internal, root = 0) and
+    n_internal..n_internal+n_leaves-1 (leaves).
     """
     if n_internal < 1:
         raise InfeasibleInstanceError(
@@ -102,32 +104,15 @@ def _plan_tree(n_internal: int, n_leaves: int, arity: int):
         raise InfeasibleInstanceError(
             f"a tree with {n_internal} internal nodes of arity {arity} cannot "
             f"hold {n_leaves} leaves")
-    children: list[list[int]] = [[] for _ in range(n_internal)]
-    parent: dict[int, int] = {}
-
-    def attach(node: int) -> None:
-        for p in range(n_internal):
-            if len(children[p]) < arity:
-                children[p].append(node)
-                parent[node] = p
-                return
-        raise InfeasibleInstanceError("tree arity exhausted")  # guarded above
-
-    for node in range(1, n_internal):
-        attach(node)
-    leaves = list(range(n_internal, n_internal + n_leaves))
-    childless = [p for p in range(n_internal) if not children[p]]
-    if len(childless) > n_leaves:
-        raise InfeasibleInstanceError(
-            f"{len(childless)} internal nodes would stay childless with "
-            f"{n_leaves} leaves")
-    pending = list(leaves)
-    for p in childless:
-        leaf = pending.pop(0)
-        children[p].append(leaf)
-        parent[leaf] = p
-    for leaf in pending:
-        attach(leaf)
+    nodes = range(n_internal)
+    inner = [min(arity, max(0, n_internal - 1 - p * arity)) for p in nodes]
+    slots = [p for p in nodes if not inner[p]]
+    slots += [p for p in nodes for _ in range(arity - max(inner[p], 1))]
+    parent = {k: (k - 1) // arity for k in range(1, n_internal)}
+    parent.update(zip(range(n_internal, n_internal + n_leaves), slots))
+    children: list[list[int]] = [[] for _ in nodes]
+    for node, p in parent.items():  # ascending ids, the order children are listed in
+        children[p].append(node)
     return children, parent
 
 
@@ -138,25 +123,6 @@ def closed_form_component_gain(q_xy: float, q_yx: float) -> float:
     if not (0.0 < q_xy <= 1.0 and 0.0 < q_yx <= 1.0):
         raise ValueError("exchange probabilities must lie in (0, 1]")
     return q_yx / (q_xy + q_yx)
-
-
-def component_mdp(D_prime: float, epsilon: float, A_prime: int) -> TabularMdp:
-    """Standalone two-state component: A' identical actions swapping x and y
-    with probability (1 + 8 eps) / D', reward 1 at x and 0 at y."""
-    p = (1.0 + 8.0 * epsilon) / D_prime
-    if p > 1.0:
-        raise InfeasibleInstanceError(
-            f"(1 + 8 eps) / D' = {p} exceeds 1; component probabilities invalid")
-    P = np.zeros((2, A_prime, 2))
-    P[0, :, 1] = p
-    P[0, :, 0] = 1.0 - p
-    P[1, :, 0] = p
-    P[1, :, 1] = 1.0 - p
-    r = np.zeros((2, A_prime))
-    r[0, :] = 1.0
-    return TabularMdp(2, A_prime, P, r,
-                      metadata={"name": "component", "D_prime": D_prime,
-                                "epsilon": epsilon})
 
 
 def hard_instance(spec: HardInstanceSpec) -> TabularMdp:

@@ -62,10 +62,6 @@ class TabularMdp:
         if self.rewards.shape != (S, A):
             raise ValueError(f"rewards shape {self.rewards.shape} != {(S, A)}")
 
-    def with_rewards(self, rewards: np.ndarray) -> "TabularMdp":
-        return TabularMdp(self.num_states, self.num_actions,
-                          self.transitions, rewards, dict(self.metadata))
-
 
 @dataclass(frozen=True)
 class DeterministicPolicy:
@@ -95,17 +91,13 @@ class InducedChain:
         object.__setattr__(self, "matrix", _freeze(self.matrix))
         object.__setattr__(self, "reward", _freeze(self.reward))
 
-    @property
-    def num_states(self) -> int:
-        return self.matrix.shape[0]
 
-
-def validate_mdp(m: TabularMdp, reward_cap: float = 1.0) -> list[str]:
+def validate_mdp(m: TabularMdp) -> list[str]:
     """Check the MDP invariants and return a list of violation descriptions.
 
     An empty list means the MDP is valid: every transition row is a
     probability distribution (sum 1 within PROB_TOL, entries >= 0) and every
-    reward lies in [0, reward_cap].  Violations are data, not exceptions.
+    reward lies in [0, 1].  Violations are data, not exceptions.
     """
     violations: list[str] = []
     P, r = m.transitions, m.rewards
@@ -127,9 +119,8 @@ def validate_mdp(m: TabularMdp, reward_cap: float = 1.0) -> list[str]:
                 violations.append(
                     f"row P[{s}][{a}] sums to {total!r}, not 1")
             rv = float(r[s, a])
-            if rv < 0.0 or rv > reward_cap:
-                violations.append(
-                    f"r[{s}][{a}] = {rv:.6g} outside [0, {reward_cap:.6g}]")
+            if rv < 0.0 or rv > 1.0:
+                violations.append(f"r[{s}][{a}] = {rv:.6g} outside [0, 1]")
     return violations
 
 

@@ -23,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import chains
 from .generative import GenerativeModel, build_empirical, perturb_rewards
-from .mdp import DeterministicPolicy, TabularMdp, span
+from .mdp import DeterministicPolicy, EnumerationBudgetError, TabularMdp, span
 from .solvers import (
     AmdpOptimum,
     GainBias,
@@ -156,13 +157,13 @@ def _calibrated(m: TabularMdp, epsilon: float, opt: AmdpOptimum):
     return gamma, V_star, pi_hat, dmdp_policy_value(m, opt.policy, gamma)
 
 
-def _policy_horizon(m: TabularMdp, pi: DeterministicPolicy, horizon: int,
+def _policy_horizon(m: TabularMdp, pi: DeterministicPolicy,
                     gb: GainBias | None = None):
-    """(chain, gain/bias, iterates V_1..V_horizon) of one policy; gb, when
+    """(chain, gain/bias, iterates V_1..V_HORIZON) of one policy; gb, when
     given, is its gain/bias."""
     chain = induce_chain(m, pi)
     return (chain, chain_gain_bias(chain) if gb is None else gb,
-            horizon_iterates(chain.matrix, chain.reward, horizon))
+            horizon_iterates(chain.matrix, chain.reward, HORIZON))
 
 
 def _span_bounds(epsilon, calibrated, gb, V, instance_id) -> list[Certificate]:
@@ -247,17 +248,15 @@ def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
     """
     if opt is None:
         opt = amdp_optimal(m)
-    _, gb, V = _policy_horizon(m, opt.policy, HORIZON,
-                               GainBias(opt.gain, opt.policy_bias))
+    _, gb, V = _policy_horizon(m, opt.policy, GainBias(opt.gain, opt.policy_bias))
     return _span_bounds(epsilon, _calibrated(m, epsilon, opt), gb, V, instance_id)
 
 
 def certify_finite_horizon_identity(m: TabularMdp, pi: DeterministicPolicy,
-                                    horizon: int = HORIZON,
                                     instance_id: str = "") -> Certificate:
-    """Check V_T = T gain + bias - P^T bias for all T up to the horizon; the
+    """Check V_T = T gain + bias - P^T bias for all T up to HORIZON; the
     certificate carries the worst residual."""
-    return _horizon_identity(*_policy_horizon(m, pi, horizon), instance_id)
+    return _horizon_identity(*_policy_horizon(m, pi), instance_id)
 
 
 def reduction_chain_certificates(m: TabularMdp, epsilon: float,
@@ -292,8 +291,7 @@ def certify_instance(m: TabularMdp, epsilon: float,
     and shared."""
     D, t_mix, opt = _analysis(m)
     calibrated = _calibrated(m, epsilon, opt)
-    chain, gb, V = _policy_horizon(m, opt.policy, HORIZON,
-                                   GainBias(opt.gain, opt.policy_bias))
+    chain, gb, V = _policy_horizon(m, opt.policy, GainBias(opt.gain, opt.policy_bias))
     return [
         _discount_gap(m, opt.policy, opt.gain, 0.9, instance_id),
         *_span_bounds(epsilon, calibrated, gb, V, instance_id),
@@ -301,6 +299,35 @@ def certify_instance(m: TabularMdp, epsilon: float,
         _reduction_links(m, epsilon, 0.0, calibrated, opt, instance_id)[-1],
         *_parameter_bounds(opt.H, D, t_mix, instance_id),
     ]
+
+
+@dataclass(frozen=True)
+class MdpParameters:
+    """Bundle of structural parameters: diameter, worst-case mixing time, and
+    the optimal bias span."""
+
+    diameter: float
+    t_mix: float
+    H: float
+
+
+def structural_parameters(m: TabularMdp) -> MdpParameters:
+    """Bundle (diameter, t_mix, H) for one MDP: solvers' one analysis, which
+    needs every policy's chain for t_mix.
+
+    Both order relations H <= D and H <= 8 t_mix (when the right side is
+    finite) must hold; the certificates that certify writes for them raise
+    ArithmeticError here when one fails.
+    """
+    if m.num_actions ** m.num_states > chains.ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"t_mix needs all {m.num_actions}^{m.num_states} "
+                                     f"policies, over budget {chains.ENUMERATION_BUDGET}")
+    D, t_mix, opt = _analysis(m)
+    for cert in _parameter_bounds(opt.H, D, t_mix, ""):
+        if not cert.passed:
+            raise ArithmeticError(f"internal inconsistency: {cert.name} fails, "
+                                  f"bias span {cert.lhs} > {cert.rhs}")
+    return MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)
 
 
 # ---------------------------------------------------------------------------

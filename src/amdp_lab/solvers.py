@@ -289,23 +289,31 @@ def _enumerated_optimum(m: TabularMdp, batch) -> AmdpOptimum:
     """amdp_optimal's enumeration, over the _policy_batch of m: every
     policy's per-state gain from one batched Cesaro-limit solve on the
     batch's stationary rows, then the gain/bias of the tied policies from
-    one batched deviation solve on those rows too (of the first alone when
-    m is not weakly communicating)."""
+    batched deviation solves on those rows too (of the first alone when m
+    is not weakly communicating), in chunks whose (chunk, S, S) stacks fit
+    in chains._CHUNK_BYTES."""
     worst = _cesaro_limit(batch.P_all, batch.comm, batch.recurrent, batch.r_all,
                           nu=batch.nu).min(axis=1)
     tied = np.flatnonzero(worst >= worst.max() - GAIN_TIE_TOL)
     wc = is_weakly_communicating(m)
     if not wc:
         tied = tied[:1]
-    gb = _gain_bias(batch.P_all[tied], batch.r_all[tied], batch.comm[tied],
-                    batch.recurrent[tied], batch.nu[tied])
     # the bias-optimal policy's bias is the elementwise max of the
     # gain-optimal policies' biases (Puterman 1994, ch. 10)
-    bias = gb.bias.max(axis=0)
-    return AmdpOptimum(gain=gb.gain[0], bias=bias,
+    step = max(1, chains._CHUNK_BYTES // (8 * m.num_states**2))
+    chunk_max = []
+    for k in range(0, len(tied), step):
+        part = tied[k:k + step]
+        gb = _gain_bias(batch.P_all[part], batch.r_all[part], batch.comm[part],
+                        batch.recurrent[part], batch.nu[part])
+        if k == 0:
+            gain, policy_bias = gb.gain[0], gb.bias[0]
+        chunk_max.append(gb.bias.max(axis=0))
+    bias = np.max(chunk_max, axis=0)
+    return AmdpOptimum(gain=gain, bias=bias,
                        policy=DeterministicPolicy(batch.policies[tied[0]]),
                        H=span(bias), weakly_communicating=wc,
-                       policy_bias=gb.bias[0])
+                       policy_bias=policy_bias)
 
 
 def _analysis(m: TabularMdp):

@@ -310,31 +310,36 @@ def almost_sure_reach_set(m, target: int) -> np.ndarray:
         candidates = reached
 
 
-def value_iteration_hitting_times(m, target: int, tol: float = 1e-9,
+def value_iteration_hitting_times(m, tol: float = 1e-9,
                                   max_sweeps: int = 10**7) -> np.ndarray:
-    """Minimal expected hitting times to ``target`` by value iteration of
-    T(s) = min_a {1 + sum_{s' != target} P(s'|s,a) T(s')} from zero, +inf
-    outside the almost-sure reach set and, as a backstop, above
-    HITTING_TIME_CAP: the per-target solve diameter used before its policy
-    iteration.  Stops about tol short of the true value."""
-    finite = almost_sure_reach_set(m, target)
-    P = m.transitions.copy()
-    P[:, :, target] = 0.0
-    sentinel = 10.0 * HITTING_TIME_CAP
-    T = np.where(finite, 0.0, sentinel)
-    T[target] = 0.0
+    """Minimal expected hitting times (S, S), indexed [target, state], by
+    value iteration of T(s) = min_a {1 + sum_{s' != t} P(s'|s,a) T(s')}
+    from zero, +inf outside each target's almost-sure reach set and, as a
+    backstop, above HITTING_TIME_CAP: the per-target solve diameter used
+    before its policy iteration, swept for all targets at once.  Each target
+    keeps its own reach set, sentinel, cap and tol stop, and leaves the
+    sweep when it stops; it stops about tol short of the true value."""
+    S = m.num_states
+    finite = np.array([almost_sure_reach_set(m, t) for t in range(S)])
+    # P_a^T per action; T[t, t] stays 0, so the product drops each target's
+    # own column of P
+    PT = np.transpose(m.transitions, (1, 2, 0))
+    swept = finite & ~np.eye(S, dtype=bool)
+    held = np.where(finite, 0.0, 10.0 * HITTING_TIME_CAP)  # sentinel off the set
+    T, running = held, np.ones((S, 1), dtype=bool)
     for _ in range(max_sweeps):
-        T_new = (1.0 + np.einsum("sat,t->sa", P, T)).min(axis=1)
-        T_new[target] = 0.0
-        T_new[~finite] = sentinel
-        if np.max(T_new[finite]) > HITTING_TIME_CAP:
+        # 1 + min equals min of 1 + x: rounding is monotone
+        T_new = np.where(swept, 1.0 + np.matmul(T, PT).min(axis=0), held)
+        # a capped target keeps its last iterate; the others take the sweep
+        running &= T_new.max(axis=1, where=finite, initial=0.0, keepdims=True) <= HITTING_TIME_CAP
+        step = np.abs(T_new - T).max(axis=1, keepdims=True)
+        T = np.where(running, T_new, T)
+        running &= step > tol
+        if not running.any():
             break
-        if np.max(np.abs(T_new - T)[finite]) <= tol:
-            T = T_new
-            break
-        T = T_new
     else:
-        raise RuntimeError(f"oracle hitting times to {target} did not converge")
+        raise RuntimeError(f"oracle hitting times to {np.flatnonzero(running)} "
+                           "did not converge")
     out = np.where(finite, T, np.inf)
     out[out > HITTING_TIME_CAP] = np.inf
     return out
@@ -396,7 +401,7 @@ def separate_instance_certificates(m, instance_id: str, epsilon: float) -> list:
     certs = [
         reduction.certify_gain_discount_gap(m, opt.policy, 0.9, instance_id),
         *reduction.certify_span_bounds(m, epsilon, instance_id, opt=opt),
-        reduction.certify_finite_horizon_identity(m, opt.policy, 200, instance_id),
+        reduction.certify_finite_horizon_identity(m, opt.policy, instance_id),
         reduction.certify_reduction_bound(m, epsilon, 0.0, instance_id, opt=opt),
     ]
     D = chains.diameter(m)
@@ -412,17 +417,60 @@ def separate_instance_certificates(m, instance_id: str, epsilon: float) -> list:
     return certs
 
 
+def scan_plan_tree(n_internal: int, n_leaves: int, arity: int):
+    """The hard family's router tree laid out by scanning: each internal
+    node, then each leaf, attaches to the first node with a free slot, and
+    every internal node left childless first takes one leaf (the O(n^2)
+    layout _plan_tree had before its closed form).  Returns (children,
+    parent) as _plan_tree does."""
+    from amdp_lab import InfeasibleInstanceError
+
+    if n_internal < 1:
+        raise InfeasibleInstanceError(
+            f"S and A leave {n_internal} non-leaf tree nodes; at least 1 is needed")
+    if arity * n_internal < n_internal - 1 + n_leaves:
+        raise InfeasibleInstanceError(
+            f"a tree with {n_internal} internal nodes of arity {arity} cannot "
+            f"hold {n_leaves} leaves")
+    children: list[list[int]] = [[] for _ in range(n_internal)]
+    parent: dict[int, int] = {}
+
+    def attach(node: int) -> None:
+        for p in range(n_internal):
+            if len(children[p]) < arity:
+                children[p].append(node)
+                parent[node] = p
+                return
+        raise InfeasibleInstanceError("tree arity exhausted")
+
+    for node in range(1, n_internal):
+        attach(node)
+    childless = [p for p in range(n_internal) if not children[p]]
+    if len(childless) > n_leaves:
+        raise InfeasibleInstanceError(
+            f"{len(childless)} internal nodes would stay childless with "
+            f"{n_leaves} leaves")
+    pending = list(range(n_internal, n_internal + n_leaves))
+    for p in childless:
+        leaf = pending.pop(0)
+        children[p].append(leaf)
+        parent[leaf] = p
+    for leaf in pending:
+        attach(leaf)
+    return children, parent
+
+
 def multipass_hard_instance(spec):
     """The hard-family instance built in passes: fill the M0 skeleton state
     by state, then rewrite one x row per lowered swap (every component for
     M1, then component k for MKL), copying the tensor and metadata each
-    time, the route the builders took before the one-pass leak table."""
+    time, the route the builders took before the one-pass leak table; its
+    router tree comes from scan_plan_tree."""
     from amdp_lab import TabularMdp
-    from amdp_lab.hard_instances import _plan_tree
 
     S, A, arity = spec.S, spec.A, spec.A_prime
     n_int, K = spec.num_internal, spec.K
-    children, parent = _plan_tree(n_int, K, arity)
+    children, parent = scan_plan_tree(n_int, K, arity)
 
     def state_of(node: int) -> int:
         return node if node < n_int else n_int + 2 * (node - n_int)

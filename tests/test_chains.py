@@ -12,7 +12,6 @@ from amdp_lab import (
     aperiodicity_transform,
     amdp_gain_bias,
     amdp_optimal,
-    chain_mixing_time,
     decompose_chain,
     diameter,
     hard_instance,
@@ -51,6 +50,13 @@ from oracles import (
 
 def single_action_chain(m):
     return induce_chain(m, DeterministicPolicy(np.zeros(m.num_states, dtype=int)))
+
+
+def chain_mixing_time(P) -> float:
+    """Mixing time of one chain: mixing_time of its one-action MDP."""
+    from amdp_lab import TabularMdp
+    P = np.asarray(P, dtype=float)
+    return mixing_time(TabularMdp(len(P), 1, P[:, None, :], np.zeros((len(P), 1))))
 
 
 class TestDecompose:
@@ -271,13 +277,11 @@ def _assert_hitting_times_match_oracle(ms) -> None:
     per-target value iteration within 1e-9 relative, with the same +inf
     entries."""
     for m in ms:
-        vectors = [value_iteration_hitting_times(m, t, tol=1e-11)
-                   for t in range(m.num_states)]
-        for t, oracle in enumerate(vectors):
-            T = min_expected_hitting_times(m, t)
-            assert np.array_equal(np.isinf(T), np.isinf(oracle))
-            np.testing.assert_allclose(T[np.isfinite(T)], oracle[np.isfinite(T)],
-                                       rtol=1e-9, atol=0)
+        vectors = value_iteration_hitting_times(m, tol=1e-11)
+        T = np.array([min_expected_hitting_times(m, t) for t in range(m.num_states)])
+        assert np.array_equal(np.isinf(T), np.isinf(vectors))
+        np.testing.assert_allclose(T[np.isfinite(T)], vectors[np.isfinite(T)],
+                                   rtol=1e-9, atol=0)
         worst = max(float(np.delete(v, t).max(initial=0.0))
                     for t, v in enumerate(vectors))
         if math.isinf(worst):
@@ -306,6 +310,10 @@ class TestMixingTime:
     def test_slow_chain(self, D, expected):
         assert mixing_time(two_state_slow_chain(D)) == expected
 
+    def test_slow_chain_needs_D_at_least_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            two_state_slow_chain(0.5)
+
     def test_lazy_cycle_sequence(self, cycle):
         # frozen oracle: l1 distance decays as |1-2 tau|^t, thresholds at 1/2
         expected = {0.25: 1.0, 0.1: 4.0, 0.01: 35.0}
@@ -322,13 +330,11 @@ class TestMixingTime:
         # t_mix = 35 on this lazy cycle: a cap below it is an error, not inf
         from amdp_lab import chains
         lazy = aperiodicity_transform(cycle, 0.01)
-        chain = single_action_chain(lazy)
-        for fn, arg in ((mixing_time, lazy), (chain_mixing_time, chain)):
-            monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 10)
-            with pytest.raises(SolverConvergenceError):
-                fn(arg)
-            monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 35)
-            assert fn(arg) == 35.0
+        monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 10)
+        with pytest.raises(SolverConvergenceError):
+            mixing_time(lazy)
+        monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 35)
+        assert mixing_time(lazy) == 35.0
 
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
@@ -554,9 +560,9 @@ class TestStructuralParameters:
     def test_failed_order_relation_raises(self, monkeypatch, D, t_mix, H, failing):
         from types import SimpleNamespace
 
-        from amdp_lab import solvers
+        from amdp_lab import reduction
 
-        monkeypatch.setattr(solvers, "_analysis",
+        monkeypatch.setattr(reduction, "_analysis",
                             lambda m: (D, t_mix, SimpleNamespace(H=H)))
         with pytest.raises(ArithmeticError, match=failing):
             structural_parameters(two_state_slow_chain(7))
@@ -584,7 +590,7 @@ class TestBlockSpanBound:
                                                       m.num_actions)[:32]:
                 pi = DeterministicPolicy(actions)
                 chain = induce_chain(m, pi)
-                t_mix = chain_mixing_time(chain)
+                t_mix = chain_mixing_time(chain.matrix)
                 if not math.isfinite(t_mix):
                     continue
                 members = decompose_chain(chain.matrix).recurrent_classes[0]

@@ -1,6 +1,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,17 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_params", lambda args: seen.append(args.mdp) or 0)
         assert main(["params", "--mdp", "x.json"]) == 0
         assert seen == ["x.json"]
+
+    def test_runs_as_module(self, cycle_file):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "amdp_lab.cli", "params",
+                               "--mdp", cycle_file], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "H = 0.500000" in proc.stdout
 
 
 class TestSolve:
@@ -134,6 +149,19 @@ class TestSolve:
 
     def test_missing_gamma_exits_2(self, cycle_file, capsys):
         assert main(["solve", "dmdp", "--mdp", cycle_file]) == 2
+
+    def test_amdp_not_weakly_communicating_prints_note(self, tmp_path, capsys):
+        from conftest import make_two_absorbing
+        path = tmp_path / "two_absorbing.json"
+        write_mdp(make_two_absorbing(), path)
+        assert main(["solve", "amdp", "--mdp", str(path)]) == 0
+        assert "note: input is not weakly communicating" in capsys.readouterr().out
+
+    def test_solver_failure_exits_3(self, cycle_file, monkeypatch, capsys):
+        from amdp_lab import chains
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 0)
+        assert main(["solve", "dmdp", "--mdp", cycle_file, "--gamma", "0.9"]) == 3
+        assert "solver error: policy iteration" in capsys.readouterr().err
 
 
 class TestParams:
@@ -232,6 +260,23 @@ class TestCertify:
 
     def test_needs_input(self, tmp_path, capsys):
         assert main(["certify", "--out", str(tmp_path)]) == 2
+
+    def test_failed_certificate_exits_1(self, cycle_file, tmp_path, monkeypatch,
+                                        capsys):
+        from amdp_lab import reduction
+
+        def one_failing(m, epsilon, instance_id):
+            certs = certify_instance(m, epsilon, instance_id)
+            return [replace(certs[0], rhs=-1.0, passed=False), *certs[1:]]
+
+        monkeypatch.setattr(reduction, "certify_instance", one_failing)
+        assert main(["certify", "--mdp", cycle_file, "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL two_state_cycle gain_discount_gap: lhs=" in out
+        assert out.endswith("1 failed\n")
+        report = json.loads((tmp_path / "certificates.json").read_text())
+        assert report["failed"] == [{"instance_id": "two_state_cycle",
+                                     "name": "gain_discount_gap"}]
 
     def test_mdp_and_count_exit_2(self, cycle_file, tmp_path, capsys):
         # --count used to be ignored silently when --mdp named files
@@ -483,6 +528,14 @@ class TestExperiment:
         assert main(["experiment", "--mdp", m1_file, "--epsilon", "0.25",
                      "--N", "100", "--seed", "1", "--trials", "0",
                      "--out", str(tmp_path)]) == 2
+
+    def test_malformed_N_exits_2(self, m1_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--mdp", m1_file, "--epsilon", "0.25",
+                  "--N", "1,x", "--seed", "1", "--trials", "2",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "not a comma-separated int list: '1,x'" in capsys.readouterr().err
 
     def test_empty_N_rejected(self, m1_file, tmp_path, capsys):
         assert main(["experiment", "--mdp", m1_file, "--epsilon", "0.25",

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ class TestPerturbRewards:
         assert params.xi < 1e-6
         r_p = perturb_rewards(m.rewards, params.xi, 31)
         _, V_base, _ = dmdp_value_iteration(m, params.gamma, 1e-10)
-        _, V_pert, _ = dmdp_value_iteration(m.with_rewards(r_p), params.gamma, 1e-10)
+        _, V_pert, _ = dmdp_value_iteration(replace(m, rewards=r_p), params.gamma, 1e-10)
         assert np.max(np.abs(V_pert - V_base)) <= params.xi / (1 - params.gamma) + 1e-9
 
     def test_negative_xi_rejected(self):

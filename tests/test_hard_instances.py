@@ -10,15 +10,14 @@ from amdp_lab import (
     amdp_gain_bias,
     amdp_optimal,
     closed_form_component_gain,
-    component_mdp,
     diameter,
     hard_instance,
     is_communicating,
     validate_mdp,
     write_mdp,
 )
-from amdp_lab.hard_instances import HardInstanceSpec
-from oracles import multipass_hard_instance
+from amdp_lab.hard_instances import HardInstanceSpec, _plan_tree
+from oracles import multipass_hard_instance, scan_plan_tree
 
 EPS = 1.0 / 32.0
 SPEC6 = HardInstanceSpec(S=6, A=3, D=32, epsilon=EPS, variant="M0")
@@ -66,21 +65,31 @@ class TestSpecAdmissibility:
             HardInstanceSpec(S=6, A=3, D=32, epsilon=EPS, variant="MKL", k=1, l=3)
         with pytest.raises(InfeasibleInstanceError):
             replace(SPEC6, variant="MKL", k=1, l=1)
+        with pytest.raises(InfeasibleInstanceError, match="needs both k and l"):
+            replace(SPEC6, variant="MKL", k=1)
+        with pytest.raises(InfeasibleInstanceError, match="unknown variant 'M2'"):
+            replace(SPEC6, variant="M2")
 
 
 class TestComponent:
+    # the components of M0 at D' = 4 with A' = 2 component actions
+    M0 = hard_instance(SPEC6)
+    X, Y = M0.metadata["x_states"], M0.metadata["y_states"]
+
     def test_swap_probability_value(self):
-        m = component_mdp(4.0, EPS, 2)
-        assert m.transitions[0, 0, 1] == pytest.approx(0.3125)
-        assert m.transitions[1, 1, 0] == pytest.approx(0.3125)
-        assert validate_mdp(m) == []
+        for a in range(SPEC6.A_prime):
+            assert self.M0.transitions[self.X, a, self.Y] == pytest.approx(0.3125)
+            assert self.M0.transitions[self.Y, a, self.X] == pytest.approx(0.3125)
+        assert validate_mdp(self.M0) == []
 
     def test_every_policy_has_gain_half(self):
-        m = component_mdp(4.0, EPS, 2)
-        for a0 in range(2):
-            for a1 in range(2):
-                gb = amdp_gain_bias(m, DeterministicPolicy(np.array([a0, a1])))
-                np.testing.assert_allclose(gb.gain, 0.5, atol=1e-12)
+        # component actions keep x_j and y_j inside their component
+        for a0 in range(SPEC6.A_prime):
+            for a1 in range(SPEC6.A_prime):
+                actions = np.zeros(SPEC6.S, dtype=int)
+                actions[self.X], actions[self.Y] = a0, a1
+                gb = amdp_gain_bias(self.M0, DeterministicPolicy(actions))
+                np.testing.assert_allclose(gb.gain[self.X + self.Y], 0.5, atol=1e-12)
 
     def test_closed_form_symmetry(self):
         assert closed_form_component_gain(0.3, 0.3) == pytest.approx(0.5)
@@ -245,3 +254,38 @@ class TestOnePassBuilder:
     def test_build_mkl_range_errors(self, k, l, message):
         with pytest.raises(InfeasibleInstanceError, match=re.escape(message)):
             replace(SPEC14, variant="MKL", k=k, l=l)
+
+
+class TestPlanTree:
+    """_plan_tree's closed form lays out the same tree as the scan that
+    attached each node to the first parent with room."""
+
+    def test_matches_scan_oracle_on_small_shapes(self):
+        # every (n_internal, n_leaves, arity) the scan accepts with
+        # n_leaves >= n_internal, which K = ceil(S / 3) >= S - 2K guarantees
+        checked = 0
+        for n_int in range(1, 30):
+            for n_leaves in range(n_int, 45):
+                for arity in range(2, 10):
+                    try:
+                        expected = scan_plan_tree(n_int, n_leaves, arity)
+                    except InfeasibleInstanceError:
+                        with pytest.raises(InfeasibleInstanceError):
+                            _plan_tree(n_int, n_leaves, arity)
+                        continue
+                    assert _plan_tree(n_int, n_leaves, arity) == expected
+                    checked += 1
+        assert checked > 3000
+
+    def test_matches_scan_oracle_on_admissible_specs(self):
+        checked = 0
+        for S in range(5, 80):
+            for A in range(3, 12):
+                try:
+                    spec = HardInstanceSpec(S=S, A=A, D=1e4, epsilon=EPS)
+                except InfeasibleInstanceError:
+                    continue
+                args = (spec.num_internal, spec.K, spec.A_prime)
+                assert _plan_tree(*args) == scan_plan_tree(*args), args
+                checked += 1
+        assert checked > 500

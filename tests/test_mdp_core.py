@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,13 +38,23 @@ class TestValidate:
         m = TabularMdp(1, 1, np.array([[[1.0]]]), np.array([[1.5]]))
         problems = validate_mdp(m)
         assert len(problems) == 1 and "r[0][0]" in problems[0]
-        # a perturbed-model cap admits the same table
-        assert validate_mdp(m, reward_cap=1.5) == []
 
     def test_negative_probability(self):
         P = np.array([[[1.2, -0.2]], [[1.0, 0.0]]])
         m = TabularMdp(2, 1, P, np.zeros((2, 1)))
         assert any("negative" in v for v in validate_mdp(m))
+
+
+class TestConstruction:
+    def test_mdp_shapes_must_match(self):
+        with pytest.raises(ValueError, match="transitions shape"):
+            TabularMdp(2, 1, np.ones((2, 1, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="rewards shape"):
+            TabularMdp(1, 1, np.ones((1, 1, 1)), np.zeros((1, 2)))
+
+    def test_policy_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            DeterministicPolicy(np.zeros((2, 2), dtype=int))
 
 
 class TestSpan:
@@ -112,7 +123,7 @@ class TestFileFormat:
         r[0, 0] = 1.0 / 3.0
         r[1, 0] = np.nextafter(1.0, 0.0)
         r[2, 1] = 1e-300
-        m = m.with_rewards(r)
+        m = replace(m, rewards=r)
         path = tmp_path / "m.json"
         write_mdp(m, path)
         back = read_mdp(path)
@@ -129,6 +140,21 @@ class TestFileFormat:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(MdpFormatError, match=r"P\[0\]\[0\]"):
+            read_mdp(path)
+
+    @pytest.mark.parametrize("transitions, rewards, message", [
+        ("[[[NaN]]]", "[[0.5]]", "non-finite"),
+        ("[[[1.0]]]", "[[NaN]]", "non-finite"),
+        ("[[[0.5, 0.5]]]", "[[0.5]]", "transitions shape"),
+        ("[[[1.0]]]", "[0.5]", "rewards shape"),
+    ])
+    def test_nan_or_misshapen_arrays_rejected(self, tmp_path, transitions,
+                                              rewards, message):
+        # json reads NaN as a float
+        path = tmp_path / "bad.json"
+        path.write_text('{"num_states": 1, "num_actions": 1, "transitions": %s, '
+                        '"rewards": %s}' % (transitions, rewards))
+        with pytest.raises(MdpFormatError, match=message):
             read_mdp(path)
 
     def test_missing_rewards_is_schema_error(self, tmp_path):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestAlgorithm1:
         learned = algorithm1(gm, params)
         r_p = perturb_rewards(truth.rewards, params.xi, gm.seed_spec.reward_seed())
         accuracy = min(1e-9 / (1 - params.gamma), params.eps_gamma / 10.0)
-        _, _, exact = dmdp_value_iteration(truth.with_rewards(r_p), params.gamma,
+        _, _, exact = dmdp_value_iteration(replace(truth, rewards=r_p), params.gamma,
                                            accuracy)
         assert np.array_equal(learned.actions, exact.actions)
 
@@ -189,7 +190,7 @@ class TestCertificates:
         # constant rewards give a zero bias span; the guard pins gamma = 1/2
         # and the bounds hold trivially
         m = standard_corpus(count=1, master_seed=3).__next__()[1]
-        m = m.with_rewards(np.full_like(m.rewards, 0.5))
+        m = replace(m, rewards=np.full_like(m.rewards, 0.5))
         opt = amdp_optimal(m)
         assert opt.H <= 1e-10
         certs = certify_span_bounds(m, 0.5, opt=opt)
@@ -203,7 +204,7 @@ class TestCertificates:
             assert all(c.passed for c in certify_span_bounds(m, eps))
 
     def test_finite_horizon_identity(self, cycle, cycle_policy):
-        cert = certify_finite_horizon_identity(cycle, cycle_policy, 200)
+        cert = certify_finite_horizon_identity(cycle, cycle_policy)
         assert cert.lhs <= 1e-12
         assert cert.passed
 
@@ -217,7 +218,7 @@ class TestCertificates:
             assert span_cert.lhs == finite_horizon_span_loop(
                 chain.matrix, chain.reward, 200)
             gb = amdp_gain_bias(m, opt.policy)
-            ident = certify_finite_horizon_identity(m, opt.policy, 200)
+            ident = certify_finite_horizon_identity(m, opt.policy)
             assert ident.lhs == finite_horizon_identity_loop(
                 chain.matrix, chain.reward, gb.gain, gb.bias, 200)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ GAMMAS = (0.5, 0.9, 0.99)
 class TestDmdpPolicyValue:
     def test_self_loop_geometric(self, self_loop, ):
         pi = DeterministicPolicy(np.array([0]))
-        m = self_loop.with_rewards(np.array([[1.0]]))
+        m = replace(self_loop, rewards=np.array([[1.0]]))
         assert dmdp_policy_value(m, pi, 0.9)[0] == pytest.approx(10.0, abs=1e-10)
 
     def test_cycle_closed_form_and_oracle(self, cycle, cycle_policy):
@@ -49,7 +51,7 @@ class TestDmdpPolicyValue:
         np.testing.assert_allclose(V, oracle, atol=1e-12)
 
     def test_zero_rewards(self):
-        m = random_mdp(4, 2, seed=0).with_rewards(np.zeros((4, 2)))
+        m = replace(random_mdp(4, 2, seed=0), rewards=np.zeros((4, 2)))
         V = dmdp_policy_value(m, DeterministicPolicy(np.zeros(4, dtype=int)), 0.7)
         np.testing.assert_allclose(V, 0.0, atol=1e-14)
 
@@ -66,7 +68,7 @@ class TestDmdpValueIteration:
         assert V[0] == pytest.approx(1.6, abs=1e-9)
 
     def test_zero_rewards_tie_break(self):
-        m = random_mdp(3, 3, seed=2).with_rewards(np.zeros((3, 3)))
+        m = replace(random_mdp(3, 3, seed=2), rewards=np.zeros((3, 3)))
         Q, V, pi = dmdp_value_iteration(m, 0.9, 1e-8)
         assert np.array_equal(Q, np.zeros((3, 3)))
         assert np.array_equal(pi.actions, np.zeros(3, dtype=int))
@@ -96,6 +98,13 @@ class TestDmdpValueIteration:
             _, V_tight, _ = dmdp_value_iteration(m, 0.9, 1e-10)
             assert np.max(V_tight - v_pi) <= eps + 1e-9
 
+    def test_argument_checks(self, cycle):
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError, match="gamma"):
+                dmdp_value_iteration(cycle, gamma, 1e-6)
+        with pytest.raises(ValueError, match="target_accuracy"):
+            dmdp_value_iteration(cycle, 0.9, 0.0)
+
     def test_iteration_cap(self, cycle, monkeypatch):
         from amdp_lab import SolverConvergenceError, solvers
         monkeypatch.setattr(solvers, "VI_MAX_SWEEPS", 5)
@@ -105,7 +114,7 @@ class TestDmdpValueIteration:
 
 class TestDmdpPolicyIteration:
     def test_zero_rewards_tie_break(self):
-        m = random_mdp(3, 3, seed=2).with_rewards(np.zeros((3, 3)))
+        m = replace(random_mdp(3, 3, seed=2), rewards=np.zeros((3, 3)))
         Q, V, pi = dmdp_policy_iteration(m, 0.9)
         assert np.array_equal(Q, np.zeros((3, 3)))
         assert np.array_equal(pi.actions, np.zeros(3, dtype=int))
@@ -238,6 +247,10 @@ class TestGainBias:
 
 
 class TestAmdpOptimal:
+    def test_unknown_method(self, slow4):
+        with pytest.raises(ValueError, match="unknown method 'x'"):
+            amdp_optimal(slow4, method="x")
+
     def test_single_action_equals_gain_bias(self, slow4):
         opt = amdp_optimal(slow4, method="enumerate")
         gb = amdp_gain_bias(slow4, DeterministicPolicy(np.array([0, 0])))
@@ -464,6 +477,21 @@ class TestBiasOptimalH:
         np.testing.assert_allclose(opt.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
         np.testing.assert_allclose(opt.bias, [0.0, 0.0], rtol=0, atol=1e-12)
         assert opt.H == pytest.approx(0.0, abs=1e-12)
+
+    def test_tie_set_chunks_change_no_bits(self, monkeypatch):
+        # one policy per chunk against one chunk for the whole tie set: on
+        # the hard family and on an input where all 256 policies tie
+        from amdp_lab import chains
+
+        ms = _enumeration_cases()[200:]
+        ms.append(replace(random_mdp(4, 4, seed=3), rewards=np.full((4, 4), 0.5)))
+        whole = [amdp_optimal(m, method="enumerate") for m in ms]
+        monkeypatch.setattr(chains, "_CHUNK_BYTES", 1)
+        for m, expected in zip(ms, whole):
+            opt = amdp_optimal(m, method="enumerate")
+            for name in ("policy_bias", "bias", "gain"):
+                assert np.array_equal(getattr(opt, name), getattr(expected, name))
+            assert np.array_equal(opt.policy.actions, expected.policy.actions)
 
     def test_enumeration_runs_no_relative_vi(self, monkeypatch):
         from amdp_lab import solvers
