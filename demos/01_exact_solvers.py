@@ -26,7 +26,7 @@ print("the bias span 1/2 is exactly the long-run advantage of starting on the"
       " rewarding side of the cycle")
 
 print("\n== optimal control, both methods ==")
-opt_enum = lab.amdp_optimal(cycle, method="enumerate")
+opt_enum = lab.amdp_optimal(cycle)
 opt_rvi = lab.amdp_optimal(cycle, method="relative_vi")
 print(f"enumerate:   rho* = {opt_enum.gain[0]:.12f}, H = {opt_enum.H:.12f}")
 print(f"relative VI: rho* = {opt_rvi.gain[0]:.12f}, H = {opt_rvi.H:.12f}")

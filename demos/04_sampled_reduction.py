@@ -13,7 +13,7 @@ from amdp_lab.hard_instances import HardInstanceSpec
 
 spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
 truth = lab.hard_instance(spec)
-opt = lab.amdp_optimal(truth, method="enumerate")
+opt = lab.amdp_optimal(truth)
 H = max(opt.H, 1.0)
 print(f"truth: optimal gain {float(opt.gain[0]):.6f}, bias span H = {opt.H:.4f}")
 

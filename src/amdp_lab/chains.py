@@ -15,6 +15,7 @@ the solvers' exact discounted optimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,7 +81,7 @@ def _closure(support: np.ndarray) -> np.ndarray:
     S = support.shape[-1]
     eye = np.eye(S, dtype=bool)
     C = support | eye
-    steps = max(1, int(math.ceil(math.log2(S))) if S > 1 else 1)
+    steps = max(1, math.ceil(math.log2(S)))
     for _ in range(steps):
         C = C | (np.matmul(C.astype(np.float32), C.astype(np.float32)) > 0)
     return C
@@ -98,26 +99,41 @@ def _structure_masks(support: np.ndarray):
     return comm, recurrent
 
 
-def _class_period(support: np.ndarray, states: np.ndarray) -> int:
-    """Period of one closed class: gcd of (level[u] + 1 - level[v]) over its
-    edges, with BFS levels measured from the smallest state."""
-    local = {int(s): i for i, s in enumerate(states)}
-    sub = support[np.ix_(states, states)]
-    n = len(states)
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in np.flatnonzero(sub[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-    g = 0
-    for u in range(n):
-        for v in np.flatnonzero(sub[u]):
-            g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
+def _leaders(comm: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
+    """Mask of the smallest member of each closed class, from the
+    _structure_masks of a chain or a batch of chains."""
+    return recurrent & (np.argmax(comm, axis=-1) == np.arange(comm.shape[-1]))
+
+
+def _fold(ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """ufunc.reduce(x, axis) as a fold over the slices along a short axis:
+    a few whole-array calls, about twice as fast as one per output element."""
+    return functools.reduce(ufunc, np.moveaxis(x, axis, 0))
+
+
+def _class_periods(support: np.ndarray, comm: np.ndarray,
+                   recurrent: np.ndarray) -> np.ndarray:
+    """Period of each recurrent state's class, 0 on transient states, for a
+    batch of supports (n, S, S) with their _structure_masks: the gcd of
+    level[u] + 1 - level[v] over the class's edges u -> v, BFS levels from its
+    smallest member taken for every class at once, one boolean frontier step
+    per level; a chain with a self-loop on every recurrent state skips it."""
+    periods = recurrent.astype(np.min_scalar_type(-support.shape[-1] - 1))
+    rest = np.flatnonzero((recurrent & ~np.diagonal(support, 0, 1, 2)).any(axis=1))
+    if rest.size:
+        # edges out of a recurrent state stay inside its closed class
+        edges = support[rest] & recurrent[rest, :, None]
+        frontier = _leaders(comm[rest], recurrent[rest])
+        level = np.where(frontier, 0, -1).astype(periods.dtype)
+        depth = 0
+        while frontier.any():
+            depth += 1
+            frontier = _fold(np.logical_or, frontier[..., None] & edges, 1) & (level < 0)
+            level[frontier] = depth
+        # masks multiply: gcd(0, x) = x, so entries off the mask drop out
+        gap = edges * (level[:, :, None] + 1 - level[:, None, :])
+        periods[rest] = _fold(np.gcd, comm[rest] * _fold(np.gcd, gap, 2)[:, None, :], 2)
+    return periods
 
 
 def _stationary(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
@@ -133,7 +149,7 @@ def _stationary(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray) -> np.nd
     """
     S = P.shape[-1]
     eye = np.eye(S)
-    leader = recurrent & (np.argmax(comm, axis=-1) == np.arange(S))
+    leader = _leaders(comm, recurrent)
     M = np.swapaxes(P, -1, -2) - eye
     M[~recurrent] = eye[np.nonzero(~recurrent)[-1]]
     M[leader] = comm[leader]
@@ -168,20 +184,21 @@ def decompose_chain(chain: InducedChain | np.ndarray) -> ChainStructure:
 
     Recurrent classes are the closed strongly-connected components of the
     support digraph; the stationary distributions and the limiting matrix
-    come from _cesaro_limit, the periods from one BFS per class.
+    come from _cesaro_limit, the periods from _class_periods.
     """
     P = chain.matrix if isinstance(chain, InducedChain) else np.asarray(chain, dtype=float)
     support = P > 0
     comm, recurrent = _structure_masks(support)
-    leaders = np.flatnonzero(recurrent & (np.argmax(comm, axis=1) == np.arange(len(P))))
-    classes = tuple(np.flatnonzero(comm[s]) for s in leaders)
+    classes = tuple(np.flatnonzero(comm[s])
+                    for s in np.flatnonzero(_leaders(comm, recurrent)))
     limiting = _cesaro_limit(P, comm, recurrent)
+    period = _class_periods(support[None], comm[None], recurrent[None])[0]
     return ChainStructure(
         recurrent_classes=classes,
         transient_states=np.flatnonzero(~recurrent),
         stationary=tuple(limiting[c[0], c] for c in classes),
         limiting_matrix=limiting,
-        period=tuple(_class_period(support, c) for c in classes),
+        period=tuple(int(period[c[0]]) for c in classes),
     )
 
 
@@ -236,29 +253,6 @@ def _policy_batch(m: TabularMdp) -> _PolicyBatch:
     multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
     return _PolicyBatch(policies, P_all, r_all, comm, recurrent, multi,
                         _stationary(P_all, comm, recurrent))
-
-
-def _batch_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
-    """Aperiodicity of the single closed class of each chain in a batch.
-
-    support is (n, S, S) and recurrent (n, S) marks each chain's one closed
-    class.  A self-loop inside the class settles it.  Otherwise the class,
-    restricted support R, is aperiodic iff R^k > 0 on class x class for
-    k = 2^ceil(log2((S-1)^2 + 1)): by Wielandt's bound a primitive n-state
-    matrix has A^k > 0 for every k >= (n-1)^2 + 1, and a periodic one never
-    does.  The power is taken by repeated boolean squaring, as in _closure.
-    """
-    aperiodic = np.any(np.diagonal(support, axis1=1, axis2=2) & recurrent, axis=1)
-    rest = np.flatnonzero(~aperiodic)
-    if rest.size:
-        S = support.shape[-1]
-        block = recurrent[rest, :, None] & recurrent[rest, None, :]
-        X = support[rest] & block
-        for _ in range(math.ceil(math.log2((S - 1) ** 2 + 1))):
-            Xf = X.astype(np.float32)
-            X = np.matmul(Xf, Xf) > 0
-        aperiodic[rest] = np.all(X | ~block, axis=(1, 2))
-    return aperiodic
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +387,17 @@ def mixing_time(m: TabularMdp) -> float:
     periodic one; raises SolverConvergenceError when some policy has not
     mixed at t = MIXING_MAX_STEPS.
 
-    Aperiodicity is decided for the whole policy stack at once (see
-    _batch_aperiodic): a self-loop in the closed class settles a policy, and
-    the rest take O(log S) batched boolean squarings.  Each step multiplies
-    only the powers of the policies that have not mixed yet.
+    The periods of the whole policy stack come from one _class_periods call.
+    Each step multiplies only the powers of the policies that have not mixed
+    yet.
     """
     return _mixing_time(_policy_batch(m))
 
 
 def _mixing_time(batch: _PolicyBatch) -> float:
     """mixing_time from the _policy_batch of the MDP."""
-    if np.any(batch.multi) or not np.all(_batch_aperiodic(batch.P_all > 0,
-                                                          batch.recurrent)):
+    if np.any(batch.multi) or np.any(
+            _class_periods(batch.P_all > 0, batch.comm, batch.recurrent) > 1):
         return math.inf
 
     P, nu = batch.P_all, batch.nu

@@ -247,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["dmdp", "amdp"])
     p.add_argument("--mdp", required=True)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--method", choices=["auto", "enumerate", "relative_vi"],
+    p.add_argument("--method", choices=["auto", "relative_vi"],
                    default="auto")
     p.add_argument("--out")
 

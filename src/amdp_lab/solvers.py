@@ -254,13 +254,12 @@ def relative_value_iteration(m: TabularMdp):
 def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     """Gain-optimal solution of the average-reward problem.
 
-    method="enumerate": evaluate every deterministic policy and take the
-    first, in lexicographic order of the action arrays, whose worst-state
-    gain is within GAIN_TIE_TOL of the best; more than
-    chains.ENUMERATION_BUDGET policies raise EnumerationBudgetError.
-    method="relative_vi": relative value iteration on the lazy transform,
-    greedy policy extraction.  The default method="auto" enumerates when
-    A^S <= chains.ENUMERATION_BUDGET and runs relative VI otherwise.
+    The default method="auto" evaluates every deterministic policy when
+    A^S <= chains.ENUMERATION_BUDGET and takes the first, in lexicographic
+    order of the action arrays, whose worst-state gain is within
+    GAIN_TIE_TOL of the best; otherwise, and always under
+    method="relative_vi", it runs relative value iteration on the lazy
+    transform with greedy policy extraction.
 
     Either way the returned gain is the exact per-state gain of the returned
     policy (dense linear algebra, not iteration), and policy_bias is that
@@ -270,14 +269,10 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     policy, so H is exact and does not depend on which tied policy is
     returned; from relative VI it is the iterate's bias.
     """
-    if method == "auto":
-        method = ("enumerate"
-                  if m.num_actions**m.num_states <= chains.ENUMERATION_BUDGET
-                  else "relative_vi")
-    if method == "enumerate":
-        return _enumerated_optimum(m, _policy_batch(m))
-    if method != "relative_vi":
+    if method not in ("auto", "relative_vi"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and m.num_actions**m.num_states <= chains.ENUMERATION_BUDGET:
+        return _enumerated_optimum(m, _policy_batch(m))
     _, bias, policy = relative_value_iteration(m)
     gb = chain_gain_bias(induce_chain(m, policy))
     return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy, H=span(bias),
@@ -321,7 +316,7 @@ def _analysis(m: TabularMdp):
     _policy_batch; over the budget t_mix is None and relative VI solves."""
     D = chains.diameter(m)
     if m.num_actions**m.num_states > chains.ENUMERATION_BUDGET:
-        return D, None, amdp_optimal(m, method="relative_vi")
+        return D, None, amdp_optimal(m)
     batch = _policy_batch(m)
     return D, chains._mixing_time(batch), _enumerated_optimum(m, batch)
 

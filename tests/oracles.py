@@ -146,28 +146,61 @@ def first_tie_optimum(m):
     return b.policies[i], gain, own, bias
 
 
-def policy_loop_aperiodic(support: np.ndarray, recurrent: np.ndarray) -> np.ndarray:
-    """Aperiodicity of each chain's single closed class from its integer
-    period, one BFS per chain: the per-policy loop that the batched test in
-    mixing_time replaced."""
-    from amdp_lab.chains import _class_period
+def bfs_class_period(support: np.ndarray, states: np.ndarray) -> int:
+    """Period of one closed class, one Python BFS: the gcd of
+    (level[u] + 1 - level[v]) over its edges, with BFS levels measured from
+    the smallest state.  The per-class loop decompose_chain ran before the
+    batched chains._class_periods."""
+    import math
 
-    return np.array([_class_period(sup, np.flatnonzero(rec)) == 1
-                     for sup, rec in zip(support, recurrent)])
+    adjacency = [np.flatnonzero(row).tolist()
+                 for row in support[np.ix_(states, states)]]
+    level = [-1] * len(states)
+    level[0] = 0
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for v in adjacency[u]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    g = 0
+    for u, row in enumerate(adjacency):
+        for v in row:
+            g = math.gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g != 0 else 1
+
+
+def bfs_periods(support: np.ndarray, comm: np.ndarray,
+                recurrent: np.ndarray) -> np.ndarray:
+    """(n, S) period of each recurrent state's class, 0 on transient states,
+    for a batch of supports with their class masks: one bfs_class_period
+    per closed class, run once per distinct support (a period depends on the
+    support alone)."""
+    _, first, inverse = np.unique(support.reshape(len(support), -1), axis=0,
+                                  return_index=True, return_inverse=True)
+    out = np.zeros((len(first), support.shape[-1]), dtype=int)
+    for i, row in zip(first, out):
+        for s in np.flatnonzero(recurrent[i]):
+            if row[s] == 0:
+                members = np.flatnonzero(comm[i, s])
+                row[members] = bfs_class_period(support[i], members)
+    return out[inverse.reshape(-1)]
 
 
 def power_loop_mixing_time(P: np.ndarray, threshold: float = 0.5,
                            t_cap: int = 100_000) -> float:
-    """Mixing time of one chain by its own power loop, with unichain and
-    aperiodic read off decompose_chain (one BFS period per class): the
-    per-chain route chain_mixing_time took before it became mixing_time on
-    the chain's one-action MDP.  None when t_cap is reached."""
+    """Mixing time of one chain by its own power loop, with its classes read
+    off decompose_chain and the period from bfs_class_period: the per-chain
+    route chain_mixing_time took before it became mixing_time on the chain's
+    one-action MDP.  None when t_cap is reached."""
     from amdp_lab import decompose_chain
 
     structure = decompose_chain(P)
-    if len(structure.recurrent_classes) != 1 or structure.period != (1,):
+    classes = structure.recurrent_classes
+    if len(classes) != 1 or bfs_class_period(P > 0, classes[0]) != 1:
         return float("inf")
-    nu = structure.limiting_matrix[structure.recurrent_classes[0][0]]
+    nu = structure.limiting_matrix[classes[0][0]]
     X = P.copy()
     for t in range(1, t_cap + 1):
         if np.max(np.abs(X - nu).sum(axis=1)) <= threshold:
@@ -181,12 +214,12 @@ def full_stack_mixing_time(m, threshold: float = 0.5,
     """Worst-case mixing time over every deterministic policy, stepping the
     whole (n, S, S) stack of powers until the slowest policy mixes: the loop
     mixing_time ran before it stepped only the unmixed policies.  Multichain
-    and periodic verdicts come from the production batch.  None when t_cap
-    is reached."""
-    from amdp_lab.chains import _batch_aperiodic, _policy_batch, _stationary
+    verdicts come from the production batch, periods from bfs_periods.  None
+    when t_cap is reached."""
+    from amdp_lab.chains import _policy_batch, _stationary
 
     policies, P_all, _, comm, recurrent, multi, _ = _policy_batch(m)
-    if np.any(multi) or not np.all(_batch_aperiodic(P_all > 0, recurrent)):
+    if np.any(multi) or np.any(bfs_periods(P_all > 0, comm, recurrent) > 1):
         return float("inf")
     nus = _stationary(P_all, comm, recurrent)
     hit = np.zeros(len(policies))

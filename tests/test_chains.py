@@ -25,8 +25,8 @@ from amdp_lab import (
     two_state_slow_chain,
 )
 from amdp_lab.chains import (
-    _batch_aperiodic,
     _cesaro_limit,
+    _class_periods,
     _policy_batch,
     _stationary,
     _structure_masks,
@@ -36,13 +36,13 @@ from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.solvers import horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbing
 from oracles import (
+    bfs_periods,
     hitting_time_single_chain,
     set_loop_weakly_communicating,
     value_iteration_hitting_times,
     full_stack_mixing_time,
     normal_equation_stationary,
     per_class_limiting_matrix,
-    policy_loop_aperiodic,
     power_loop_mixing_time,
     product_policies,
 )
@@ -339,10 +339,10 @@ class TestMixingTime:
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()
-        policies, P_all, _, _, recurrent, multi, _ = _policy_batch(m)
+        policies, P_all, _, comm, recurrent, multi, _ = _policy_batch(m)
         assert not multi.any()
-        aperiodic = _batch_aperiodic(P_all > 0, recurrent)
-        np.testing.assert_array_equal(~aperiodic, policies[:, 0] == 0)
+        periods = _class_periods(P_all > 0, comm, recurrent)
+        np.testing.assert_array_equal(periods.max(axis=1) > 1, policies[:, 0] == 0)
         assert math.isinf(mixing_time(m))
 
     def test_multichain_policy_infinite(self):
@@ -445,20 +445,63 @@ def _unichain_supports(rng, S: int, count: int) -> np.ndarray:
     return np.array(out)
 
 
+def _assert_periods_match_bfs(support: np.ndarray) -> np.ndarray:
+    """_class_periods of a batch of supports, checked against the BFS
+    oracle state by state."""
+    comm, recurrent = _structure_masks(support)
+    periods = _class_periods(support, comm, recurrent)
+    np.testing.assert_array_equal(periods, bfs_periods(support, comm, recurrent))
+    return periods
+
+
 class TestBatchAperiodic:
+    """chains._class_periods, the one period routine, against the per-class
+    BFS of tests/oracles.py: integer periods, 0 on transient states."""
+
     @pytest.mark.parametrize("S", range(1, 8))
     def test_matches_period_loop(self, S):
         rng = np.random.default_rng(1000 + S)
-        support = _unichain_supports(rng, S, 400)
-        _, recurrent = _structure_masks(support)
-        batched = _batch_aperiodic(support, recurrent)
-        np.testing.assert_array_equal(batched, policy_loop_aperiodic(support, recurrent))
+        support = np.concatenate([_unichain_supports(rng, S, 400),
+                                  _multichain_chains(rng, S, 200) > 0])
+        periods = _assert_periods_match_bfs(support)
         if S > 1:
-            assert not batched.all()  # periodic classes were generated
-            no_loop = ~np.any(np.diagonal(support & recurrent[:, None, :],
-                                          axis1=1, axis2=2), axis=1)
-            # some aperiodic classes had to be settled by the squaring
-            assert (batched & no_loop).any() or S < 3
+            assert periods.max() > 1  # periodic classes were generated
+            _, recurrent = _structure_masks(support)
+            loops = np.diagonal(support, axis1=1, axis2=2) & recurrent
+            # some aperiodic classes had to be settled by the BFS
+            bfs = np.any(recurrent & ~loops, axis=1)
+            assert np.any(bfs[:, None] & (periods == 1)) or S < 3
+
+    @pytest.mark.parametrize("edges, expected", [
+        # classes {0, 1} of period 2 and {2, 3, 4} of period 3, 5 transient
+        ([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 0), (5, 2)],
+         [2, 2, 3, 3, 3, 0]),
+        # a 3-cycle where only state 1 has a self-loop
+        ([(0, 1), (1, 2), (2, 0), (1, 1)], [1, 1, 1]),
+        # a transient 2-cycle {0, 1} feeding a closed 2-cycle {2, 3}
+        ([(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], [0, 0, 2, 2]),
+        ([(0, 0)], [1]),
+    ])
+    def test_hand_built(self, edges, expected):
+        support = np.zeros((1, len(expected), len(expected)), dtype=bool)
+        support[0][tuple(zip(*edges))] = True
+        periods = _assert_periods_match_bfs(support)
+        np.testing.assert_array_equal(periods[0], expected)
+
+    def test_cycle_of_200_states(self):
+        # levels and gaps reach 200, past what int8 holds
+        st = decompose_chain(np.roll(np.eye(200), 1, axis=1))
+        assert st.period == (200,)
+        assert isinstance(st.period[0], int)
+
+    def test_policy_chains_of_corpus_and_hard_family(self):
+        ms = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        ms += [hard_instance(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
+                                              variant=variant, **kl))
+               for variant, kl in (("M0", {}), ("M1", {}),
+                                   ("MKL", {"k": 2, "l": 2}))]
+        for m in ms:
+            _assert_periods_match_bfs(_policy_batch(m).P_all > 0)
 
 
 class TestAperiodicityTransform:

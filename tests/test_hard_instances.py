@@ -141,7 +141,7 @@ class TestM0:
 class TestM1AndMkl:
     def test_m1_gain_five_ninths(self):
         m = hard_instance(replace(SPEC6, variant="M1"))
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         np.testing.assert_allclose(opt.gain, 5 / 9, atol=1e-10)
         for x in m.metadata["x_states"]:
             assert opt.policy.actions[x] == 0
@@ -156,7 +156,7 @@ class TestM1AndMkl:
 
     def test_m1_deviating_component_action_costs_gain(self):
         m = hard_instance(replace(SPEC6, variant="M1"))
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         for x in m.metadata["x_states"]:
             for other in range(1, SPEC6.A_prime):
                 actions = opt.policy.actions.copy()
@@ -166,7 +166,7 @@ class TestM1AndMkl:
 
     def test_mkl_gain_and_action(self):
         m = hard_instance(replace(SPEC6, variant="MKL", k=2, l=2))
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         np.testing.assert_allclose(opt.gain, 0.625, atol=1e-10)
         x = m.metadata["x_states"][1]
         assert opt.policy.actions[x] == 1  # action index l - 1

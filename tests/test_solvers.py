@@ -21,7 +21,7 @@ from amdp_lab import (
 from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.chains import _cesaro_limit, _policy_batch
-from amdp_lab.solvers import _power_iterates, horizon_iterates
+from amdp_lab.solvers import _enumerated_optimum, _power_iterates, horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
     bellman_evaluation,
@@ -252,7 +252,7 @@ class TestAmdpOptimal:
             amdp_optimal(slow4, method="x")
 
     def test_single_action_equals_gain_bias(self, slow4):
-        opt = amdp_optimal(slow4, method="enumerate")
+        opt = amdp_optimal(slow4)
         gb = amdp_gain_bias(slow4, DeterministicPolicy(np.array([0, 0])))
         np.testing.assert_allclose(opt.gain, gb.gain, atol=1e-12)
         assert opt.H == pytest.approx(span(gb.bias), abs=1e-9)
@@ -269,7 +269,7 @@ class TestAmdpOptimal:
     def test_m1_optimal_gain_and_policy(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
         m = hard_instance(spec)
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         np.testing.assert_allclose(opt.gain, 5.0 / 9.0, atol=1e-10)
         for x in m.metadata["x_states"]:
             assert opt.policy.actions[x] == 0
@@ -278,7 +278,7 @@ class TestAmdpOptimal:
         for seed in (0, 5, 9):
             m = random_mdp(4, 3, seed=seed)
             actions, score = slow_path_best_gain(m)
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             assert np.array_equal(opt.policy.actions, actions)
             assert float(np.min(opt.gain)) == pytest.approx(score, abs=1e-9)
 
@@ -302,14 +302,14 @@ class TestAmdpOptimal:
         gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
         worst = gains.min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         assert np.array_equal(opt.policy.actions, np.zeros(6, dtype=int))
         assert np.array_equal(opt.policy.actions, slow_path_best_gain(m)[0])
         assert opt.H == pytest.approx(500 / 9, rel=1e-12, abs=0)
 
     def test_methods_agree(self):
         for _, m in standard_corpus(count=40, master_seed=17):
-            o1 = amdp_optimal(m, method="enumerate")
+            o1 = amdp_optimal(m)
             o2 = amdp_optimal(m, method="relative_vi")
             assert float(np.max(o1.gain)) == pytest.approx(float(np.max(o2.gain)),
                                                            abs=1e-8)
@@ -317,7 +317,7 @@ class TestAmdpOptimal:
 
     def test_optimality_residual_holds(self):
         for _, m in standard_corpus(count=25, master_seed=23):
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
             assert span(opt.gain) <= 1e-9  # constant gain when weakly communicating
             assert opt.weakly_communicating
@@ -325,14 +325,14 @@ class TestAmdpOptimal:
     def test_optimality_equation_on_transient_funnel(self):
         # the funnel's state 0 is transient under its only policy
         m = make_transient_funnel()
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
 
     def test_dominance_over_all_policies(self):
         from amdp_lab.chains import all_deterministic_policies
         gamma = 0.9
         for _, m in standard_corpus(count=5, master_seed=13):
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             V_star = dmdp_value_iteration(m, gamma, 1e-10)[1]
             for actions in all_deterministic_policies(m.num_states, m.num_actions):
                 v = dmdp_policy_value(m, DeterministicPolicy(actions), gamma)
@@ -343,7 +343,7 @@ class TestAmdpOptimal:
     def test_auto_enumerates_under_budget(self):
         for _, m in standard_corpus(count=25, master_seed=29):
             auto = amdp_optimal(m)
-            enum = amdp_optimal(m, method="enumerate")
+            enum = _enumerated_optimum(m, _policy_batch(m))
             assert np.array_equal(auto.policy.actions, enum.policy.actions)
             assert np.array_equal(auto.gain, enum.gain)
             assert np.array_equal(auto.bias, enum.bias)
@@ -359,8 +359,8 @@ class TestAmdpOptimal:
         assert np.array_equal(auto.bias, rvi.bias)
 
     def test_one_budget_binding_serves_every_enumeration(self, monkeypatch):
-        # one patch of the budget in chains moves mixing_time, the forced
-        # enumeration and auto's choice; solvers keeps no copy of it
+        # one patch of the budget in chains moves mixing_time and auto's
+        # choice; solvers keeps no copy of it
         from amdp_lab import EnumerationBudgetError, chains, mixing_time, solvers
         m = random_mdp(4, 3, seed=0)  # 81 policies
         enumerated = amdp_optimal(m)
@@ -369,20 +369,11 @@ class TestAmdpOptimal:
         monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 80)
         with pytest.raises(EnumerationBudgetError):
             mixing_time(m)
-        with pytest.raises(EnumerationBudgetError):
-            amdp_optimal(m, method="enumerate")
         auto = amdp_optimal(m)
         assert np.array_equal(auto.policy.actions, rvi.policy.actions)
         assert np.array_equal(auto.gain, rvi.gain)
         assert np.array_equal(auto.bias, rvi.bias)
         assert not hasattr(solvers, "ENUMERATION_BUDGET")
-
-    def test_budget_guard(self, monkeypatch):
-        from amdp_lab import EnumerationBudgetError, chains
-        m = random_mdp(5, 4, seed=1)
-        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 100)
-        with pytest.raises(EnumerationBudgetError):
-            amdp_optimal(m, method="enumerate")
 
     def test_relative_vi_flags_non_weakly_communicating(self, monkeypatch):
         # gains differ across absorbing halves, so the span of differences
@@ -395,7 +386,7 @@ class TestAmdpOptimal:
 
     def test_enumerate_reports_non_weakly_communicating(self):
         from conftest import make_two_absorbing
-        opt = amdp_optimal(make_two_absorbing(), method="enumerate")
+        opt = amdp_optimal(make_two_absorbing())
         assert not opt.weakly_communicating
         np.testing.assert_allclose(opt.gain, [0.6, 0.3, 0.9], atol=1e-12)
 
@@ -405,7 +396,7 @@ class TestAmdpOptimal:
         m = random_mdp(5, 2, seed=21)
         monkeypatch.setattr(solvers, "RVI_TAU", 0.25)
         gain, bias, policy = relative_value_iteration(m)
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         assert gain == pytest.approx(float(np.max(opt.gain)), abs=1e-8)
 
 
@@ -438,7 +429,7 @@ class TestBiasOptimalH:
         lone = 0
         for m in _enumeration_cases():
             actions, gain, policy_bias, bias = first_tie_optimum(m)
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             assert np.array_equal(opt.policy.actions, actions)
             assert np.array_equal(opt.gain, gain)
             assert np.array_equal(opt.policy_bias, policy_bias)
@@ -455,7 +446,7 @@ class TestBiasOptimalH:
         # discounted PI at gamma = 1 - 1e-6 returns a Blackwell-optimal
         # policy here, and a Blackwell-optimal policy is bias-optimal
         for m in _enumeration_cases() + [_tied_bias_fixture()]:
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             _, _, pi = dmdp_policy_iteration(m, 1 - 1e-6)
             np.testing.assert_allclose(
                 opt.bias, amdp_gain_bias(m, pi).bias,
@@ -472,7 +463,7 @@ class TestBiasOptimalH:
 
     def test_tied_policies_bias_max_gives_zero_span(self):
         m = _tied_bias_fixture()
-        opt = amdp_optimal(m, method="enumerate")
+        opt = amdp_optimal(m)
         assert np.array_equal(opt.policy.actions, [0, 0])
         np.testing.assert_allclose(opt.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
         np.testing.assert_allclose(opt.bias, [0.0, 0.0], rtol=0, atol=1e-12)
@@ -485,10 +476,10 @@ class TestBiasOptimalH:
 
         ms = _enumeration_cases()[200:]
         ms.append(replace(random_mdp(4, 4, seed=3), rewards=np.full((4, 4), 0.5)))
-        whole = [amdp_optimal(m, method="enumerate") for m in ms]
+        whole = [amdp_optimal(m) for m in ms]
         monkeypatch.setattr(chains, "_CHUNK_BYTES", 1)
         for m, expected in zip(ms, whole):
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             for name in ("policy_bias", "bias", "gain"):
                 assert np.array_equal(getattr(opt, name), getattr(expected, name))
             assert np.array_equal(opt.policy.actions, expected.policy.actions)
@@ -502,19 +493,19 @@ class TestBiasOptimalH:
         monkeypatch.setattr(solvers, "relative_value_iteration", no_relative_vi)
         spec = HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 32, variant="M1")
         for m in (hard_instance(spec), _tied_bias_fixture(), make_transient_funnel()):
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-10
 
 
 class TestHGammaStar:
     def test_self_loop_is_zero(self, self_loop):
-        opt = amdp_optimal(self_loop, method="enumerate")
+        opt = amdp_optimal(self_loop)
         for gamma in GAMMAS:
             h = h_gamma_star(self_loop, gamma, opt)
             assert abs(h[0]) < 1e-8
 
     def test_cycle_closed_form(self, cycle):
-        opt = amdp_optimal(cycle, method="enumerate")
+        opt = amdp_optimal(cycle)
         h = h_gamma_star(cycle, 0.9, opt)
         expected = np.array([1 / (1 - 0.81), 0.9 / (1 - 0.81)]) - 0.5 / 0.1
         np.testing.assert_allclose(h, expected, atol=1e-7)
@@ -522,7 +513,7 @@ class TestHGammaStar:
     def test_rewritten_optimality_equation(self):
         for seed in range(4):
             m = random_mdp(5, 3, seed=seed)
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             for gamma in (0.9, 0.99):
                 h = h_gamma_star(m, gamma, opt)
                 lookahead = m.rewards + gamma * np.einsum(
@@ -533,7 +524,7 @@ class TestHGammaStar:
     def test_bias_distance_bound(self):
         # || h* - h*_gamma ||_inf <= || h* ||_inf
         for _, m in standard_corpus(count=20, master_seed=31):
-            opt = amdp_optimal(m, method="enumerate")
+            opt = amdp_optimal(m)
             for gamma in (0.9, 0.99):
                 h = h_gamma_star(m, gamma, opt)
                 assert (np.max(np.abs(opt.bias - h))
