@@ -23,7 +23,6 @@ from .corpus import (
     two_state_slow_chain,
 )
 from .generative import (
-    EmpiricalModel,
     GenerativeModel,
     RngSeedSpec,
     build_empirical,

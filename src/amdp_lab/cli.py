@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (MdpFormatError, InfeasibleInstanceError, FileNotFoundError,
+    except (MdpFormatError, InfeasibleInstanceError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,24 +1,21 @@
 """Seeded generative-model access to a ground-truth MDP.
 
-The sampler hides the true transition tensor behind next-state draws.  Each
-(s, a) pair owns an independent RNG stream derived from the master seed with
-a splitmix64-style mixer, so the sample sequence at one pair never depends
-on how calls interleave across pairs, and batched draws equal the same
-number of single draws.  The empirical build needs only counts, so it tallies
-the uniforms at the support boundaries of each pair instead of drawing
-states; the counts equal the bincount of the draws those uniforms give.
-
-A pair with one next state takes no uniforms: every draw lands on that state,
-and the pair's stream is advanced as if it had drawn them (a double is one
-64-bit PCG64 word, so advancing by n equals n draws).  A stream is built on
-its pair's first real draw, advanced past the sample_counter[s, a] words the
-pair has already accounted for.
+The sampler hides the true transition tensor behind next-state draws.  A
+pair with two or more next states owns an independent RNG stream, built on
+its first draw from a seed derived from the master seed and (s, a) with a
+splitmix64-style mixer, so the sample sequence at one pair never depends on
+how calls interleave across pairs, and batched draws equal the same number
+of single draws.  A pair with one next state takes no uniforms and has no
+stream: every draw lands on that state.  The empirical build needs only
+counts, so it tallies the uniforms at the support boundaries of each pair
+instead of drawing states; the counts equal the bincount of the draws those
+uniforms give.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,38 +85,25 @@ class GenerativeModel:
         self._cum = np.cumsum(truth.transitions, axis=2)
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
-    def _stream(self, s: int, a: int) -> np.random.Generator:
-        """The pair's generator, built on first use and advanced past the
-        sample_counter[s, a] words the pair has already accounted for."""
-        key = (s, a)
-        gen = self._streams.get(key)
-        if gen is None:
-            bits = np.random.PCG64(self.seed_spec.transition_seed(s, a))
-            bits.advance(int(self.sample_counter[s, a]))
-            gen = self._streams[key] = np.random.Generator(bits)
-        return gen
-
-    def _check_pair(self, s: int, a: int) -> None:
-        if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
-            raise IndexError(f"state-action pair ({s}, {a}) out of range")
-
     def _draw(self, s: int, a: int, n: int):
         """n uniforms from the pair's stream, the states with positive mass
         and the CDF at all but the last of them: a draw lands on the first
         support state whose boundary exceeds it, and on the last one past
         every boundary (which absorbs the u >= cum[-1] float corner).  With
-        one such state the uniforms are None: none is drawn, and any built
-        stream is dropped so that _stream rebuilds it past the counter."""
-        self._check_pair(s, a)
+        one such state the uniforms are None and no stream is built."""
+        if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
+            raise IndexError(f"state-action pair ({s}, {a}) out of range")
         n = operator.index(n)
         if n < 0:
             raise ValueError(f"cannot draw {n} samples")
         support = np.flatnonzero(self._truth.transitions[s, a] > 0)
+        u = None
         if len(support) > 1:
-            u = self._stream(s, a).random(n)
-        else:
-            u = None
-            self._streams.pop((s, a), None)
+            gen = self._streams.get((s, a))
+            if gen is None:
+                gen = self._streams[s, a] = np.random.Generator(
+                    np.random.PCG64(self.seed_spec.transition_seed(s, a)))
+            u = gen.random(n)
         self.sample_counter[s, a] += n
         return u, support, self._cum[s, a, support[:-1]]
 
@@ -141,41 +125,29 @@ class GenerativeModel:
         return counts
 
 
-@dataclass(frozen=True)
-class EmpiricalModel:
-    """Empirical MDP built from exactly n_per_pair draws at every pair."""
-
-    counts: np.ndarray
-    n_per_pair: int
-    mdp: TabularMdp = field(compare=False)
-
-
 def build_empirical(gm: GenerativeModel, n_per_pair: int,
-                    perturbed_rewards: np.ndarray) -> EmpiricalModel:
-    """Draw n_per_pair samples at every (s, a) and assemble the empirical MDP
-    with the given (possibly perturbed) reward table attached."""
+                    perturbed_rewards: np.ndarray) -> TabularMdp:
+    """The empirical MDP of n_per_pair draws at every (s, a), with the given
+    (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair."""
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
     S, A = gm.num_states, gm.num_actions
     counts = np.array([[gm.sample_counts(s, a, n_per_pair) for a in range(A)]
                        for s in range(S)])
-    mdp = TabularMdp(S, A, counts / float(n_per_pair),
-                     np.asarray(perturbed_rewards, dtype=float),
-                     metadata={"empirical_n": n_per_pair})
-    return EmpiricalModel(counts=counts, n_per_pair=n_per_pair, mdp=mdp)
+    return TabularMdp(S, A, counts / float(n_per_pair),
+                      np.asarray(perturbed_rewards, dtype=float),
+                      metadata={"empirical_n": n_per_pair})
 
 
 def perturb_rewards(rewards: np.ndarray, xi: float, seed: int) -> np.ndarray:
     """Add i.i.d. Unif(0, xi) noise to every reward entry.
 
     Zero draws are rejected and redrawn so the perturbation is strictly
-    positive, matching the open interval; xi = 0 returns the table as is.
+    positive, matching the open interval; the result is a new array.
     """
     if xi < 0.0:
         raise ValueError("xi must be nonnegative")
     rewards = np.asarray(rewards, dtype=float)
-    if xi == 0.0:
-        return rewards.copy()
     gen = np.random.Generator(np.random.PCG64(seed))
     u = gen.random(rewards.shape)
     while np.any(u == 0.0):  # probability 2^-53 per entry, but stay exact

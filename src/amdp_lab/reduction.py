@@ -99,7 +99,7 @@ def algorithm1(gm: GenerativeModel, params: ReductionParams) -> DeterministicPol
     policy."""
     r_p = perturb_rewards(gm.rewards, params.xi, gm.seed_spec.reward_seed())
     emp = build_empirical(gm, params.n_per_pair, r_p)
-    _, _, policy = dmdp_policy_iteration(emp.mdp, params.gamma)
+    _, _, policy = dmdp_policy_iteration(emp, params.gamma)
     return policy
 
 
@@ -413,18 +413,19 @@ def write_certificates_csv(certs: list[Certificate], path: str | Path) -> None:
 
 
 def _write_json(path: str | Path, payload) -> None:
-    """Write a JSON payload (dicts, lists and scalars) with every float at
-    file precision (format_number), indented by one space."""
+    """Write a JSON payload (dicts, lists and scalars) as strict JSON, indented
+    by one space: every float at file precision (format_number), a non-finite
+    one as that text ("inf")."""
     def render(obj):
         if isinstance(obj, float):
-            return float(format_number(obj))
+            return float(format_number(obj)) if math.isfinite(obj) else format_number(obj)
         if isinstance(obj, (list, tuple)):
             return [render(x) for x in obj]
         if isinstance(obj, dict):
             return {k: render(v) for k, v in obj.items()}
         return obj
 
-    Path(path).write_text(json.dumps(render(payload), indent=1) + "\n")
+    Path(path).write_text(json.dumps(render(payload), indent=1, allow_nan=False) + "\n")
 
 
 def write_certificates_report(certs: list[Certificate], path: str | Path) -> None:

@@ -301,8 +301,13 @@ def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
     """Next-state counts of n draws at (s, a) that take n uniforms from the
     pair's stream even where the row has one next state, tallied at the
     support boundaries: the GenerativeModel.sample_counts used before a
-    one-state pair drew nothing."""
-    u = gm._stream(s, a).random(n)
+    one-state pair drew nothing.  It builds the pair's generator itself, in
+    gm._streams, from the pair's transition seed."""
+    gen = gm._streams.get((s, a))
+    if gen is None:
+        gen = gm._streams[s, a] = np.random.Generator(
+            np.random.PCG64(gm.seed_spec.transition_seed(s, a)))
+    u = gen.random(n)
     gm.sample_counter[s, a] += n
     row = gm._truth.transitions[s, a]
     support = np.flatnonzero(row > 0)

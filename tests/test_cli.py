@@ -20,6 +20,7 @@ from amdp_lab import (
 from amdp_lab.cli import main
 from amdp_lab.corpus import standard_corpus
 from amdp_lab.reduction import certify_instance
+from conftest import make_transient_funnel
 from oracles import separate_instance_certificates
 
 
@@ -185,6 +186,11 @@ class TestParams:
         out = capsys.readouterr().out
         assert "H <= D: pass" in out
 
+    def test_directory_mdp_exits_2(self, tmp_path, capsys):
+        # reading a directory raises IsADirectoryError, an OSError
+        assert main(["params", "--mdp", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_slow_chain_tmix_one(self, tmp_path, capsys):
         path = tmp_path / "slow.json"
         write_mdp(two_state_slow_chain(100), path)
@@ -257,6 +263,26 @@ class TestCertify:
         rows = read_csv_rows(tmp_path / "certificates.csv")
         assert len({row["instance_id"] for row in rows}) == 12
         assert all(row["passed"] == "true" for row in rows)
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        # mkdir under a regular file raises NotADirectoryError, an OSError
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["certify", "--count", "1", "--out", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_certificate_side_is_strict_json(self, tmp_path, capsys):
+        # the funnel has D = inf, so a certificate side is infinite
+        path = tmp_path / "funnel.json"
+        write_mdp(make_transient_funnel(), path)
+        assert main(["certify", "--mdp", str(path), "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        report = json.loads((tmp_path / "certificates.json").read_text(),
+                            parse_constant=reject)
+        assert "inf" in [c["rhs"] for c in report["certificates"]]
 
     def test_needs_input(self, tmp_path, capsys):
         assert main(["certify", "--out", str(tmp_path)]) == 2

@@ -205,20 +205,14 @@ class TestSampleCounts:
 
 
 class TestOneStatePairs:
-    def test_point_mass_counts_and_stream_advanced_as_if_drawn(self):
+    def test_point_mass_counts_and_no_stream(self):
         truth = make_deterministic_truth()
         for n in (0, 1, 7, 1000, 10**5):
             gm = GenerativeModel(truth, 3)
-            fresh = np.random.Generator(
-                np.random.PCG64(gm.seed_spec.transition_seed(0, 0)))
-            # the first call finds no stream built, the second finds the one
-            # the state check built
             for calls in (1, 2):
                 assert np.array_equal(gm.sample_counts(0, 0, n), [0, n, 0])
                 assert gm.sample_counter[0, 0] == calls * n
-                fresh.random(n)
-                assert gm._stream(0, 0).bit_generator.state == \
-                    fresh.bit_generator.state
+                assert not gm._streams
             assert gm.sample_counter.sum() == 2 * n
 
     def test_negative_n_raises_and_leaves_counter(self):
@@ -242,6 +236,7 @@ class TestOneStatePairs:
     def test_build_empirical_matches_drawing_every_pair(self):
         for S, A in ((6, 3), (14, 4)):
             truth = hard_m1(S, A)
+            multi = np.count_nonzero(truth.transitions > 0, axis=2) > 1
             seeds = [RngSeedSpec(master).trial_seed(trial)
                      for master in range(1, 5) for trial in range(10)]
             for N, seed in itertools.product((10**3, 10**4), seeds):
@@ -250,11 +245,14 @@ class TestOneStatePairs:
                 slow.sample_counts = functools.partial(drawn_counts, slow)
                 emp = build_empirical(fast, N, truth.rewards)
                 ref = build_empirical(slow, N, truth.rewards)
-                assert np.array_equal(emp.counts, ref.counts)
+                assert np.array_equal(emp.transitions, ref.transitions)
                 assert np.array_equal(fast.sample_counter, slow.sample_counter)
+                assert sorted(fast._streams) == [
+                    tuple(pair) for pair in np.argwhere(multi)]
+                for pair, gen in fast._streams.items():
+                    assert (gen.bit_generator.state
+                            == slow._streams[pair].bit_generator.state)
                 for s, a in itertools.product(range(S), range(A)):
-                    assert (fast._stream(s, a).bit_generator.state
-                            == slow._stream(s, a).bit_generator.state)
                     assert np.array_equal(fast.sample_batch(s, a, 50),
                                           slow.sample_batch(s, a, 50))
 
@@ -263,26 +261,27 @@ class TestBuildEmpirical:
     def test_single_draw_rows_are_point_masses(self):
         truth = random_mdp(3, 2, seed=11)
         emp = build_empirical(GenerativeModel(truth, 7), 1, truth.rewards)
-        assert np.array_equal(np.sort(np.unique(emp.mdp.transitions)), [0.0, 1.0])
-        assert validate_mdp(emp.mdp) == []
+        assert np.array_equal(np.sort(np.unique(emp.transitions)), [0.0, 1.0])
+        assert validate_mdp(emp) == []
 
     def test_deterministic_truth_recovered_exactly(self):
         truth = make_deterministic_truth()
         emp = build_empirical(GenerativeModel(truth, 123), 5, truth.rewards)
-        assert np.array_equal(emp.mdp.transitions, truth.transitions)
+        assert np.array_equal(emp.transitions, truth.transitions)
 
     def test_counts_sum_to_n(self):
         truth = random_mdp(4, 3, seed=2)
         gm = GenerativeModel(truth, 9)
         emp = build_empirical(gm, 250, truth.rewards)
-        assert np.all(emp.counts.sum(axis=2) == 250)
+        assert np.all(np.rint(emp.transitions * 250).sum(axis=2) == 250)
+        assert emp.metadata["empirical_n"] == 250
         assert np.all(gm.sample_counter == 250)
-        assert validate_mdp(emp.mdp) == []
+        assert validate_mdp(emp) == []
 
     def test_slow_chain_concentration_with_recorded_seed(self):
         truth = two_state_slow_chain(4)
         emp = build_empirical(GenerativeModel(truth, 2024), 10**5, truth.rewards)
-        err = np.max(np.abs(emp.mdp.transitions - truth.transitions))
+        err = np.max(np.abs(emp.transitions - truth.transitions))
         assert err <= 0.01
 
     def test_consistency_median_error_non_increasing(self):
@@ -292,7 +291,7 @@ class TestBuildEmpirical:
             errors = []
             for seed in range(30):
                 emp = build_empirical(GenerativeModel(truth, seed), n, truth.rewards)
-                errors.append(np.max(np.abs(emp.mdp.transitions - truth.transitions)))
+                errors.append(np.max(np.abs(emp.transitions - truth.transitions)))
             medians.append(float(np.median(errors)))
         assert medians[0] >= medians[1] >= medians[2]
 

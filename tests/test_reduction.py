@@ -129,7 +129,7 @@ class TestAlgorithm1:
                     gm = GenerativeModel(truth, trial_seed)
                     r_p = perturb_rewards(truth.rewards, params.xi,
                                           gm.seed_spec.reward_seed())
-                    emp = build_empirical(gm, params.n_per_pair, r_p).mdp
+                    emp = build_empirical(gm, params.n_per_pair, r_p)
                     _, V_vi, pi_vi = dmdp_value_iteration(emp, params.gamma,
                                                           accuracy)
                     _, V, pi = dmdp_policy_iteration(emp, params.gamma)

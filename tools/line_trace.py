@@ -1,5 +1,5 @@
 """Line trace of src/amdp_lab: which executable lines no command, bench op,
-demo or test reaches.
+demo or test reaches, and which only the tests reach.
 
 Run from the repository root:
 
@@ -13,7 +13,8 @@ runpy), the seed-7 op lists of the certify_corpus, reduce_sweep and
 large_instance workloads from ``bench/run.py``'s ``prepare``, the demos, and
 pytest over tests/ and bench/test_bench.py.  Executable lines are the line
 numbers of every code object compiled from each file.  Prints each
-unreached line and their count; takes a few minutes.
+unreached line and their count, then each line first reached under pytest
+(after every other input ran) and their count; takes a few minutes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "amdp_lab"
 hits: set[tuple[str, int]] = set()
+before_tests: set[tuple[str, int]] = set()
 
 
 def _local(frame, event, arg):
@@ -80,6 +82,7 @@ def _run_inputs(work: Path) -> None:
         os.chdir(ROOT)
 
     import pytest
+    before_tests.update(hits)
     pytest.main(["-q", "-p", "no:cacheprovider", "tests", "bench/test_bench.py"])
 
 
@@ -103,13 +106,19 @@ def main() -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    unreached = 0
+    unreached, tests_only = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
-        for line in sorted(_executable(path) - {n for f, n in hits if f == str(path)}):
-            print(f"{path.name}:{line}: {source[line - 1].strip()}")
-            unreached += 1
-    print(f"{unreached} executable lines unreached")
+        lines = _executable(path)
+        reached = {n for f, n in hits if f == str(path)}
+        earlier = {n for f, n in before_tests if f == str(path)}
+        unreached += [(path.name, n, source[n - 1].strip()) for n in sorted(lines - reached)]
+        tests_only += [(path.name, n, source[n - 1].strip())
+                       for n in sorted((lines & reached) - earlier)]
+    for label, found in (("unreached", unreached), ("reached only by tests", tests_only)):
+        for name, line, text in found:
+            print(f"{name}:{line}: {text}")
+        print(f"{len(found)} executable lines {label}")
     return 0
 
 
