@@ -8,9 +8,10 @@ transformation, and connectivity classification.
 Stationary distributions and limiting matrices, of one chain or of every
 policy's chain at once, come from one linear solve for the closed classes
 (_stationary) and one absorption solve for the transient states
-(_cesaro_limit).  _policy_iteration is the one Howard policy-iteration loop:
-it gives the hitting times to every target (stochastic shortest paths) and
-the solvers' exact discounted optimum.
+(_cesaro_limit).  _policy_iteration is the one Howard policy-iteration loop,
+with forbidden actions (cost +inf) and terminal states (discount 0, cost 0)
+as data: it gives the hitting times to every target (stochastic shortest
+paths) and the solvers' exact discounted optimum.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _structure_masks(support: np.ndarray):
     """
     C = _closure(support)
     comm = C & np.swapaxes(C, -1, -2)
-    recurrent = ~np.any(C & ~np.swapaxes(C, -1, -2), axis=-1)
+    recurrent = ~_fold(np.logical_or, C & ~np.swapaxes(C, -1, -2), -1)
     return comm, recurrent
 
 
@@ -296,35 +297,31 @@ def _almost_sure_reach(support: np.ndarray):
         candidates = reached
 
 
-def _policy_iteration(P: np.ndarray, cost: np.ndarray, discount: float,
-                      policy: np.ndarray, allowed, active: np.ndarray):
+def _policy_iteration(P: np.ndarray, cost: np.ndarray, discount: np.ndarray,
+                      policy: np.ndarray):
     """Howard policy iteration minimizing expected discounted cost, for K
     problems on one transition tensor P (S, A, S) at once.
 
-    policy (K, S) is the start, which must have finite cost; cost is (S, A).
-    Rows off active (K, S) are held at value 0; actions off allowed (a mask
-    broadcasting to (K, S, A)) get Q = +inf.  Each round solves
-    (I - discount P_pi) V = cost_pi for all K policies in one batched dense
-    solve, then switches an action only where the best Q beats the current
-    one by more than a few ulps, so rounding noise cannot make it cycle.
-    Returns (Q, V) of the last evaluation.
+    cost (K, S, A) is +inf on a forbidden action; discount (K, S) is per
+    problem and state, and a state with discount 0 and cost 0 is terminal,
+    with value 0.  policy (K, S) is the start, which must have finite cost.
+    Each round solves (I - discount P_pi) V = cost_pi for all K policies in
+    one batched dense solve, then switches an action only where the best Q
+    beats the current one by more than a few ulps, so rounding noise cannot
+    make it cycle.  Returns (Q, V) of the last evaluation.
     """
     K, S = policy.shape
     states, problems = np.arange(S), np.arange(K)[:, None]
     identity = np.eye(S)
     tie = 8.0 * np.finfo(float).eps
     for _ in range(PI_MAX_ITERATIONS):
-        M = np.where(active[..., None], identity - discount * P[states, policy],
-                     identity)
-        b = np.where(active, cost[states, policy], 0.0)
-        V = np.linalg.solve(M, b[..., None])[..., 0]
+        M = identity - discount[..., None] * P[states, policy]
+        V = np.linalg.solve(M, cost[problems, states, policy][..., None])[..., 0]
         # one matrix-vector product per problem and state, so each problem's
         # Q is rounded the same way whatever K is (chunks change no bits)
-        Q = np.where(allowed, cost + discount * (P @ V[:, None, :, None])[..., 0],
-                     math.inf)
+        Q = cost + discount[..., None] * (P @ V[:, None, :, None])[..., 0]
         best = Q.min(axis=-1)
-        current = Q[problems, states, policy]
-        improves = active & (current - best > tie * np.abs(best))
+        improves = Q[problems, states, policy] - best > tie * np.abs(best)
         if not improves.any():
             return Q, V
         policy = np.where(improves, np.argmin(Q, axis=-1), policy)
@@ -332,46 +329,44 @@ def _policy_iteration(P: np.ndarray, cost: np.ndarray, discount: float,
         f"policy iteration still improving after {PI_MAX_ITERATIONS} iterations")
 
 
-def _hitting_times(m: TabularMdp, targets: np.ndarray, reach: np.ndarray,
-                   policy: np.ndarray) -> np.ndarray:
-    """Minimal expected hitting times (K, S) to K targets: _policy_iteration
-    at unit cost and discount 1 from the targets' rows of _almost_sure_reach,
-    active on each reach set less its target.  Actions leaving the reach set
-    are not allowed, so every policy stays proper.  Targets go through in
-    chunks whose (chunk, S, S) float64 stacks fit in _CHUNK_BYTES.
+def _hitting_times(m: TabularMdp, targets: np.ndarray) -> np.ndarray:
+    """Minimal expected hitting times (K, S) to K targets, +inf off each
+    target's _almost_sure_reach set: _policy_iteration at unit cost and
+    discount 1 from the reach step's proper policies.  Each target and every
+    state off its reach set are terminal; an action leaving the reach set
+    costs +inf, so every policy stays proper.  Targets go through in chunks
+    whose (chunk, S, S) float64 stacks fit in _CHUNK_BYTES.
     """
-    P = m.transitions
-    K, S = reach.shape
-    active = reach.copy()
-    active[np.arange(K), targets] = False
-    # every action is allowed on held rows, so their Q stays finite
-    allowed = _stays_inside(P > 0, reach) | ~active[..., None]
-    cost = np.ones((S, m.num_actions))
+    support = m.transitions > 0
+    reach, policy = (x[targets] for x in _almost_sure_reach(support))
+    terminal = ~reach
+    terminal[np.arange(len(targets)), targets] = True
+    cost = np.where(_stays_inside(support, reach), 1.0, math.inf)
+    cost[terminal] = 0.0
+    discount = np.where(terminal, 0.0, 1.0)
+    S = m.num_states
     step = max(1, _CHUNK_BYTES // (8 * S * S))
     T = np.concatenate([
-        _policy_iteration(P, cost, 1.0, policy[k:k + step], allowed[k:k + step],
-                          active[k:k + step])[1]
-        for k in range(0, K, step)])
+        _policy_iteration(m.transitions, cost[k:k + step], discount[k:k + step],
+                          policy[k:k + step])[1]
+        for k in range(0, len(targets), step)])
     return np.where(reach, T, math.inf)
 
 
 def min_expected_hitting_times(m: TabularMdp, target: int) -> np.ndarray:
     """Minimal expected hitting times T(s) to ``target`` over all policies,
     +inf where no policy reaches it almost surely: one target of diameter's
-    solve."""
-    reach, policy = _almost_sure_reach(m.transitions > 0)
-    return _hitting_times(m, np.array([target]), reach[[target]],
-                          policy[[target]])[0]
+    solve.  A target outside [0, S) raises IndexError."""
+    if not 0 <= target < m.num_states:
+        raise IndexError(f"target {target} out of range for {m.num_states} states")
+    return _hitting_times(m, np.array([target]))[0]
 
 
 def diameter(m: TabularMdp) -> float:
-    """MDP diameter: max over ordered pairs s1 != s2 of the minimal expected
-    hitting time from s1 to s2, solved exactly for all targets at once; +inf
-    when some pair is not almost surely reachable, 0.0 for one state."""
-    reach, policy = _almost_sure_reach(m.transitions > 0)
-    if not reach.all():
-        return math.inf
-    return float(_hitting_times(m, np.arange(m.num_states), reach, policy).max())
+    """MDP diameter: the largest minimal expected hitting time over ordered
+    pairs, solved exactly for all targets at once: +inf when some pair is not
+    almost surely reachable, 0.0 for one state."""
+    return float(_hitting_times(m, np.arange(m.num_states)).max())
 
 
 # ---------------------------------------------------------------------------

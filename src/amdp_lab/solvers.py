@@ -145,9 +145,9 @@ def dmdp_policy_iteration(m: TabularMdp, gamma: float):
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     r = m.rewards
-    every = np.ones((1, m.num_states), dtype=bool)
-    cost_Q, _ = _policy_iteration(m.transitions, -r, gamma,
-                                  np.argmax(r, axis=1)[None], True, every)
+    cost_Q, _ = _policy_iteration(m.transitions, -r[None],
+                                  np.full((1, m.num_states), gamma),
+                                  np.argmax(r, axis=1)[None])
     Q = -cost_Q[0]
     return Q, Q.max(axis=1), DeterministicPolicy(np.argmax(Q, axis=1))
 

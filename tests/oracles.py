@@ -383,6 +383,62 @@ def value_iteration_hitting_times(m, tol: float = 1e-9,
     return out
 
 
+def masked_policy_iteration(P: np.ndarray, cost: np.ndarray, discount: float,
+                            policy: np.ndarray, allowed, active: np.ndarray,
+                            max_iterations: int = 1000):
+    """Howard policy iteration with masks, for K problems on one (S, A, S)
+    tensor: the loop the lab ran before terminal states and forbidden
+    actions became data.  cost is (S, A) and discount one scalar; rows off
+    active (K, S) are held at value 0 and actions off allowed (broadcasting
+    to (K, S, A)) get Q = +inf.  Returns (Q, V) of the last evaluation."""
+    K, S = policy.shape
+    states, problems = np.arange(S), np.arange(K)[:, None]
+    identity = np.eye(S)
+    tie = 8.0 * np.finfo(float).eps
+    for _ in range(max_iterations):
+        M = np.where(active[..., None], identity - discount * P[states, policy],
+                     identity)
+        b = np.where(active, cost[states, policy], 0.0)
+        V = np.linalg.solve(M, b[..., None])[..., 0]
+        Q = np.where(allowed, cost + discount * (P @ V[:, None, :, None])[..., 0],
+                     np.inf)
+        best = Q.min(axis=-1)
+        current = Q[problems, states, policy]
+        improves = active & (current - best > tie * np.abs(best))
+        if not improves.any():
+            return Q, V
+        policy = np.where(improves, np.argmin(Q, axis=-1), policy)
+    raise RuntimeError("oracle policy iteration did not converge")
+
+
+def masked_hitting_times(m) -> np.ndarray:
+    """Minimal expected hitting times (S, S), indexed [target, state], by
+    masked_policy_iteration for all targets at once from the reach step's
+    policies: active on each reach set less its target, actions leaving
+    the reach set not allowed, +inf off the reach set."""
+    from amdp_lab.chains import _almost_sure_reach, _stays_inside
+
+    S = m.num_states
+    reach, policy = _almost_sure_reach(m.transitions > 0)
+    active = reach & ~np.eye(S, dtype=bool)
+    allowed = _stays_inside(m.transitions > 0, reach) | ~active[..., None]
+    _, T = masked_policy_iteration(m.transitions, np.ones((S, m.num_actions)),
+                                   1.0, policy, allowed, active)
+    return np.where(reach, T, np.inf)
+
+
+def masked_dmdp_policy_iteration(m, gamma: float):
+    """(Q, V, actions) of the discounted optimum by masked_policy_iteration
+    with every row active and every action allowed, from the reward-greedy
+    policy."""
+    r = m.rewards
+    every = np.ones((1, m.num_states), dtype=bool)
+    cost_Q, _ = masked_policy_iteration(m.transitions, -r, gamma,
+                                        np.argmax(r, axis=1)[None], True, every)
+    Q = -cost_Q[0]
+    return Q, Q.max(axis=1), np.argmax(Q, axis=1)
+
+
 def set_loop_weakly_communicating(m) -> bool:
     """Weak communication with the greatest fixed point "keep u if some
     action stays inside" taken over a Python set, one flatnonzero per

@@ -57,3 +57,34 @@ def test_incorrect_run_recorded_then_exit_1(bad, tmp_path, monkeypatch, capsys):
     assert summary["failed"] == failed
     assert code == (1 if bad else 0)
     assert ("incorrect" in capsys.readouterr().err) == bool(bad)
+
+
+def test_warm_up_run_of_each_workload_not_recorded(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(workload)  # each run's metric is its call number
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"ops_per_s": {"value": float(len(calls)), "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    monkeypatch.setattr(bench_pairs, "head_commit", lambda path: path.name)
+    out = tmp_path / "pairs.json"
+    workloads = ["reduce_sweep", "certify_corpus"]
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--seeds", "101-103", "--workloads", *workloads,
+                             "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert len(record["runs"]) == 2 * 3 * 2
+    assert len(calls) == 2 * 3 * 2 + 2
+    warm_ups = {calls.index(w) + 1 for w in workloads}
+    recorded = [r["result"]["metrics"]["ops_per_s"]["value"] for r in record["runs"]]
+    assert sorted(recorded) == sorted(set(range(1, len(calls) + 1)) - warm_ups)
+    for w in workloads:
+        assert record["summary"][w]["attempted"] == {"parent": 30, "change": 30}
+        assert record["summary"][w]["failed"] == {"parent": 0, "change": 0}

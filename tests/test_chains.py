@@ -14,6 +14,7 @@ from amdp_lab import (
     amdp_optimal,
     decompose_chain,
     diameter,
+    dmdp_policy_iteration,
     hard_instance,
     induce_chain,
     is_communicating,
@@ -38,6 +39,8 @@ from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbi
 from oracles import (
     bfs_periods,
     hitting_time_single_chain,
+    masked_dmdp_policy_iteration,
+    masked_hitting_times,
     set_loop_weakly_communicating,
     value_iteration_hitting_times,
     full_stack_mixing_time,
@@ -216,6 +219,12 @@ class TestDiameter:
         assert T[1] == 0.0
         assert T[0] == pytest.approx(4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_target_out_of_range_raises(self, slow4, target):
+        # numpy would wrap -1 to the last state and answer for target 1
+        with pytest.raises(IndexError, match="out of range"):
+            min_expected_hitting_times(slow4, target)
+
     def test_iteration_cap_raises(self, monkeypatch):
         # the reach-layer start takes action 0 at state 0 (T = 10); one
         # improvement to action 1 (T = 1) makes two evaluations in all
@@ -253,6 +262,44 @@ class TestDiameter:
         ms = _sparse_mdps()
         assert sum(math.isinf(diameter(m)) for m in ms) > 100
         _assert_hitting_times_match_oracle(ms)
+
+    def test_matches_masked_policy_iteration_bit_for_bit(self):
+        # terminal states and forbidden actions as data give the same bits
+        # as the masked loop they replaced, for both exact solves
+        ms = [m for _, m in standard_corpus(count=1000, max_states=6,
+                                            max_actions=4, master_seed=7)]
+        ms += _sparse_mdps() + _hard_family()
+        for m in ms:
+            T = masked_hitting_times(m)
+            for t in range(m.num_states):
+                assert np.array_equal(min_expected_hitting_times(m, t), T[t])
+            assert diameter(m) == float(T.max())
+            for gamma in (0.5, 0.99, 1 - 1e-6):
+                Q, V, pi = dmdp_policy_iteration(m, gamma)
+                Q_old, V_old, actions = masked_dmdp_policy_iteration(m, gamma)
+                assert np.array_equal(Q, Q_old)
+                assert np.array_equal(V, V_old)
+                assert np.array_equal(pi.actions, actions)
+
+    def test_hitting_time_chunks_change_no_bits(self, monkeypatch):
+        # one target per chunk against one chunk for every target
+        from amdp_lab import chains
+
+        ms = [m for m in _hard_family() if m.num_states == 14] + _sparse_mdps()
+        whole = [(diameter(m), chains._hitting_times(m, np.arange(m.num_states)))
+                 for m in ms]
+        monkeypatch.setattr(chains, "_CHUNK_BYTES", 1)
+        for m, (D, T) in zip(ms, whole):
+            assert diameter(m) == D
+            assert np.array_equal(chains._hitting_times(m, np.arange(m.num_states)), T)
+
+
+def _hard_family() -> list:
+    """M0 and M1 at S6A3 and S14A4, D in {32, 1e3, 1e4}, epsilon = 1/32."""
+    return [hard_instance(HardInstanceSpec(S=S, A=A, D=D, epsilon=1 / 32,
+                                           variant=variant))
+            for S, A in ((6, 3), (14, 4)) for D in (32, 1e3, 1e4)
+            for variant in ("M0", "M1")]
 
 
 def _sparse_mdps(count: int = 600) -> list:

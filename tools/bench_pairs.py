@@ -6,8 +6,10 @@ named workload, alternating which side runs first from seed to seed, and
 records every run's last stdout line (the end-to-end metrics) with its seed,
 side and commit.  A summary gives each metric's median and quartiles per
 side, the number of pairs the change won, and each side's attempted and
-failed ops.  ``bench/run.py`` exits 0 on wrong outputs, so after writing the
-JSON this script exits 1 if any run was not correct.
+failed ops.  One unrecorded run of each workload comes first, because the
+first run after idle time reads slow on either side.  ``bench/run.py``
+exits 0 on wrong outputs, so after writing the JSON this script exits 1 if
+any run was not correct.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --seeds 101-110 --workloads reduce_sweep certify_corpus --out BENCH_9.json
@@ -87,6 +89,8 @@ def main(argv=None) -> int:
     commits = {side: head_commit(path) for side, path in checkouts.items()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for workload in args.workloads:  # warm-up, not recorded
+        run_side(checkouts["parent"], workload, args.seeds[0], args.seconds)
     runs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
