@@ -300,7 +300,7 @@ def _almost_sure_reach(support: np.ndarray):
 def _policy_iteration(P: np.ndarray, cost: np.ndarray, discount: np.ndarray,
                       policy: np.ndarray):
     """Howard policy iteration minimizing expected discounted cost, for K
-    problems on one transition tensor P (S, A, S) at once.
+    problems at once on a shared P (S, A, S) or one each, P (K, S, A, S).
 
     cost (K, S, A) is +inf on a forbidden action; discount (K, S) is per
     problem and state, and a state with discount 0 and cost 0 is terminal,
@@ -311,11 +311,13 @@ def _policy_iteration(P: np.ndarray, cost: np.ndarray, discount: np.ndarray,
     make it cycle.  Returns (Q, V) of the last evaluation.
     """
     K, S = policy.shape
+    # a (K, S, A, S) view to gather from; matmul broadcasts P itself faster
+    P_each = np.broadcast_to(P, (K, *P.shape[-3:]))
     states, problems = np.arange(S), np.arange(K)[:, None]
     identity = np.eye(S)
     tie = 8.0 * np.finfo(float).eps
     for _ in range(PI_MAX_ITERATIONS):
-        M = identity - discount[..., None] * P[states, policy]
+        M = identity - discount[..., None] * P_each[problems, states, policy]
         V = np.linalg.solve(M, cost[problems, states, policy][..., None])[..., 0]
         # one matrix-vector product per problem and state, so each problem's
         # Q is rounded the same way whatever K is (chunks change no bits)
@@ -364,9 +366,10 @@ def min_expected_hitting_times(m: TabularMdp, target: int) -> np.ndarray:
 
 def diameter(m: TabularMdp) -> float:
     """MDP diameter: the largest minimal expected hitting time over ordered
-    pairs, solved exactly for all targets at once: +inf when some pair is not
-    almost surely reachable, 0.0 for one state."""
-    return float(_hitting_times(m, np.arange(m.num_states)).max())
+    pairs, solved exactly for all targets at once: +inf, before any solve,
+    when the MDP is not communicating, 0.0 for one state."""
+    return (float(_hitting_times(m, np.arange(m.num_states)).max())
+            if is_communicating(m) else math.inf)
 
 
 # ---------------------------------------------------------------------------

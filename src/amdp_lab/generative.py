@@ -83,6 +83,11 @@ class GenerativeModel:
                                        dtype=np.int64)
         # inverse-CDF tables in state-index order
         self._cum = np.cumsum(truth.transitions, axis=2)
+        self._multi = np.count_nonzero(truth.transitions > 0, axis=2) > 1
+        # every pair's transition_seed(s, a) at once, splitmix64 on uint64 arrays
+        x = np.uint64(derive_seed(seed_spec.master_seed, _TAG_TRANSITION))
+        x = splitmix64(x ^ np.arange(self.num_states, dtype=np.uint64)[:, None])
+        self._seeds = splitmix64(x ^ np.arange(self.num_actions, dtype=np.uint64))
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
     def _draw(self, s: int, a: int, n: int):
@@ -102,7 +107,7 @@ class GenerativeModel:
             gen = self._streams.get((s, a))
             if gen is None:
                 gen = self._streams[s, a] = np.random.Generator(
-                    np.random.PCG64(self.seed_spec.transition_seed(s, a)))
+                    np.random.PCG64(int(self._seeds[s, a])))
             u = gen.random(n)
         self.sample_counter[s, a] += n
         return u, support, self._cum[s, a, support[:-1]]
@@ -128,13 +133,16 @@ class GenerativeModel:
 def build_empirical(gm: GenerativeModel, n_per_pair: int,
                     perturbed_rewards: np.ndarray) -> TabularMdp:
     """The empirical MDP of n_per_pair draws at every (s, a), with the given
-    (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair."""
+    (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair.
+    Pairs with one next state are filled in one assignment; only the others
+    draw.  Every pair's sample_counter rises by n_per_pair."""
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
-    S, A = gm.num_states, gm.num_actions
-    counts = np.array([[gm.sample_counts(s, a, n_per_pair) for a in range(A)]
-                       for s in range(S)])
-    return TabularMdp(S, A, counts / float(n_per_pair),
+    counts = (gm._truth.transitions > 0) * n_per_pair
+    for s, a in zip(*np.nonzero(gm._multi)):
+        counts[s, a] = gm.sample_counts(s, a, n_per_pair)
+    gm.sample_counter[~gm._multi] += n_per_pair
+    return TabularMdp(gm.num_states, gm.num_actions, counts / float(n_per_pair),
                       np.asarray(perturbed_rewards, dtype=float),
                       metadata={"empirical_n": n_per_pair})
 

@@ -107,20 +107,18 @@ def validate_mdp(m: TabularMdp) -> list[str]:
         violations.append("rewards contain non-finite entries")
     if violations:
         return violations
-    for s in range(m.num_states):
-        for a in range(m.num_actions):
-            row = P[s, a]
-            if np.any(row < 0):
-                j = int(np.argmin(row))
-                violations.append(
-                    f"P[{s}][{a}][{j}] = {row[j]:.6g} is negative")
-            total = float(row.sum())
-            if abs(total - 1.0) > PROB_TOL:
-                violations.append(
-                    f"row P[{s}][{a}] sums to {total!r}, not 1")
-            rv = float(r[s, a])
-            if rv < 0.0 or rv > 1.0:
-                violations.append(f"r[{s}][{a}] = {rv:.6g} outside [0, 1]")
+    negative = np.any(P < 0, axis=2)
+    totals = P.sum(axis=2)
+    bad_sum = np.abs(totals - 1.0) > PROB_TOL
+    bad_reward = (r < 0.0) | (r > 1.0)
+    for s, a in zip(*np.nonzero(negative | bad_sum | bad_reward)):
+        if negative[s, a]:
+            j = int(np.argmin(P[s, a]))
+            violations.append(f"P[{s}][{a}][{j}] = {P[s, a, j]:.6g} is negative")
+        if bad_sum[s, a]:
+            violations.append(f"row P[{s}][{a}] sums to {float(totals[s, a])!r}, not 1")
+        if bad_reward[s, a]:
+            violations.append(f"r[{s}][{a}] = {float(r[s, a]):.6g} outside [0, 1]")
     return violations
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chains
+from . import chains, solvers
 from .generative import GenerativeModel, build_empirical, perturb_rewards
 from .mdp import DeterministicPolicy, EnumerationBudgetError, TabularMdp, span
 from .solvers import (
@@ -94,13 +94,23 @@ def reduction_params(epsilon: float, delta: float, H_bound: float,
 
 
 def algorithm1(gm: GenerativeModel, params: ReductionParams) -> DeterministicPolicy:
-    """Sample-based reduction: perturb rewards, build the empirical MDP from
-    n_per_pair draws everywhere, and return its exact discounted-optimal
-    policy."""
+    """Algorithm 1 on one model: the exact discounted-optimal policy of its
+    perturbed empirical MDP, _plan of one _sample."""
+    return DeterministicPolicy(_plan([_sample(gm, params)], params.gamma)[0])
+
+
+def _sample(gm: GenerativeModel, params: ReductionParams) -> TabularMdp:
+    """Algorithm 1's sampling half: the perturbed-reward empirical MDP."""
     r_p = perturb_rewards(gm.rewards, params.xi, gm.seed_spec.reward_seed())
-    emp = build_empirical(gm, params.n_per_pair, r_p)
-    _, _, policy = dmdp_policy_iteration(emp, params.gamma)
-    return policy
+    return build_empirical(gm, params.n_per_pair, r_p)
+
+
+def _plan(emps: list[TabularMdp], gamma: float) -> np.ndarray:
+    """Algorithm 1's planning half: the optimal actions (K, S) of K
+    same-shape models, from one policy iteration over their stack."""
+    Q = solvers._dmdp_optimal_q(np.stack([e.transitions for e in emps]),
+                                np.stack([e.rewards for e in emps]), gamma)
+    return np.argmax(Q, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +347,17 @@ def structural_parameters(m: TabularMdp) -> MdpParameters:
 @dataclass(frozen=True)
 class TrialRecord:
     """One sampled run: the seed it used, the exact optimality gap of the
-    returned policy, measured on the ground truth, and the wall time of its
-    Algorithm 1 call (measured, so left out of comparisons)."""
+    returned policy on the ground truth, and its sampling time plus an equal
+    share of its batch's solve (measured, so left out of comparisons)."""
 
     seed: int
     gap: float
     wallclock_ms: int = field(compare=False)
+
+
+#: uniforms each sampling worker of empirical_error needs: two workers that
+#: trade the GIL at each small Generator.random fill run slower than one
+DRAWS_PER_WORKER = 2_500_000
 
 
 def empirical_error(gm: GenerativeModel, params: ReductionParams,
@@ -350,30 +365,38 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
     """Run the sampled reduction once per derived trial seed and record the
     exact gap rho* - min_s rho^{pi_hat}(s) for each run, in trial order.
 
-    Gaps come from the exact solvers on the hidden truth; samples never
-    enter the evaluation.  Trials are independent and run on a thread pool
-    of one worker per CPU, up to the trial count.
+    Each trial's _sample runs on a thread pool of min(CPUs, trials, draws //
+    DRAWS_PER_WORKER) workers, at least one, with draws = trials * n_per_pair
+    * (pairs with two or more next states); one _plan solves all trials, and
+    one batched gain evaluation on the hidden truth (never the samples) gives
+    the gaps, with the bits of algorithm1 run once per trial.
     """
-    # imported here: concurrent.futures loads logging, which would add about
-    # 16 ms to `import amdp_lab`
+    # imported here: concurrent.futures loads logging (16 ms of import time)
     import concurrent.futures
 
+    if trials < 1:
+        return []
     truth = gm._truth  # harness-side exact evaluation, not a consumer path
     if opt is None:
         opt = amdp_optimal(truth)
     rho_star = float(np.max(opt.gain))
     seeds = [gm.seed_spec.trial_seed(trial) for trial in range(trials)]
 
-    def run(seed: int) -> TrialRecord:
+    def sample(seed: int):  # (empirical MDP, seconds it took)
         start = time.perf_counter()
-        policy = algorithm1(GenerativeModel(truth, seed), params)
-        wallclock_ms = int(round(1000.0 * (time.perf_counter() - start)))
-        gap = rho_star - float(np.min(amdp_gain_bias(truth, policy).gain))
-        return TrialRecord(seed=seed, gap=gap, wallclock_ms=wallclock_ms)
+        return _sample(GenerativeModel(truth, seed), params), time.perf_counter() - start
 
-    workers = max(1, min(os.cpu_count() or 1, trials))
+    draws = trials * params.n_per_pair * int(np.count_nonzero(gm._multi))
+    workers = max(1, min(os.cpu_count() or 1, trials, draws // DRAWS_PER_WORKER))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, seeds))
+        emps, seconds = zip(*pool.map(sample, seeds))
+    start = time.perf_counter()
+    P_pi, r_pi = chains.induced_chain_batch(truth, _plan(emps, params.gamma))
+    gains = solvers._gain_bias(P_pi, r_pi, *chains._structure_masks(P_pi > 0)).gain
+    share = (time.perf_counter() - start) / trials
+    return [TrialRecord(seed=seed, gap=rho_star - float(np.min(gain)),
+                        wallclock_ms=int(round(1000.0 * (own + share))))
+            for seed, gain, own in zip(seeds, gains, seconds)]
 
 
 def failure_rate(records: list[TrialRecord], epsilon: float) -> float:

@@ -136,20 +136,24 @@ def dmdp_value_iteration(m: TabularMdp, gamma: float, target_accuracy: float):
 
 
 def dmdp_policy_iteration(m: TabularMdp, gamma: float):
-    """Exact discounted optimum by Howard policy iteration (chains'
-    _policy_iteration on cost -r, started from the reward-greedy policy).
+    """Exact discounted optimum by Howard policy iteration: the one-problem
+    case of _dmdp_optimal_q.
 
     Returns (Q, V, policy) as dmdp_value_iteration does: V the row max of Q
     and the greedy policy with ties broken toward the lowest action index.
     """
+    Q = _dmdp_optimal_q(m.transitions, m.rewards[None], gamma)[0]
+    return Q, Q.max(axis=1), DeterministicPolicy(np.argmax(Q, axis=1))
+
+
+def _dmdp_optimal_q(P: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray:
+    """Optimal discounted Q (K, S, A), each problem with the bits of its own
+    K = 1 solve, of rewards r (K, S, A) on P (S, A, S) or (K, S, A, S): one
+    _policy_iteration on cost -r from each reward-greedy policy."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    r = m.rewards
-    cost_Q, _ = _policy_iteration(m.transitions, -r[None],
-                                  np.full((1, m.num_states), gamma),
-                                  np.argmax(r, axis=1)[None])
-    Q = -cost_Q[0]
-    return Q, Q.max(axis=1), DeterministicPolicy(np.argmax(Q, axis=1))
+    return -_policy_iteration(P, -r, np.full(r.shape[:2], gamma),
+                              np.argmax(r, axis=-1))[0]
 
 
 # ---------------------------------------------------------------------------

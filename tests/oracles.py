@@ -318,6 +318,20 @@ def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
     return counts
 
 
+def per_pair_empirical(gm, n: int, rewards: np.ndarray):
+    """The empirical MDP of n draws at every pair from one sample_counts
+    call per pair, in (s, a) order, one-state pairs included: the build
+    build_empirical made before it filled the one-state pairs in one
+    assignment and drew only at the others."""
+    from amdp_lab import TabularMdp
+
+    S, A = gm.num_states, gm.num_actions
+    counts = np.array([[gm.sample_counts(s, a, n) for a in range(A)]
+                       for s in range(S)])
+    return TabularMdp(S, A, counts / float(n), np.asarray(rewards, dtype=float),
+                      metadata={"empirical_n": n})
+
+
 #: value-iteration hitting-time iterates above this are treated as divergent
 HITTING_TIME_CAP = 1e9
 
@@ -467,7 +481,8 @@ def set_loop_weakly_communicating(m) -> bool:
 
 def serial_empirical_error(gm, params, trials: int, opt=None) -> list[tuple[int, float]]:
     """(seed, exact gap) of each sampled trial, run one after another in
-    trial order: the loop empirical_error ran before its thread pool."""
+    trial order, each with its own solve and evaluation: the loop
+    empirical_error ran before its thread pool and its batched solve."""
     from amdp_lab import GenerativeModel, algorithm1, amdp_gain_bias, amdp_optimal
 
     truth = gm._truth
@@ -616,3 +631,33 @@ def multipass_hard_instance(spec):
     return lower_swap(m, x_states[k - 1], y_states[k - 1], l - 1,
                       (1.0 - 8.0 * spec.epsilon) / spec.D_prime,
                       {"name": f"M_{k},{l}", "variant": "MKL", "k": k, "l": l})
+
+
+def loop_validate_mdp(m) -> list[str]:
+    """validate_mdp as one Python loop over every (s, a): the check the
+    lab ran before its masks were vectorized."""
+    from amdp_lab.mdp import PROB_TOL
+
+    violations: list[str] = []
+    P, r = m.transitions, m.rewards
+    if not np.all(np.isfinite(P)):
+        violations.append("transitions contain non-finite entries")
+    if not np.all(np.isfinite(r)):
+        violations.append("rewards contain non-finite entries")
+    if violations:
+        return violations
+    for s in range(m.num_states):
+        for a in range(m.num_actions):
+            row = P[s, a]
+            if np.any(row < 0):
+                j = int(np.argmin(row))
+                violations.append(
+                    f"P[{s}][{a}][{j}] = {row[j]:.6g} is negative")
+            total = float(row.sum())
+            if abs(total - 1.0) > PROB_TOL:
+                violations.append(
+                    f"row P[{s}][{a}] sums to {total!r}, not 1")
+            rv = float(r[s, a])
+            if rv < 0.0 or rv > 1.0:
+                violations.append(f"r[{s}][{a}] = {rv:.6g} outside [0, 1]")
+    return violations

@@ -35,7 +35,7 @@ def test_incorrect_run_recorded_then_exit_1(bad, tmp_path, monkeypatch, capsys):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
 
     def fake_run(checkout, workload, seed, seconds):
         side = "change" if "change" in str(checkout) else "parent"
@@ -63,7 +63,7 @@ def test_warm_up_run_of_each_workload_not_recorded(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+        {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}))
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):
@@ -88,3 +88,49 @@ def test_warm_up_run_of_each_workload_not_recorded(tmp_path, monkeypatch):
     for w in workloads:
         assert record["summary"][w]["attempted"] == {"parent": 30, "change": 30}
         assert record["summary"][w]["failed"] == {"parent": 0, "change": 0}
+
+
+SPREAD = [100.0, 104.0, 98.0, 102.0, 97.0, 103.0, 99.0, 101.0, 96.0, 105.0]
+
+
+@pytest.mark.parametrize("better, change, expected", [
+    # every pair won, medians 20 apart against a parent IQR of about 5
+    ("higher", [p + 20.0 for p in SPREAD], "gain"),
+    ("lower", [p - 20.0 for p in SPREAD], "gain"),
+    # 8 of 10 pairs won: no gain, however far apart the medians
+    ("higher", [p + (20.0 if i < 8 else -1.0) for i, p in enumerate(SPREAD)],
+     "no change"),
+    # every pair won but by less than the parent's IQR
+    ("higher", [p + 1.0 for p in SPREAD], "no change"),
+    # median 30% worse, past the 25% bound
+    ("higher", [0.7 * p for p in SPREAD], "regression"),
+    ("lower", [1.3 * p for p in SPREAD], "regression"),
+    # the change's runs spread past 25% of the parent's median
+    ("higher", [p + (40.0 if i % 2 else -40.0) for i, p in enumerate(SPREAD)],
+     "unresolved"),
+    # as wide, but every change run beats every parent run
+    ("higher", [p + 200.0 + (40.0 if i % 2 else -40.0) for i, p in enumerate(SPREAD)],
+     "gain"),
+])
+def test_verdict_per_metric(better, change, expected, tmp_path, monkeypatch,
+                            capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "m", "better": better, "bound": 0.25}]}))
+    values = {"parent": SPREAD, "change": change}
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "change" if "change" in str(checkout) else "parent"
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {"m": {"value": values[side][seed - 101], "unit": "1"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    monkeypatch.setattr(bench_pairs, "head_commit", lambda path: path.name)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"),
+                             "--seeds", "101-110", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())["summary"]["reduce_sweep"]["m"]
+    assert summary["verdict"] == expected
+    assert f"reduce_sweep m: {expected} " in capsys.readouterr().err

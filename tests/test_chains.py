@@ -7,11 +7,13 @@ import pytest
 from amdp_lab import (
     DeterministicPolicy,
     EnumerationBudgetError,
+    GenerativeModel,
     HardInstanceSpec,
     SolverConvergenceError,
     aperiodicity_transform,
     amdp_gain_bias,
     amdp_optimal,
+    build_empirical,
     decompose_chain,
     diameter,
     dmdp_policy_iteration,
@@ -21,6 +23,7 @@ from amdp_lab import (
     is_weakly_communicating,
     min_expected_hitting_times,
     mixing_time,
+    perturb_rewards,
     span,
     structural_parameters,
     two_state_slow_chain,
@@ -214,6 +217,34 @@ class TestDiameter:
         m = TabularMdp(2, 1, P, np.zeros((2, 1)))
         assert math.isinf(diameter(m))
 
+    def test_not_communicating_is_inf_before_any_solve(self, monkeypatch):
+        # a large MDP with one absorbing state: +inf from the closure alone
+        from amdp_lab import TabularMdp, chains
+
+        m = random_mdp(200, 2, seed=200)
+        P = m.transitions.copy()
+        P[0] = np.eye(200)[0]
+        m = TabularMdp(200, 2, P, m.rewards)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("hitting times solved for a non-communicating MDP")
+
+        monkeypatch.setattr(chains, "_hitting_times", no_solve)
+        assert not is_communicating(m)
+        assert diameter(m) == math.inf
+
+    def test_hitting_times_infinite_exactly_when_not_communicating(self):
+        # the all-target solve has an infinite entry iff the closure says
+        # the MDP is not communicating, so diameter may ask the closure first
+        from amdp_lab import chains
+
+        ms = _sparse_mdps()
+        infinite = [bool(np.isinf(chains._hitting_times(m, np.arange(m.num_states))).any())
+                    for m in ms]
+        assert sum(infinite) == 110
+        assert infinite == [not is_communicating(m) for m in ms]
+        assert [math.isinf(diameter(m)) for m in ms] == infinite
+
     def test_hitting_times_vector(self, slow4):
         T = min_expected_hitting_times(slow4, 1)
         assert T[1] == 0.0
@@ -265,10 +296,22 @@ class TestDiameter:
 
     def test_matches_masked_policy_iteration_bit_for_bit(self):
         # terminal states and forbidden actions as data give the same bits
-        # as the masked loop they replaced, for both exact solves
+        # as the masked loop they replaced, for both exact solves; and one
+        # solve over a stack of same-shape MDPs, each with its own P, gives
+        # every one of them the bits of its own K = 1 solve
+        from amdp_lab.solvers import _dmdp_optimal_q
+
         ms = [m for _, m in standard_corpus(count=1000, max_states=6,
                                             max_actions=4, master_seed=7)]
         ms += _sparse_mdps() + _hard_family()
+        for truth in _hard_family():
+            if truth.metadata["variant"] != "M1" or truth.metadata["D"] != 32:
+                continue
+            ms += [build_empirical(GenerativeModel(truth, seed), 1000,
+                                   perturb_rewards(truth.rewards, 1e-6, seed))
+                   for seed in range(4)]
+            assert len({m.transitions.tobytes() for m in ms[-4:]}) == 4
+        stacks = {}
         for m in ms:
             T = masked_hitting_times(m)
             for t in range(m.num_states):
@@ -280,6 +323,12 @@ class TestDiameter:
                 assert np.array_equal(Q, Q_old)
                 assert np.array_equal(V, V_old)
                 assert np.array_equal(pi.actions, actions)
+                stacks.setdefault((m.transitions.shape, gamma), []).append((m, Q))
+        for ((S, A, _), gamma), group in stacks.items():
+            Q_stack = _dmdp_optimal_q(np.stack([m.transitions for m, _ in group]),
+                                      np.stack([m.rewards for m, _ in group]), gamma)
+            assert np.array_equal(Q_stack, np.stack([Q for _, Q in group]))
+        assert min(len(stacks[(6, 3, 6), 0.5]), len(stacks[(14, 4, 14), 0.5])) >= 6 + 4
 
     def test_hitting_time_chunks_change_no_bits(self, monkeypatch):
         # one target per chunk against one chunk for every target

@@ -386,7 +386,9 @@ class TestOptimumSolvedOnce:
         def no_sampling(*a, **kw):
             raise AssertionError("sampled before --H was checked")
 
-        monkeypatch.setattr(reduction, "algorithm1", no_sampling)
+        # the sampling half, which reduce (through algorithm1) and
+        # experiment both run
+        monkeypatch.setattr(reduction, "_sample", no_sampling)
         assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
                                "--seed", "5", "--out", str(tmp_path)]) == 2
         assert "--H" in capsys.readouterr().err
@@ -502,7 +504,7 @@ class TestReductionInputs:
         def no_sampling(*a, **kw):
             raise AssertionError("sampled with a non-finite H bound")
 
-        monkeypatch.setattr(reduction, "algorithm1", no_sampling)
+        monkeypatch.setattr(reduction, "_sample", no_sampling)
         assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
                                "--seed", "5", "--out", str(tmp_path)]) == 2
         assert "H_bound must be finite" in capsys.readouterr().err

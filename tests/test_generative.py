@@ -21,7 +21,7 @@ from amdp_lab import (
 )
 from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.reduction import reduction_params
-from oracles import drawn_counts, searchsorted_draws
+from oracles import drawn_counts, per_pair_empirical, searchsorted_draws
 
 
 def hard_m1(S, A):
@@ -244,7 +244,7 @@ class TestOneStatePairs:
                 slow = GenerativeModel(truth, seed)
                 slow.sample_counts = functools.partial(drawn_counts, slow)
                 emp = build_empirical(fast, N, truth.rewards)
-                ref = build_empirical(slow, N, truth.rewards)
+                ref = per_pair_empirical(slow, N, truth.rewards)
                 assert np.array_equal(emp.transitions, ref.transitions)
                 assert np.array_equal(fast.sample_counter, slow.sample_counter)
                 assert sorted(fast._streams) == [
@@ -258,6 +258,26 @@ class TestOneStatePairs:
 
 
 class TestBuildEmpirical:
+    def test_matches_per_pair_sample_counts(self):
+        # one assignment for the one-state pairs and draws at the others
+        # give the counts, the tallies and the streams of one sample_counts
+        # call per pair
+        truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
+                  *(random_support_truth(7, 3, seed) for seed in range(5))]
+        for truth, master, N in itertools.product(truths, (0, 9), (1, 37, 5000)):
+            fast = GenerativeModel(truth, master)
+            slow = GenerativeModel(truth, master)
+            rewards = perturb_rewards(truth.rewards, 1e-3, master)
+            emp = build_empirical(fast, N, rewards)
+            ref = per_pair_empirical(slow, N, rewards)
+            assert np.array_equal(emp.transitions, ref.transitions)
+            assert np.array_equal(emp.rewards, ref.rewards)
+            assert emp.metadata == ref.metadata
+            assert np.array_equal(fast.sample_counter, slow.sample_counter)
+            assert sorted(fast._streams) == sorted(slow._streams)
+            for pair, gen in fast._streams.items():
+                assert gen.bit_generator.state == slow._streams[pair].bit_generator.state
+
     def test_single_draw_rows_are_point_masses(self):
         truth = random_mdp(3, 2, seed=11)
         emp = build_empirical(GenerativeModel(truth, 7), 1, truth.rewards)
@@ -371,6 +391,18 @@ class TestSeedSpec:
             RngSeedSpec(5.0).transition_seed(0, 0)
         with pytest.raises(TypeError):
             next(standard_corpus(count=1, master_seed=7.0))
+
+    @pytest.mark.parametrize("master", [0, 1, 123, 2**63, 2**64 - 1, -1])
+    def test_seed_pass_matches_transition_seed(self, master):
+        # the model's seeds for every pair at once, from splitmix64 on
+        # uint64 arrays, equal the per-pair derivation
+        spec = RngSeedSpec(master)
+        for S, A in ((1, 1), (7, 3), (200, 3)):
+            gm = GenerativeModel(TabularMdp(S, A, np.full((S, A, S), 1.0 / S),
+                                            np.zeros((S, A))), master)
+            assert gm._seeds.shape == (S, A)
+            assert [[int(x) for x in row] for row in gm._seeds] == [
+                [spec.transition_seed(s, a) for a in range(A)] for s in range(S)]
 
     def test_streams_distinct_across_pairs(self):
         spec = RngSeedSpec(123)

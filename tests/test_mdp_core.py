@@ -20,6 +20,7 @@ from amdp_lab import (
 )
 from amdp_lab.cli import main
 from amdp_lab.corpus import random_mdp
+from oracles import loop_validate_mdp
 
 
 class TestValidate:
@@ -43,6 +44,42 @@ class TestValidate:
         P = np.array([[[1.2, -0.2]], [[1.0, 0.0]]])
         m = TabularMdp(2, 1, P, np.zeros((2, 1)))
         assert any("negative" in v for v in validate_mdp(m))
+
+    def test_messages_match_pair_loop(self):
+        # the vectorized masks give the pair loop's messages, in its order
+        def negative(P, r):
+            P[1, 2] = [1.1, -0.1, 0.0, 0.0, 0.0]
+
+        def row_sum(P, r):
+            P[3, 0, 0] += 1e-9
+
+        def reward(P, r):
+            r[4, 1] = -0.25
+
+        def several_in_one_row(P, r):
+            P[0, 1] = [0.7, -0.3, 0.2, 0.0, 0.0]
+            r[0, 1] = 1.5
+
+        def every_pair_of_a_state(P, r):
+            P[4, :, 0] -= 2.0
+            r[2] = 2.0
+
+        def non_finite(P, r):
+            P[2, 2, 3] = np.nan
+            r[2, 0] = np.inf
+
+        edits = [negative, row_sum, reward, several_in_one_row,
+                 every_pair_of_a_state, non_finite]
+        base = random_mdp(5, 3, seed=4)
+        for chosen in [[e] for e in edits] + [edits[:-1], edits]:
+            P, r = base.transitions.copy(), base.rewards.copy()
+            for edit in chosen:
+                edit(P, r)
+            m = TabularMdp(5, 3, P, r)
+            assert validate_mdp(m) == loop_validate_mdp(m) != []
+        for seed in range(50):
+            m = random_mdp(seed % 7 + 1, seed % 4 + 1, seed=seed)
+            assert validate_mdp(m) == loop_validate_mdp(m) == []
 
 
 class TestConstruction:

@@ -263,6 +263,7 @@ class TestEmpiricalError:
         records = empirical_error(GenerativeModel(truth, 3), params, 5)
         assert all(rec.gap == pytest.approx(0.0, abs=1e-9) for rec in records)
         assert failure_rate(records, 0.5) == 0.0
+        assert empirical_error(GenerativeModel(truth, 3), params, 0) == []
 
     def test_single_action_truth_zero_gap(self):
         truth = two_state_slow_chain(4)
@@ -278,20 +279,73 @@ class TestEmpiricalError:
         b = empirical_error(GenerativeModel(truth, 5), params, 6)
         assert a == b
 
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_pool_matches_serial_oracle(self, cpus, monkeypatch):
-        # the pool's worker count is min(cpu count, trials); any count gives
-        # the serial loop's seeds, in trial order, and bit-identical gaps
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_matches_serial_oracle(self, workers, monkeypatch):
+        # any number of sampling workers, with one batched solve and one
+        # batched evaluation after them, gives the serial loop's seeds, in
+        # trial order, and bit-identical gaps
+        import concurrent.futures
+
+        sizes = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        monkeypatch.setattr(reduction, "DRAWS_PER_WORKER", 1)
+        for S, A in ((6, 3), (14, 4)):
+            truth = hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
+                                                   variant="M1"))
+            params = reduction_params(0.25, 0.1, 2.0, S, A, n_override=30)
+            records = empirical_error(GenerativeModel(truth, 7), params, 12)
+            expected = serial_empirical_error(GenerativeModel(truth, 7), params, 12)
+            assert [(rec.seed, rec.gap) for rec in records] == expected
+            assert len({gap for _, gap in expected}) > 1
+            assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
+                       for rec in records)
+        assert sizes == [workers, workers]
+
+    @pytest.mark.parametrize("N, cpus, trials, workers", [
+        (1000, 8, 10, 1),         # 8e4 draws: one worker
+        (31_250, 8, 10, 1),       # 2.5e6 draws: one DRAWS_PER_WORKER
+        (62_500, 8, 10, 2),       # 5e6 draws: two
+        (10**6, 8, 10, 8),        # 8e7 draws: capped by the CPUs
+        (10**6, 3, 10, 3),
+        (10**6, 8, 2, 2),         # capped by the trials
+        (10**6, None, 10, 1),     # unknown CPU count
+    ])
+    def test_pool_size_follows_draws(self, N, cpus, trials, workers, monkeypatch):
+        # workers = min(CPUs, trials, draws // DRAWS_PER_WORKER), at least 1,
+        # with draws = trials * N * (8 pairs of M1 S6A3 with two next states)
+        import concurrent.futures
+
+        sizes = []
+
+        class Sized(Exception):
+            pass
+
+        class NoPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                raise Sized
+
+            def __exit__(self, *exc):
+                return False
+
         truth = hard_instance(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
                                                variant="M1"))
-        params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=30)
+        assert np.count_nonzero(np.count_nonzero(truth.transitions > 0, axis=2) > 1) == 8
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        records = empirical_error(GenerativeModel(truth, 7), params, 12)
-        expected = serial_empirical_error(GenerativeModel(truth, 7), params, 12)
-        assert [(rec.seed, rec.gap) for rec in records] == expected
-        assert len({gap for _, gap in expected}) > 1
-        assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
-                   for rec in records)
+        params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=N)
+        with pytest.raises(Sized):
+            empirical_error(GenerativeModel(truth, 7), params, trials, amdp_optimal(truth))
+        assert sizes == [workers]
 
     def test_failure_rate_requires_records(self):
         with pytest.raises(ValueError):
