@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chains, solvers
+from . import chains, generative, solvers
 from .generative import GenerativeModel, build_empirical, perturb_rewards
 from .mdp import DeterministicPolicy, EnumerationBudgetError, TabularMdp, span
 from .solvers import (
@@ -360,20 +360,27 @@ class TrialRecord:
 DRAWS_PER_WORKER = 2_500_000
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count (1 when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def empirical_error(gm: GenerativeModel, params: ReductionParams,
                     trials: int, opt: AmdpOptimum | None = None) -> list[TrialRecord]:
     """Run the sampled reduction once per derived trial seed and record the
     exact gap rho* - min_s rho^{pi_hat}(s) for each run, in trial order.
 
-    Each trial's _sample runs on a thread pool of min(CPUs, trials, draws //
-    DRAWS_PER_WORKER) workers, at least one, with draws = trials * n_per_pair
-    * (pairs with two or more next states); one _plan solves all trials, and
-    one batched gain evaluation on the hidden truth (never the samples) gives
+    The trial models share gm's per-pair tables and one seed-word pass
+    (generative._models).  Each trial's _sample runs on a thread pool of
+    min(CPUs available, trials, draws // DRAWS_PER_WORKER) workers, with
+    draws = trials * n_per_pair * (pairs with two or more next states), and
+    inline when that is at most one; one _plan solves all trials, and one
+    batched gain evaluation on the hidden truth (never the samples) gives
     the gaps, with the bits of algorithm1 run once per trial.
     """
-    # imported here: concurrent.futures loads logging (16 ms of import time)
-    import concurrent.futures
-
     if trials < 1:
         return []
     truth = gm._truth  # harness-side exact evaluation, not a consumer path
@@ -382,14 +389,21 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
     rho_star = float(np.max(opt.gain))
     seeds = [gm.seed_spec.trial_seed(trial) for trial in range(trials)]
 
-    def sample(seed: int):  # (empirical MDP, seconds it took)
+    def sample(model: GenerativeModel):  # (empirical MDP, seconds it took)
         start = time.perf_counter()
-        return _sample(GenerativeModel(truth, seed), params), time.perf_counter() - start
+        return _sample(model, params), time.perf_counter() - start
 
-    draws = trials * params.n_per_pair * int(np.count_nonzero(gm._multi))
-    workers = max(1, min(os.cpu_count() or 1, trials, draws // DRAWS_PER_WORKER))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        emps, seconds = zip(*pool.map(sample, seeds))
+    models = generative._models(gm, seeds)
+    draws = trials * params.n_per_pair * len(gm._tables.rows)
+    workers = min(_available_cpus(), trials, draws // DRAWS_PER_WORKER)
+    if workers <= 1:
+        emps, seconds = zip(*map(sample, models))
+    else:
+        # imported here: concurrent.futures loads logging (16 ms of import time)
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            emps, seconds = zip(*pool.map(sample, models))
     start = time.perf_counter()
     P_pi, r_pi = chains.induced_chain_batch(truth, _plan(emps, params.gamma))
     gains = solvers._gain_bias(P_pi, r_pi, *chains._structure_masks(P_pi > 0)).gain
@@ -451,22 +465,40 @@ def _write_json(path: str | Path, payload) -> None:
     Path(path).write_text(json.dumps(render(payload), indent=1, allow_nan=False) + "\n")
 
 
+def _json_float(x: float) -> str:
+    """How _write_json writes a float: float(format_number(x)) as json.dumps
+    spells it, a non-finite x as its quoted text ("inf").  Between 1e-4 and
+    1e12 the text has the digits of that spelling, less a trailing ".0";
+    in exponent form it may not (1e+12 -> 1000000000000.0, and a subnormal
+    has fewer digits)."""
+    text = format_number(x)
+    if not math.isfinite(x):
+        return f'"{text}"'
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
 def write_certificates_report(certs: list[Certificate], path: str | Path) -> None:
     """Structured-text (JSON) companion of the CSV: per-certificate records
-    plus a pass/fail summary."""
-    _write_json(path, {
-        "total": len(certs),
-        "passed": sum(1 for c in certs if c.passed),
-        "failed": [
-            {"instance_id": c.instance_id, "name": c.name}
-            for c in certs if not c.passed
-        ],
-        "certificates": [
-            {"instance_id": c.instance_id, "name": c.name, "lhs": c.lhs,
-             "rhs": c.rhs, "tolerance": c.tolerance, "passed": c.passed}
-            for c in certs
-        ],
-    })
+    plus a pass/fail summary.  The text is what _write_json writes for
+    {"total", "passed", "failed": [{instance_id, name}], "certificates":
+    [{instance_id, name, lhs, rhs, tolerance, passed}]}, spelled out here
+    because json.dumps with an indent encodes in Python."""
+    def array(items: list[str]) -> str:
+        return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+    quote = json.encoder.encode_basestring_ascii
+    failed = [f'  {{\n   "instance_id": {quote(c.instance_id)},\n'
+              f'   "name": {quote(c.name)}\n  }}' for c in certs if not c.passed]
+    records = [f'  {{\n   "instance_id": {quote(c.instance_id)},\n'
+               f'   "name": {quote(c.name)},\n   "lhs": {_json_float(c.lhs)},\n'
+               f'   "rhs": {_json_float(c.rhs)},\n'
+               f'   "tolerance": {_json_float(c.tolerance)},\n'
+               f'   "passed": {"true" if c.passed else "false"}\n  }}' for c in certs]
+    Path(path).write_text(
+        f'{{\n "total": {len(certs)},\n "passed": {len(certs) - len(failed)},\n'
+        f' "failed": {array(failed)},\n "certificates": {array(records)}\n}}\n')
 
 
 def write_trials_csv(records: list[TrialRecord], epsilon: float,

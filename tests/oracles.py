@@ -318,6 +318,31 @@ def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
     return counts
 
 
+def int_seeded_counts(gm, s: int, a: int, n: int) -> np.ndarray:
+    """Next-state counts of n draws at (s, a), from a stream built as
+    Generator(PCG64(int(seed))) on the pair's transition seed, so NumPy's
+    SeedSequence hashes that seed itself, with the support and its CDF
+    boundaries worked out from the truth's row on every call: the
+    GenerativeModel.sample_counts used before the model built its streams
+    from state words of one vectorized pass.  A one-state pair draws
+    nothing and builds no stream; streams go in gm._streams."""
+    row = gm._truth.transitions[s, a]
+    support = np.flatnonzero(row > 0)
+    u = None
+    if len(support) > 1:
+        gen = gm._streams.get((s, a))
+        if gen is None:
+            gen = gm._streams[s, a] = np.random.Generator(
+                np.random.PCG64(int(gm.seed_spec.transition_seed(s, a))))
+        u = gen.random(n)
+    gm.sample_counter[s, a] += n
+    bounds = np.cumsum(row)[support[:-1]]
+    beyond = np.array([n] + [np.count_nonzero(u >= b) for b in bounds] + [0])
+    counts = np.zeros(gm.num_states, dtype=np.int64)
+    counts[support] = beyond[:-1] - beyond[1:]
+    return counts
+
+
 def per_pair_empirical(gm, n: int, rewards: np.ndarray):
     """The empirical MDP of n draws at every pair from one sample_counts
     call per pair, in (s, a) order, one-state pairs included: the build
@@ -661,3 +686,24 @@ def loop_validate_mdp(m) -> list[str]:
             if rv < 0.0 or rv > 1.0:
                 violations.append(f"r[{s}][{a}] = {rv:.6g} outside [0, 1]")
     return violations
+
+
+def json_dumps_certificates_report(certs, path) -> None:
+    """The certificates report through _write_json (json.dumps with one
+    space of indent over the rendered payload): the write_certificates_report
+    used before it spelled the text out itself."""
+    from amdp_lab import reduction
+
+    reduction._write_json(path, {
+        "total": len(certs),
+        "passed": sum(1 for c in certs if c.passed),
+        "failed": [
+            {"instance_id": c.instance_id, "name": c.name}
+            for c in certs if not c.passed
+        ],
+        "certificates": [
+            {"instance_id": c.instance_id, "name": c.name, "lhs": c.lhs,
+             "rhs": c.rhs, "tolerance": c.tolerance, "passed": c.passed}
+            for c in certs
+        ],
+    })

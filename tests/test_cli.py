@@ -541,10 +541,15 @@ class TestExperiment:
                                                  monkeypatch, capsys):
         args = ["experiment", "--mdp", m1_file, "--epsilon", "0.25",
                 "--N", "100", "--seed", "11", "--trials", "6"]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert main(args + ["--out", str(tmp_path / "threaded")]) == 0
+        from amdp_lab import reduction
+
+        # one worker samples inline; three share a pool
+        monkeypatch.setattr(reduction, "DRAWS_PER_WORKER", 1)
+        for cpus, out in ((1, "serial"), (3, "threaded")):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            assert main(args + ["--out", str(tmp_path / out)]) == 0
         rows_s = read_csv_rows(tmp_path / "serial" / "experiment.csv")
         rows_t = read_csv_rows(tmp_path / "threaded" / "experiment.csv")
         for r1, r2 in zip(rows_s, rows_t):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -21,7 +22,13 @@ from amdp_lab import (
 )
 from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.reduction import reduction_params
-from oracles import drawn_counts, per_pair_empirical, searchsorted_draws
+from amdp_lab import generative
+from oracles import (
+    drawn_counts,
+    int_seeded_counts,
+    per_pair_empirical,
+    searchsorted_draws,
+)
 
 
 def hard_m1(S, A):
@@ -319,6 +326,91 @@ class TestBuildEmpirical:
         with pytest.raises(ValueError):
             build_empirical(GenerativeModel(random_mdp(2, 1, seed=0), 1), 0,
                             np.zeros((2, 1)))
+
+
+def uniform_truth(S, A):
+    """Every pair spread evenly over all S states: with S >= 2 every pair
+    has a stream."""
+    return TabularMdp(S, A, np.full((S, A, S), 1.0 / S), np.zeros((S, A)))
+
+
+def assert_same_streams(fast, slow):
+    assert sorted(fast._streams) == sorted(slow._streams)
+    for pair, gen in fast._streams.items():
+        assert gen.bit_generator.state == slow._streams[pair].bit_generator.state
+
+
+class TestStreamWords:
+    def test_seed_words_match_seed_sequence(self):
+        # the vectorized hash gives SeedSequence's own words, seeds below
+        # 2**32 (zero-padded entropy) and the 64-bit extremes included
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        drawn = np.random.Generator(np.random.PCG64(20241)).integers(
+            0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
+        seeds = np.concatenate([np.array(edges, dtype=np.uint64), drawn])
+        words = generative._seed_words(seeds)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        expected = np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                             for s in seeds])
+        assert (words == expected).all()
+        grid = generative._seed_words(seeds[:6].reshape(2, 3))
+        assert grid.shape == (2, 3, 4) and (grid.reshape(6, 4) == expected[:6]).all()
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1])
+    def test_stream_states_match_int_seeded_pcg64(self, master):
+        # every pair's stream, from one model or from a batch of models,
+        # starts where PCG64(transition_seed(s, a)) starts
+        spec = RngSeedSpec(master)
+        for S, A in ((2, 1), (7, 3), (200, 3)):
+            gm = GenerativeModel(uniform_truth(S, A), master)
+            batch = list(generative._models(gm, [1, master]))
+            assert [model.seed_spec for model in batch] == [RngSeedSpec(1), spec]
+            for s, a in itertools.product(range(S), range(A)):
+                expected = np.random.PCG64(spec.transition_seed(s, a)).state
+                for model in (gm, batch[1]):
+                    model.sample_counts(s, a, 0)
+                    assert model._streams[s, a].bit_generator.state == expected
+
+    def test_build_and_counts_match_int_seeded_oracle(self):
+        # counts, tallies and stream states equal those of streams seeded
+        # through PCG64(int(seed)), for one model and for a batch
+        truths = [hard_m1(6, 3), hard_m1(14, 4),
+                  *(random_support_truth(7, 3, seed) for seed in range(5))]
+        masters = [0, 9, 2**64 - 1]
+        for truth, N in itertools.product(truths, (1, 37, 5000)):
+            S, A = truth.num_states, truth.num_actions
+            rewards = perturb_rewards(truth.rewards, 1e-3, N)
+            batch = generative._models(GenerativeModel(truth, 1), masters)
+            for master, member in zip(masters, batch):
+                for fast in (GenerativeModel(truth, master), member):
+                    slow = GenerativeModel(truth, master)
+                    slow.sample_counts = functools.partial(int_seeded_counts, slow)
+                    emp = build_empirical(fast, N, rewards)
+                    ref = per_pair_empirical(slow, N, rewards)
+                    assert np.array_equal(emp.transitions, ref.transitions)
+                    assert np.array_equal(fast.sample_counter, slow.sample_counter)
+                    assert_same_streams(fast, slow)
+                fast = GenerativeModel(truth, master)
+                slow = GenerativeModel(truth, master)
+                for s, a, n in itertools.product(range(S), range(A), (N, 13)):
+                    assert np.array_equal(fast.sample_counts(s, a, n),
+                                          int_seeded_counts(slow, s, a, n))
+                assert np.array_equal(fast.sample_counter, slow.sample_counter)
+                assert_same_streams(fast, slow)
+
+    def test_pinned_counts_digest(self):
+        # a change to NumPy's SeedSequence or PCG64 streams, or to the seed
+        # derivation, changes every count below
+        digest = hashlib.sha256()
+        for truth in (hard_m1(6, 3), hard_m1(14, 4), random_support_truth(7, 3, 0)):
+            for master in (1, 2, 3):
+                gm = GenerativeModel(truth, master)
+                counts = np.array([[gm.sample_counts(s, a, 1000)
+                                    for a in range(truth.num_actions)]
+                                   for s in range(truth.num_states)])
+                digest.update(counts.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "8680de1433b71426843427c07ba48ab0e735c5f133daaa42d4b643dfa75aa1f2")
 
 
 class TestPerturbRewards:

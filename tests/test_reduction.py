@@ -34,6 +34,7 @@ from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from oracles import (
     finite_horizon_identity_loop,
     finite_horizon_span_loop,
+    json_dumps_certificates_report,
     serial_empirical_error,
 )
 from test_generative import make_deterministic_truth
@@ -256,6 +257,56 @@ class TestCertificates:
                         (c.name, c.lhs, c.rhs) for c in certs if not c.passed]
 
 
+def _set_cpus(monkeypatch, cpus, affinity=None):
+    """A machine of `cpus` CPUs (None: unknown) on which this process may
+    run on `affinity` of them (default: all); None for both takes away
+    os.sched_getaffinity, as on a platform without one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None and affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        allowed = set(range(cpus if affinity is None else affinity))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
+                            raising=False)
+
+
+def _pool_size(monkeypatch, cpus, N, trials, affinity=None) -> int:
+    """Workers empirical_error picks on M1 S6A3 (8 pairs with two next
+    states): the size of the pool it builds, or 1 when it samples inline.
+    Whichever comes first, building the pool or sampling, stops the run."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Sized(Exception):
+        pass
+
+    class NoPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            raise Sized
+
+        def __exit__(self, *exc):
+            return False
+
+    def no_sampling(gm, params):
+        raise Sized
+
+    truth = hard_instance(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
+                                           variant="M1"))
+    assert np.count_nonzero(np.count_nonzero(truth.transitions > 0, axis=2) > 1) == 8
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(reduction, "_sample", no_sampling)
+    _set_cpus(monkeypatch, cpus, affinity)
+    params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=N)
+    with pytest.raises(Sized):
+        empirical_error(GenerativeModel(truth, 7), params, trials, amdp_optimal(truth))
+    assert len(sizes) <= 1 and sizes != [1]
+    return sizes[0] if sizes else 1
+
+
 class TestEmpiricalError:
     def test_deterministic_truth_zero_gap(self):
         truth = make_deterministic_truth()
@@ -294,7 +345,7 @@ class TestEmpiricalError:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        _set_cpus(monkeypatch, workers)
         monkeypatch.setattr(reduction, "DRAWS_PER_WORKER", 1)
         for S, A in ((6, 3), (14, 4)):
             truth = hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
@@ -306,7 +357,8 @@ class TestEmpiricalError:
             assert len({gap for _, gap in expected}) > 1
             assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
                        for rec in records)
-        assert sizes == [workers, workers]
+        # one worker samples inline, without a pool
+        assert sizes == ([workers, workers] if workers > 1 else [])
 
     @pytest.mark.parametrize("N, cpus, trials, workers", [
         (1000, 8, 10, 1),         # 8e4 draws: one worker
@@ -318,34 +370,16 @@ class TestEmpiricalError:
         (10**6, None, 10, 1),     # unknown CPU count
     ])
     def test_pool_size_follows_draws(self, N, cpus, trials, workers, monkeypatch):
-        # workers = min(CPUs, trials, draws // DRAWS_PER_WORKER), at least 1,
-        # with draws = trials * N * (8 pairs of M1 S6A3 with two next states)
-        import concurrent.futures
+        # workers = min(CPUs, trials, draws // DRAWS_PER_WORKER), with draws =
+        # trials * N * (8 pairs of M1 S6A3 with two next states); at one
+        # worker the trials sample inline and no pool is built
+        assert _pool_size(monkeypatch, cpus, N, trials) == workers
 
-        sizes = []
-
-        class Sized(Exception):
-            pass
-
-        class NoPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                raise Sized
-
-            def __exit__(self, *exc):
-                return False
-
-        truth = hard_instance(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
-                                               variant="M1"))
-        assert np.count_nonzero(np.count_nonzero(truth.transitions > 0, axis=2) > 1) == 8
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=N)
-        with pytest.raises(Sized):
-            empirical_error(GenerativeModel(truth, 7), params, trials, amdp_optimal(truth))
-        assert sizes == [workers]
+    @pytest.mark.parametrize("affinity, workers", [(1, 1), (3, 3)])
+    def test_pool_size_follows_cpu_affinity(self, affinity, workers, monkeypatch):
+        # the CPUs this process may run on, not the machine's count, cap the
+        # pool: a process pinned to one CPU samples inline
+        assert _pool_size(monkeypatch, 8, 10**6, 10, affinity) == workers
 
     def test_failure_rate_requires_records(self):
         with pytest.raises(ValueError):
@@ -362,6 +396,29 @@ class TestCsv:
         doc = json.loads(path.read_text())
         assert doc["total"] == 1 and doc["passed"] == 1 and doc["failed"] == []
         assert doc["certificates"][0]["name"] == "gain_discount_gap"
+
+    def test_certificates_report_matches_json_dumps(self, tmp_path):
+        # the spelled-out report is byte for byte what json.dumps wrote, on
+        # every float spelling format_number can lead to, on failed entries,
+        # on strings json must escape, and on no certificates at all
+        from amdp_lab import Certificate, write_certificates_report
+
+        rng = np.random.Generator(np.random.PCG64(5))
+        values = [0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 1e-5, 5e-324, 123456789012.0,
+                  1e11, 1e12, 1e15, 1e16, 1e22, -2.5e13, 1.7976931348623157e308,
+                  0.1 + 0.2, 2.0 / 3.0, float("inf"), float("-inf"), float("nan"),
+                  *(rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200))]
+        certs = [Certificate(name=f"check_{i % 7}", lhs=float(x),
+                             rhs=float(values[(i * 7 + 3) % len(values)]),
+                             tolerance=[1e-8, 0.0, 1e-6][i % 3], passed=i % 5 != 0,
+                             instance_id=["corpus-001", 'q"uote\\', "tab\t", "\u00e9",
+                                          ""][i % 5])
+                 for i, x in enumerate(values)]
+        for subset in (certs, [c for c in certs if c.passed], certs[:1], []):
+            write_certificates_report(subset, tmp_path / "fast.json")
+            json_dumps_certificates_report(subset, tmp_path / "slow.json")
+            assert ((tmp_path / "fast.json").read_bytes()
+                    == (tmp_path / "slow.json").read_bytes())
 
     def test_certificates_csv_layout(self, tmp_path, cycle, cycle_policy):
         certs = [certify_gain_discount_gap(cycle, cycle_policy, 0.9, "cycle")]
