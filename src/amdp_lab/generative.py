@@ -29,6 +29,12 @@ from .mdp import TabularMdp
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
+#: uniforms build_empirical draws at a time (128 KB): a fill that stays in
+#: cache, and the one draw array a sampling worker holds whatever N is.
+#: Each uniform takes one 64-bit output, so chunks leave the stream as one
+#: fill of N would.
+_DRAW_CHUNK = 1 << 14
+
 # domain separation tags for derived streams
 _TAG_TRANSITION = 0x9A3F_52C1_7E88_0001
 _TAG_REWARD = 0x9A3F_52C1_7E88_0002
@@ -232,20 +238,24 @@ class GenerativeModel:
         return, from the same uniforms, with one tally per support boundary."""
         u, support, bounds = self._draw(s, a, n)
         counts = np.zeros(self.num_states, dtype=np.int64)
-        _tally(counts, n, u, support, bounds)
+        _tally(counts, n, (u,), support, bounds)
         return counts
 
 
-def _tally(counts: np.ndarray, n: int, u, support: tuple, bounds: tuple) -> None:
+def _tally(counts: np.ndarray, n: int, fills, support: tuple, bounds: tuple) -> None:
     """Write the next-state counts of n draws into counts at the support
-    states: a draw lands on the first support state whose boundary exceeds
-    its uniform, and on the last one past every boundary (which absorbs the
-    u >= cum[-1] float corner).  With one support state u is not read."""
+    states, from fills, uniform arrays that together hold the n draws: a
+    draw lands on the first support state whose boundary exceeds its
+    uniform, and on the last one past every boundary (which absorbs the
+    u >= cum[-1] float corner).  With one support state no fill is read."""
+    beyond = [0] * len(bounds)
+    for u in fills:
+        for j, bound in enumerate(bounds):
+            beyond[j] += int(np.count_nonzero(u >= bound))
     left = n
-    for state, bound in zip(support, bounds):
-        beyond = int(np.count_nonzero(u >= bound))
-        counts[state] = left - beyond
-        left = beyond
+    for state, past in zip(support, beyond):
+        counts[state] = left - past
+        left = past
     counts[support[-1]] = left
 
 
@@ -267,16 +277,19 @@ def build_empirical(gm: GenerativeModel, n_per_pair: int,
     """The empirical MDP of n_per_pair draws at every (s, a), with the given
     (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair.
     Pairs with one next state are filled in one assignment; the others draw
-    their uniforms into one reused buffer and tally them as sample_counts
-    does.  Every pair's sample_counter rises by n_per_pair."""
+    their uniforms _DRAW_CHUNK at a time into one reused buffer and tally
+    them as sample_counts does.  Every pair's sample_counter rises by
+    n_per_pair."""
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
     tables = gm._tables
     counts = tables.positive * n_per_pair
-    u = np.empty(n_per_pair)
+    buf = np.empty(min(n_per_pair, _DRAW_CHUNK))
     for (s, a), (index, support, bounds) in tables.rows.items():
-        gm._stream(s, a, index).random(out=u)
-        _tally(counts[s, a], n_per_pair, u, support, bounds)
+        stream = gm._stream(s, a, index)
+        fills = (stream.random(out=buf[:n_per_pair - start])
+                 for start in range(0, n_per_pair, len(buf)))
+        _tally(counts[s, a], n_per_pair, fills, support, bounds)
     gm.sample_counter += n_per_pair
     return TabularMdp(gm.num_states, gm.num_actions, counts / float(n_per_pair),
                       np.asarray(perturbed_rewards, dtype=float),

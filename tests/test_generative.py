@@ -398,6 +398,21 @@ class TestStreamWords:
                 assert np.array_equal(fast.sample_counter, slow.sample_counter)
                 assert_same_streams(fast, slow)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_draws_match_one_fill(self, chunk, monkeypatch):
+        # a build that draws `chunk` uniforms at a time, with a short last
+        # chunk or none, gives the counts and stream states of one fill
+        monkeypatch.setattr(generative, "_DRAW_CHUNK", chunk)
+        for truth, N in itertools.product(
+                [hard_m1(6, 3), random_support_truth(7, 3, 1)], (1, 63, 64, 65, 1000)):
+            fast = GenerativeModel(truth, N)
+            slow = GenerativeModel(truth, N)
+            slow.sample_counts = functools.partial(int_seeded_counts, slow)
+            emp = build_empirical(fast, N, truth.rewards)
+            ref = per_pair_empirical(slow, N, truth.rewards)
+            assert np.array_equal(emp.transitions, ref.transitions)
+            assert_same_streams(fast, slow)
+
     def test_pinned_counts_digest(self):
         # a change to NumPy's SeedSequence or PCG64 streams, or to the seed
         # derivation, changes every count below
