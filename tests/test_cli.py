@@ -546,9 +546,9 @@ class TestExperiment:
         # one worker samples inline; three share a pool
         monkeypatch.setattr(reduction, "DRAWS_PER_WORKER", 1)
         for cpus, out in ((1, "serial"), (3, "threaded")):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
             monkeypatch.setattr(os, "sched_getaffinity",
-                                lambda pid: set(range(cpus)), raising=False)
+                                lambda pid, n=cpus: set(range(n)), raising=False)
             assert main(args + ["--out", str(tmp_path / out)]) == 0
         rows_s = read_csv_rows(tmp_path / "serial" / "experiment.csv")
         rows_t = read_csv_rows(tmp_path / "threaded" / "experiment.csv")
