@@ -176,22 +176,20 @@ class _PairTables:
 class GenerativeModel:
     """Sampling-only view of a ground-truth MDP.
 
-    Exposes sizes, the (known) reward table, next-state draws, and an exact
-    per-pair sample tally.  The true transition tensor is deliberately kept
-    off the public surface.  Each multi-state pair's stream is
-    ``Generator(PCG64(transition_seed(s, a)))``, built on its first draw
-    from state words that one vectorized SeedSequence pass gave; models of
-    one truth made by ``_models`` share its per-pair tables and that pass.
+    Exposes sizes, the (known) reward table and next-state draws.  The true
+    transition tensor is deliberately kept off the public surface.  Each
+    multi-state pair's stream is ``Generator(PCG64(transition_seed(s, a)))``,
+    built on its first draw from state words that one vectorized
+    SeedSequence pass gives, run at the model's first draw; models of one
+    truth made by ``_models`` share its per-pair tables and one pass.
     """
 
     def __init__(self, truth: TabularMdp, seed_spec: RngSeedSpec | int):
         if not isinstance(seed_spec, RngSeedSpec):
             seed_spec = RngSeedSpec(operator.index(seed_spec))
-        tables = _PairTables(truth.transitions)
-        (seeds,), (words,) = tables.derive([seed_spec])
-        self._bind(truth, seed_spec, tables, seeds, words)
+        self._bind(truth, seed_spec, _PairTables(truth.transitions), None)
 
-    def _bind(self, truth, seed_spec, tables, seeds, words) -> None:
+    def _bind(self, truth, seed_spec, tables, words) -> None:
         self._truth = truth
         self.seed_spec = seed_spec
         self.num_states = truth.num_states
@@ -200,21 +198,21 @@ class GenerativeModel:
         self.sample_counter = np.zeros((truth.num_states, truth.num_actions),
                                        dtype=np.int64)
         self._tables = tables
-        self._seeds = seeds  # (S, A) transition seeds
-        self._words = words  # (M, 4) state words of the multi-state pairs
+        self._words = words  # (M, 4) multi-state pairs' state words; None until a draw
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
     def _stream(self, s: int, a: int, index: int) -> np.random.Generator:
         gen = self._streams.get((s, a))
         if gen is None:
+            if self._words is None:
+                _, (self._words,) = self._tables.derive([self.seed_spec])
             gen = self._streams[s, a] = np.random.Generator(
                 np.random.PCG64(_state_words_type()(self._words[index])))
         return gen
 
-    def _draw(self, s: int, a: int, n: int):
-        """n uniforms from the pair's stream, its support states and the
-        CDF at all but the last of them.  With one such state the uniforms
-        are None and no stream is built."""
+    def sample_batch(self, s: int, a: int, n: int) -> np.ndarray:
+        """Draw n next states from P(.|s, a) by inverse CDF.  A pair with
+        one next state takes no uniforms and builds no stream."""
         if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
             raise IndexError(f"state-action pair ({s}, {a}) out of range")
         n = operator.index(n)
@@ -223,25 +221,10 @@ class GenerativeModel:
         self.sample_counter[s, a] += n
         row = self._tables.rows.get((s, a))
         if row is None:
-            return None, (int(self._tables.first[s, a]),), ()
+            return np.full(n, int(self._tables.first[s, a]))
         index, support, bounds = row
-        return self._stream(s, a, index).random(n), support, bounds
-
-    def sample_batch(self, s: int, a: int, n: int) -> np.ndarray:
-        """Draw n next states from P(.|s, a) by inverse CDF."""
-        u, support, bounds = self._draw(s, a, n)
-        if u is None:
-            return np.full(n, support[0])
+        u = self._stream(s, a, index).random(n)
         return np.array(support)[np.searchsorted(bounds, u, side="right")]
-
-    def sample_counts(self, s: int, a: int, n: int) -> np.ndarray:
-        """Next-state counts of n draws from P(.|s, a), as an int64 vector of
-        length num_states: the bincount of what sample_batch(s, a, n) would
-        return, from the same uniforms, with one tally per support boundary."""
-        u, support, bounds = self._draw(s, a, n)
-        counts = np.zeros(self.num_states, dtype=np.int64)
-        _tally(counts, n, (u,), support, bounds)
-        return counts
 
 
 def _tally(counts: np.ndarray, n: int, fills, support: tuple, bounds: tuple) -> None:
@@ -264,13 +247,12 @@ def _tally(counts: np.ndarray, n: int, fills, support: tuple, bounds: tuple) -> 
 def _models(gm: GenerativeModel, seeds: list[int]) -> Iterator[GenerativeModel]:
     """A model of gm's truth at each master seed, in order, each made when
     it is asked for: they share gm's per-pair tables, and the state words of
-    all of them come from one _seed_words call, the batch of which
-    GenerativeModel(truth, seed) is the one-seed case."""
+    all of them come from one _seed_words call, the batch of which a
+    GenerativeModel's first draw is the one-seed case."""
     specs = [RngSeedSpec(operator.index(seed)) for seed in seeds]
-    all_seeds, all_words = gm._tables.derive(specs)
-    for spec, pair_seeds, words in zip(specs, all_seeds, all_words):
+    for spec, words in zip(specs, gm._tables.derive(specs)[1]):
         model = GenerativeModel.__new__(GenerativeModel)
-        model._bind(gm._truth, spec, gm._tables, pair_seeds, words)
+        model._bind(gm._truth, spec, gm._tables, words)
         yield model
 
 
@@ -280,8 +262,8 @@ def build_empirical(gm: GenerativeModel, n_per_pair: int,
     (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair.
     Pairs with one next state are filled in one assignment; the others draw
     their uniforms _DRAW_CHUNK at a time into one reused buffer and tally
-    them as sample_counts does.  Every pair's sample_counter rises by
-    n_per_pair."""
+    them at the support boundaries (_tally).  Every pair's sample_counter
+    rises by n_per_pair."""
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
     tables = gm._tables

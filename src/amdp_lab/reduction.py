@@ -500,12 +500,3 @@ def write_certificates_report(certs: list[Certificate], path: str | Path) -> Non
         f'{{\n "total": {len(certs)},\n "passed": {len(certs) - len(failed)},\n'
         f' "failed": {array(failed)},\n "certificates": {array(records)}\n}}\n')
 
-
-def write_trials_csv(records: list[TrialRecord], epsilon: float,
-                     path: str | Path, instance_id: str = "",
-                     n_per_pair: int | None = None) -> None:
-    """Write trial records as CSV (instance_id, N, seed, gap, success)."""
-    _write_csv(path, ["instance_id", "N", "seed", "gap", "success"],
-               ([instance_id, n_per_pair if n_per_pair is not None else "",
-                 rec.seed, format_number(rec.gap), str(rec.gap <= epsilon).lower()]
-                for rec in records))

@@ -300,7 +300,7 @@ def searchsorted_draws(row: np.ndarray, u: np.ndarray) -> np.ndarray:
 def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
     """Next-state counts of n draws at (s, a) that take n uniforms from the
     pair's stream even where the row has one next state, tallied at the
-    support boundaries: the GenerativeModel.sample_counts used before a
+    support boundaries: the per-pair tally the model made before a
     one-state pair drew nothing.  It builds the pair's generator itself, in
     gm._streams, from the pair's transition seed."""
     gen = gm._streams.get((s, a))
@@ -322,10 +322,10 @@ def int_seeded_counts(gm, s: int, a: int, n: int) -> np.ndarray:
     """Next-state counts of n draws at (s, a), from a stream built as
     Generator(PCG64(int(seed))) on the pair's transition seed, so NumPy's
     SeedSequence hashes that seed itself, with the support and its CDF
-    boundaries worked out from the truth's row on every call: the
-    GenerativeModel.sample_counts used before the model built its streams
-    from state words of one vectorized pass.  A one-state pair draws
-    nothing and builds no stream; streams go in gm._streams."""
+    boundaries worked out from the truth's row on every call: the per-pair
+    tally the model made before it built its streams from state words of
+    one vectorized pass.  A one-state pair draws nothing and builds no
+    stream; streams go in gm._streams."""
     row = gm._truth.transitions[s, a]
     support = np.flatnonzero(row > 0)
     u = None
@@ -343,15 +343,16 @@ def int_seeded_counts(gm, s: int, a: int, n: int) -> np.ndarray:
     return counts
 
 
-def per_pair_empirical(gm, n: int, rewards: np.ndarray):
-    """The empirical MDP of n draws at every pair from one sample_counts
-    call per pair, in (s, a) order, one-state pairs included: the build
-    build_empirical made before it filled the one-state pairs in one
-    assignment and drew only at the others."""
+def per_pair_empirical(gm, n: int, rewards: np.ndarray, pair_counts):
+    """The empirical MDP of n draws at every pair, in (s, a) order, one-state
+    pairs included, each pair's counts from pair_counts(gm, s, a, n) (one of
+    the count oracles above): the build build_empirical made before it
+    filled the one-state pairs in one assignment and drew only at the
+    others."""
     from amdp_lab import TabularMdp
 
     S, A = gm.num_states, gm.num_actions
-    counts = np.array([[gm.sample_counts(s, a, n) for a in range(A)]
+    counts = np.array([[pair_counts(gm, s, a, n) for a in range(A)]
                        for s in range(S)])
     return TabularMdp(S, A, counts / float(n), np.asarray(rewards, dtype=float),
                       metadata={"empirical_n": n})

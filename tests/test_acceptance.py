@@ -6,6 +6,7 @@ states and 4 actions; hard instances cover both admissible shapes at
 D = 32, eps = 1/32.
 """
 
+import csv
 import io
 import math
 import time
@@ -17,7 +18,8 @@ import pytest
 import amdp_lab as lab
 from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
-from amdp_lab.reduction import write_certificates_csv, write_trials_csv
+from amdp_lab.cli import main
+from amdp_lab.reduction import write_certificates_csv
 from oracles import cesaro_bias, cesaro_gain
 
 RESULTS: list[str] = []
@@ -259,10 +261,12 @@ def test_criterion_6_hard_instances():
     assert not failures, failures
 
 
-def _monte_carlo_run(fresh: bool = False):
-    spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=HARD_EPS, variant="M1")
-    truth = lab.hard_instance(spec)
-    opt = optimum("M1_S6", truth, fresh=fresh)
+M1_S6 = HardInstanceSpec(S=6, A=3, D=32, epsilon=HARD_EPS, variant="M1")
+
+
+def _monte_carlo_run():
+    truth = lab.hard_instance(M1_S6)
+    opt = optimum("M1_S6", truth)
     H = max(opt.H, 1.0)
     params = lab.reduction_params(0.25, 0.05, H, truth.num_states,
                                   truth.num_actions, n_override=20_000)
@@ -275,16 +279,12 @@ def _monte_carlo_run(fresh: bool = False):
         recs = lab.empirical_error(lab.GenerativeModel(truth, 31337), p, 30,
                                    opt=opt)
         medians.append(float(np.median([r.gap for r in recs])))
-
-    buf = io.StringIO()
-    write_trials_csv(records, 0.25, buf, instance_id="M1_S6", n_per_pair=20_000)
-    return records, medians, buf.getvalue().encode()
+    return records, medians
 
 
 def test_criterion_7_monte_carlo():
     start = time.perf_counter()
-    records, medians, csv_bytes = _monte_carlo_run()
-    _stash["trials_csv"] = csv_bytes
+    records, medians = _monte_carlo_run()
     elapsed = time.perf_counter() - start
     successes = sum(1 for r in records if r.gap <= 0.25)
     monotone = medians[0] >= medians[1] >= medians[2]
@@ -296,12 +296,27 @@ def test_criterion_7_monte_carlo():
     assert elapsed <= 600.0
 
 
-def test_criterion_8_determinism():
+def _experiment_rows(mdp_path, out) -> list[list[str]]:
+    """experiment.csv of one `amdp-lab experiment` run on M1_S6 at N = 20000,
+    less its measured wallclock_ms column."""
+    assert main(["experiment", "--mdp", str(mdp_path), "--N", "20000",
+                 "--trials", "100", "--seed", "20250809", "--epsilon", "0.25",
+                 "--H", "oracle", "--out", str(out)]) == 0
+    with open(out / "experiment.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    i = rows[0].index("wallclock_ms")
+    return [row[:i] + row[i + 1:] for row in rows]
+
+
+def test_criterion_8_determinism(tmp_path):
     hard_identical = _stash.get("hard_csv") == _certs_csv_bytes(
         _hard_instance_certificates(fresh=True))
 
-    _, _, trials_bytes = _monte_carlo_run(fresh=True)
-    trials_identical = _stash.get("trials_csv") == trials_bytes
+    mdp_path = tmp_path / "M1_S6.json"
+    lab.write_mdp(lab.hard_instance(M1_S6), mdp_path)
+    first = _experiment_rows(mdp_path, tmp_path / "first")
+    trials_identical = len(first) == 101 and first == _experiment_rows(
+        mdp_path, tmp_path / "second")
 
     note(8, "byte-identical reruns of hard-instance and trial CSVs",
          hard_identical and trials_identical,

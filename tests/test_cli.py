@@ -55,6 +55,17 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def run_fresh(args, **kwargs):
+    """Run python with args in a fresh interpreter that imports this
+    checkout's amdp_lab."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
 class TestParser:
     def test_built_once_and_handlers_looked_up_per_call(self, monkeypatch):
         from amdp_lab import cli
@@ -65,13 +76,7 @@ class TestParser:
         assert seen == ["x.json"]
 
     def test_runs_as_module(self, cycle_file):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "amdp_lab.cli", "params",
-                               "--mdp", cycle_file], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = run_fresh(["-m", "amdp_lab.cli", "params", "--mdp", cycle_file])
         assert proc.returncode == 0, proc.stderr
         assert "H = 0.500000" in proc.stdout
 
@@ -574,3 +579,27 @@ class TestExperiment:
         assert main(["experiment", "--mdp", m1_file, "--epsilon", "0.25",
                      "--N", ",", "--seed", "1", "--trials", "2",
                      "--out", str(tmp_path)]) == 2
+
+
+class TestLazyImports:
+    # numpy.random (about 6 MB) loads only where a command samples, and
+    # concurrent.futures only where experiment builds a pool
+    PROBE = ("import sys\n"
+             "from amdp_lab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, *(name for name in ('numpy.random', 'concurrent.futures')\n"
+             "              if name in sys.modules))\n")
+
+    @pytest.mark.parametrize("command, loaded", [
+        (["certify"], []),
+        (["params"], []),
+        (["solve", "amdp"], []),
+        (["experiment", "--epsilon", "0.25", "--N", "100", "--seed", "3",
+          "--trials", "4"], ["numpy.random"]),
+    ], ids=["certify", "params", "solve", "experiment"])
+    def test_command_leaves_modules_unloaded(self, command, loaded, m1_file,
+                                             tmp_path):
+        out = ["--out", str(tmp_path / "out")] if command[0] != "params" else []
+        proc = run_fresh(["-c", self.PROBE, *command, "--mdp", m1_file, *out])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0", *loaded]

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 from dataclasses import replace
@@ -132,14 +131,26 @@ def ten_tenths_truth():
 
 
 class FixedUniforms:
-    """Stand-in stream that hands out preset uniforms."""
+    """Stand-in stream that hands out preset uniforms, n of them or, given
+    out, as many as out holds, written into it."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, n):
-        out, self.u = self.u[:n], self.u[n:]
+    def random(self, n=None, out=None):
+        if out is not None:
+            n = len(out)
+        u, self.u = self.u[:n], self.u[n:]
+        if out is None:
+            return u
+        out[:] = u
         return out
+
+
+def build_counts(gm, n):
+    """The (S, A, S) next-state counts of build_empirical(gm, n, ...)."""
+    emp = build_empirical(gm, n, gm.rewards)
+    return np.rint(emp.transitions * n).astype(np.int64)
 
 
 class TestSampleCounts:
@@ -156,18 +167,16 @@ class TestSampleCounts:
                         searchsorted_draws(truth.transitions[s, a], u))
 
     def test_counts_equal_bincount_of_batch(self):
-        for seed in range(20):
+        for seed, n in itertools.product(range(20), (1, 37, 2000)):
             truth = random_support_truth(7, 3, seed)
             by_counts = GenerativeModel(truth, seed)
             by_batch = GenerativeModel(truth, seed)
-            for s in range(7):
-                for a in range(3):
-                    for n in (0, 1, 37, 2000):
-                        counts = by_counts.sample_counts(s, a, n)
-                        assert counts.dtype == np.int64
-                        assert np.array_equal(counts, np.bincount(
-                            by_batch.sample_batch(s, a, n), minlength=7))
+            counts = build_counts(by_counts, n)
+            for s, a in itertools.product(range(7), range(3)):
+                assert np.array_equal(counts[s, a], np.bincount(
+                    by_batch.sample_batch(s, a, n), minlength=7))
             assert np.array_equal(by_counts.sample_counter, by_batch.sample_counter)
+            assert_same_streams(by_counts, by_batch)
 
     def test_float_corner_row(self):
         truth = ten_tenths_truth()
@@ -185,25 +194,33 @@ class TestSampleCounts:
         by_batch._streams[(0, 0)] = FixedUniforms(u)
         batch = by_batch.sample_batch(0, 0, len(u))
         assert np.array_equal(batch, expected)
-        assert np.array_equal(by_counts.sample_counts(0, 0, len(u)),
+        assert np.array_equal(build_counts(by_counts, len(u))[0, 0],
                               np.bincount(batch, minlength=10))
-        gm = GenerativeModel(truth, 5)
-        assert np.array_equal(gm.sample_counts(0, 0, 10**5), np.bincount(
-            GenerativeModel(truth, 5).sample_batch(0, 0, 10**5), minlength=10))
+        assert not by_counts._streams[(0, 0)].u.size  # every uniform was read
+        counts = build_counts(GenerativeModel(truth, 5), 10**5)
+        by_batch = GenerativeModel(truth, 5)
+        for s in range(10):
+            assert np.array_equal(counts[s, 0], np.bincount(
+                by_batch.sample_batch(s, 0, 10**5), minlength=10))
 
     def test_interleaving_counts_and_batches_keeps_streams(self):
+        # builds between single-pair batches read each stream where the
+        # batches left it, and leave it where drawing n there would
         truth = random_support_truth(5, 2, 4)
         mixed = GenerativeModel(truth, 77)
         batches = GenerativeModel(truth, 77)
-        plan = [(0, 0, 30), (3, 1, 5), (0, 0, 12), (4, 0, 1), (3, 1, 300),
-                (0, 0, 7), (2, 1, 64)]
-        for i, (s, a, n) in enumerate(plan):
-            draws = batches.sample_batch(s, a, n)
-            if i % 2 == 0:
-                assert np.array_equal(mixed.sample_counts(s, a, n),
-                                      np.bincount(draws, minlength=5))
+        plan = [(0, 0, 30), 5, (3, 1, 5), (0, 0, 12), 1, (4, 0, 1), 300,
+                (3, 1, 300), (0, 0, 7), (2, 1, 64), 64]
+        for step in plan:
+            if isinstance(step, int):  # a build of `step` draws at every pair
+                counts = build_counts(mixed, step)
+                for s, a in itertools.product(range(5), range(2)):
+                    assert np.array_equal(counts[s, a], np.bincount(
+                        batches.sample_batch(s, a, step), minlength=5))
             else:
-                assert np.array_equal(mixed.sample_batch(s, a, n), draws)
+                s, a, n = step
+                assert np.array_equal(mixed.sample_batch(s, a, n),
+                                      batches.sample_batch(s, a, n))
         assert np.array_equal(mixed.sample_counter, batches.sample_counter)
         for s in range(5):
             for a in range(2):
@@ -214,21 +231,24 @@ class TestSampleCounts:
 class TestOneStatePairs:
     def test_point_mass_counts_and_no_stream(self):
         truth = make_deterministic_truth()
-        for n in (0, 1, 7, 1000, 10**5):
+        for n in (1, 7, 1000, 10**5):
             gm = GenerativeModel(truth, 3)
             for calls in (1, 2):
-                assert np.array_equal(gm.sample_counts(0, 0, n), [0, n, 0])
-                assert gm.sample_counter[0, 0] == calls * n
+                assert np.array_equal(build_counts(gm, n), truth.transitions * n)
+                assert np.all(gm.sample_counter == calls * n)
                 assert not gm._streams
-            assert gm.sample_counter.sum() == 2 * n
+            for m in (0, n):
+                assert np.array_equal(gm.sample_batch(0, 0, m), np.ones(m))
+            assert gm.sample_counter[0, 0] == 3 * n
+            assert gm.sample_counter.sum() == 13 * n
+            assert not gm._streams and gm._words is None
 
     def test_negative_n_raises_and_leaves_counter(self):
         one_state = GenerativeModel(make_deterministic_truth(), 3)
         dense = GenerativeModel(random_mdp(3, 2, seed=8), 3)
         for gm in (one_state, dense):
-            for draw in (gm.sample_counts, gm.sample_batch):
-                with pytest.raises(ValueError):
-                    draw(0, 0, -1)
+            with pytest.raises(ValueError):
+                gm.sample_batch(0, 0, -1)
             assert not gm.sample_counter.any()
 
     def test_algorithm1_accounts_every_pair(self):
@@ -249,9 +269,8 @@ class TestOneStatePairs:
             for N, seed in itertools.product((10**3, 10**4), seeds):
                 fast = GenerativeModel(truth, seed)
                 slow = GenerativeModel(truth, seed)
-                slow.sample_counts = functools.partial(drawn_counts, slow)
                 emp = build_empirical(fast, N, truth.rewards)
-                ref = per_pair_empirical(slow, N, truth.rewards)
+                ref = per_pair_empirical(slow, N, truth.rewards, drawn_counts)
                 assert np.array_equal(emp.transitions, ref.transitions)
                 assert np.array_equal(fast.sample_counter, slow.sample_counter)
                 assert sorted(fast._streams) == [
@@ -265,26 +284,6 @@ class TestOneStatePairs:
 
 
 class TestBuildEmpirical:
-    def test_matches_per_pair_sample_counts(self):
-        # one assignment for the one-state pairs and draws at the others
-        # give the counts, the tallies and the streams of one sample_counts
-        # call per pair
-        truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
-                  *(random_support_truth(7, 3, seed) for seed in range(5))]
-        for truth, master, N in itertools.product(truths, (0, 9), (1, 37, 5000)):
-            fast = GenerativeModel(truth, master)
-            slow = GenerativeModel(truth, master)
-            rewards = perturb_rewards(truth.rewards, 1e-3, master)
-            emp = build_empirical(fast, N, rewards)
-            ref = per_pair_empirical(slow, N, rewards)
-            assert np.array_equal(emp.transitions, ref.transitions)
-            assert np.array_equal(emp.rewards, ref.rewards)
-            assert emp.metadata == ref.metadata
-            assert np.array_equal(fast.sample_counter, slow.sample_counter)
-            assert sorted(fast._streams) == sorted(slow._streams)
-            for pair, gen in fast._streams.items():
-                assert gen.bit_generator.state == slow._streams[pair].bit_generator.state
-
     def test_single_draw_rows_are_point_masses(self):
         truth = random_mdp(3, 2, seed=11)
         emp = build_empirical(GenerativeModel(truth, 7), 1, truth.rewards)
@@ -368,13 +367,13 @@ class TestStreamWords:
             for s, a in itertools.product(range(S), range(A)):
                 expected = np.random.PCG64(spec.transition_seed(s, a)).state
                 for model in (gm, batch[1]):
-                    model.sample_counts(s, a, 0)
+                    model.sample_batch(s, a, 0)
                     assert model._streams[s, a].bit_generator.state == expected
 
     def test_build_and_counts_match_int_seeded_oracle(self):
         # counts, tallies and stream states equal those of streams seeded
         # through PCG64(int(seed)), for one model and for a batch
-        truths = [hard_m1(6, 3), hard_m1(14, 4),
+        truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
                   *(random_support_truth(7, 3, seed) for seed in range(5))]
         masters = [0, 9, 2**64 - 1]
         for truth, N in itertools.product(truths, (1, 37, 5000)):
@@ -384,19 +383,39 @@ class TestStreamWords:
             for master, member in zip(masters, batch):
                 for fast in (GenerativeModel(truth, master), member):
                     slow = GenerativeModel(truth, master)
-                    slow.sample_counts = functools.partial(int_seeded_counts, slow)
                     emp = build_empirical(fast, N, rewards)
-                    ref = per_pair_empirical(slow, N, rewards)
+                    ref = per_pair_empirical(slow, N, rewards, int_seeded_counts)
                     assert np.array_equal(emp.transitions, ref.transitions)
+                    assert np.array_equal(emp.rewards, ref.rewards)
+                    assert emp.metadata == ref.metadata
                     assert np.array_equal(fast.sample_counter, slow.sample_counter)
                     assert_same_streams(fast, slow)
                 fast = GenerativeModel(truth, master)
                 slow = GenerativeModel(truth, master)
                 for s, a, n in itertools.product(range(S), range(A), (N, 13)):
-                    assert np.array_equal(fast.sample_counts(s, a, n),
-                                          int_seeded_counts(slow, s, a, n))
+                    assert np.array_equal(
+                        np.bincount(fast.sample_batch(s, a, n), minlength=S),
+                        int_seeded_counts(slow, s, a, n))
                 assert np.array_equal(fast.sample_counter, slow.sample_counter)
                 assert_same_streams(fast, slow)
+
+    def test_words_derived_at_first_draw(self):
+        # a model works out its pairs' state words at its first draw, as the
+        # one-seed case of the batch pass; _models hands every member the
+        # words of the batch's pass, and the model it is given draws nothing
+        truth = hard_m1(6, 3)
+        gm = GenerativeModel(truth, 5)
+        (member,) = generative._models(gm, [5])
+        _, (expected,) = gm._tables.derive([RngSeedSpec(5)])
+        assert gm._words is None and np.array_equal(member._words, expected)
+        emp = build_empirical(gm, 10, truth.rewards)
+        assert np.array_equal(gm._words, expected)
+        assert np.array_equal(build_empirical(member, 10, truth.rewards).transitions,
+                              emp.transitions)
+        assert_same_streams(gm, member)
+        one_state = GenerativeModel(make_deterministic_truth(), 5)
+        build_empirical(one_state, 10, one_state.rewards)
+        assert one_state._words is None
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunked_draws_match_one_fill(self, chunk, monkeypatch):
@@ -407,9 +426,8 @@ class TestStreamWords:
                 [hard_m1(6, 3), random_support_truth(7, 3, 1)], (1, 63, 64, 65, 1000)):
             fast = GenerativeModel(truth, N)
             slow = GenerativeModel(truth, N)
-            slow.sample_counts = functools.partial(int_seeded_counts, slow)
             emp = build_empirical(fast, N, truth.rewards)
-            ref = per_pair_empirical(slow, N, truth.rewards)
+            ref = per_pair_empirical(slow, N, truth.rewards, int_seeded_counts)
             assert np.array_equal(emp.transitions, ref.transitions)
             assert_same_streams(fast, slow)
 
@@ -419,10 +437,7 @@ class TestStreamWords:
         digest = hashlib.sha256()
         for truth in (hard_m1(6, 3), hard_m1(14, 4), random_support_truth(7, 3, 0)):
             for master in (1, 2, 3):
-                gm = GenerativeModel(truth, master)
-                counts = np.array([[gm.sample_counts(s, a, 1000)
-                                    for a in range(truth.num_actions)]
-                                   for s in range(truth.num_states)])
+                counts = build_counts(GenerativeModel(truth, master), 1000)
                 digest.update(counts.astype("<i8").tobytes())
         assert digest.hexdigest() == (
             "8680de1433b71426843427c07ba48ab0e735c5f133daaa42d4b643dfa75aa1f2")
@@ -468,8 +483,8 @@ class TestSeedSpec:
         assert by_numpy.seed_spec == by_int.seed_spec
         for s in range(5):
             for a in range(2):
-                assert np.array_equal(by_numpy.sample_counts(s, a, 3),
-                                      by_int.sample_counts(s, a, 3))
+                assert np.array_equal(by_numpy.sample_batch(s, a, 3),
+                                      by_int.sample_batch(s, a, 3))
 
     def test_float_seed_rejected(self):
         with pytest.raises(TypeError):
@@ -501,14 +516,14 @@ class TestSeedSpec:
 
     @pytest.mark.parametrize("master", [0, 1, 123, 2**63, 2**64 - 1, -1])
     def test_seed_pass_matches_transition_seed(self, master):
-        # the model's seeds for every pair at once, from splitmix64 on
-        # uint64 arrays, equal the per-pair derivation
+        # the seeds of every pair at once, from splitmix64 on uint64
+        # arrays, equal the per-pair derivation
         spec = RngSeedSpec(master)
         for S, A in ((1, 1), (7, 3), (200, 3)):
-            gm = GenerativeModel(TabularMdp(S, A, np.full((S, A, S), 1.0 / S),
-                                            np.zeros((S, A))), master)
-            assert gm._seeds.shape == (S, A)
-            assert [[int(x) for x in row] for row in gm._seeds] == [
+            tables = generative._PairTables(np.full((S, A, S), 1.0 / S))
+            (seeds,), _ = tables.derive([spec])
+            assert seeds.shape == (S, A)
+            assert [[int(x) for x in row] for row in seeds] == [
                 [spec.transition_seed(s, a) for a in range(A)] for s in range(S)]
 
     def test_streams_distinct_across_pairs(self):

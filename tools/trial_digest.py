@@ -1,20 +1,27 @@
 #!/usr/bin/env python3
-"""One digest of every reduce_sweep pool trial's exact gap.
+"""The byte-identity digests: every reduce_sweep pool trial's exact gap,
+and the files of ``amdp-lab certify --count 1000``.
 
 Runs ``empirical_error`` as the reduce_sweep ops do (hard M1 at each of
 bench/workloads.py's shapes, D = 32, eps = 1/32, ``--epsilon 0.25 --H
 oracle --trials 10``) at every N and every seed of the pool: 2 shapes x
 3 N x 16 seeds x 10 trials = 960 gaps.  Prints the sha256 of their
 ``float.hex`` spellings, one per line in that loop order (shape, N, seed,
-trial), each line ending in a newline, and the number of gaps.  Two trees
-whose sampling and planning give the same bits print the same digest:
+trial), each line ending in a newline, and the number of gaps.  Then runs
+``certify --count 1000`` (its default corpus spec) into a temporary
+directory and prints the sha256 of its certificates.csv and
+certificates.json.  Two trees whose sampling, planning and certificates
+give the same bits print the same three digests:
 
     python tools/trial_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +51,15 @@ def main() -> int:
     values = gaps()
     text = "".join(float.hex(gap) + "\n" for gap in values)
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {len(values)} gaps")
-    return 0
+    from amdp_lab.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["certify", "--count", "1000", "--out", out])
+        for name in ("certificates.csv", "certificates.json"):
+            digest = hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+            print(f"{digest}  certify --count 1000 {name}")
+    return code
 
 
 if __name__ == "__main__":
