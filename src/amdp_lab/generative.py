@@ -9,10 +9,15 @@ batched draws equal the same number of single draws.  The stream is built
 on the pair's first draw, from state words that NumPy's SeedSequence hash
 gives its seed; ``_seed_words`` runs that hash once over the seeds of every
 pair of every model in a batch.  A pair with one next state takes no
-uniforms and has no stream: every draw lands on that state.  The empirical
-build needs only counts, so it tallies the uniforms at the support
-boundaries of each pair instead of drawing states; the counts equal the
-bincount of the draws those uniforms give.
+uniforms and has no stream: every draw lands on that state.
+
+The empirical build needs only counts, and the counts of n independent
+draws at a pair are Multinomial(n, P(.|s, a)) over its support: the build
+draws them as one ``Generator.multinomial`` on the pair's stream, on one
+thread, at a cost that does not grow with n.  So after a build a pair's
+stream is not where ``sample_counter[s, a]`` uniform draws would leave it,
+and the bits of the counts follow NumPy's stream-compatibility policy for
+``Generator`` methods, not only the PCG64 bit stream.
 """
 
 from __future__ import annotations
@@ -28,14 +33,6 @@ from .mdp import TabularMdp
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
-
-#: uniforms build_empirical draws at a time (256 KB), the one draw array a
-#: sampling worker holds whatever N is.  On a 2-vCPU host this took the
-#: reduce_sweep benchmark's peak RSS from 44.8 MB (one fill of N) to 42.8
-#: MB; 2**14 gave 42.2 MB but made N = 1e5 trials 6-14% slower, as two
-#: workers trade the interpreter lock at every fill.  Each uniform takes
-#: one 64-bit output, so chunks leave the stream as one fill of N would.
-_DRAW_CHUNK = 1 << 15
 
 # domain separation tags for derived streams
 _TAG_TRANSITION = 0x9A3F_52C1_7E88_0001
@@ -148,7 +145,9 @@ class _PairTables:
     """What every model of one truth shares, worked out once: the states
     with positive mass, the first of them at every pair, and for each pair
     with two or more (in (s, a) order) its index among them, its support
-    states and the CDF at all but the last of them."""
+    states, the CDF at all but the last of them, and its probabilities
+    scaled to sum to 1, so that a row within mdp.PROB_TOL of 1 passes
+    multinomial's check that sum(pvals[:-1]) <= 1."""
 
     def __init__(self, P: np.ndarray):
         self.positive = P > 0
@@ -158,19 +157,19 @@ class _PairTables:
         self.rows = {}
         for i, (s, a) in enumerate(zip(*np.nonzero(self.multi))):
             support = np.flatnonzero(self.positive[s, a])
-            self.rows[int(s), int(a)] = (i, tuple(support.tolist()),
-                                         tuple(cum[s, a, support[:-1]].tolist()))
+            p = P[s, a, support]
+            self.rows[int(s), int(a)] = (i, support, cum[s, a, support[:-1]], p / p.sum())
 
-    def derive(self, specs: list[RngSeedSpec]):
-        """transition_seed(s, a) of every pair under every spec, (K, S, A),
-        from splitmix64 on uint64 arrays, and the (K, M, 4) state words of
-        the M multi-state pairs' seeds from one _seed_words call."""
+    def derive(self, specs: list[RngSeedSpec]) -> np.ndarray:
+        """The (K, M, 4) state words of the M multi-state pairs'
+        transition seeds under each of K specs: the seeds from splitmix64
+        on uint64 arrays, their words from one _seed_words call."""
         S, A = self.multi.shape
         x = np.array([derive_seed(spec.master_seed, _TAG_TRANSITION) for spec in specs],
                      dtype=np.uint64)[:, None, None]
         x = splitmix64(x ^ np.arange(S, dtype=np.uint64)[:, None])
         seeds = splitmix64(x ^ np.arange(A, dtype=np.uint64))
-        return seeds, _seed_words(seeds[:, self.multi])
+        return _seed_words(seeds[:, self.multi])
 
 
 class GenerativeModel:
@@ -205,7 +204,7 @@ class GenerativeModel:
         gen = self._streams.get((s, a))
         if gen is None:
             if self._words is None:
-                _, (self._words,) = self._tables.derive([self.seed_spec])
+                (self._words,) = self._tables.derive([self.seed_spec])
             gen = self._streams[s, a] = np.random.Generator(
                 np.random.PCG64(_state_words_type()(self._words[index])))
         return gen
@@ -222,26 +221,9 @@ class GenerativeModel:
         row = self._tables.rows.get((s, a))
         if row is None:
             return np.full(n, int(self._tables.first[s, a]))
-        index, support, bounds = row
+        index, support, bounds, _ = row
         u = self._stream(s, a, index).random(n)
-        return np.array(support)[np.searchsorted(bounds, u, side="right")]
-
-
-def _tally(counts: np.ndarray, n: int, fills, support: tuple, bounds: tuple) -> None:
-    """Write the next-state counts of n draws into counts at the support
-    states, from fills, uniform arrays that together hold the n draws: a
-    draw lands on the first support state whose boundary exceeds its
-    uniform, and on the last one past every boundary (which absorbs the
-    u >= cum[-1] float corner).  With one support state no fill is read."""
-    beyond = [0] * len(bounds)
-    for u in fills:
-        for j, bound in enumerate(bounds):
-            beyond[j] += int(np.count_nonzero(u >= bound))
-    left = n
-    for state, past in zip(support, beyond):
-        counts[state] = left - past
-        left = past
-    counts[support[-1]] = left
+        return support[np.searchsorted(bounds, u, side="right")]
 
 
 def _models(gm: GenerativeModel, seeds: list[int]) -> Iterator[GenerativeModel]:
@@ -250,7 +232,7 @@ def _models(gm: GenerativeModel, seeds: list[int]) -> Iterator[GenerativeModel]:
     all of them come from one _seed_words call, the batch of which a
     GenerativeModel's first draw is the one-seed case."""
     specs = [RngSeedSpec(operator.index(seed)) for seed in seeds]
-    for spec, words in zip(specs, gm._tables.derive(specs)[1]):
+    for spec, words in zip(specs, gm._tables.derive(specs)):
         model = GenerativeModel.__new__(GenerativeModel)
         model._bind(gm._truth, spec, gm._tables, words)
         yield model
@@ -260,20 +242,15 @@ def build_empirical(gm: GenerativeModel, n_per_pair: int,
                     perturbed_rewards: np.ndarray) -> TabularMdp:
     """The empirical MDP of n_per_pair draws at every (s, a), with the given
     (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair.
-    Pairs with one next state are filled in one assignment; the others draw
-    their uniforms _DRAW_CHUNK at a time into one reused buffer and tally
-    them at the support boundaries (_tally).  Every pair's sample_counter
-    rises by n_per_pair."""
+    Pairs with one next state are filled in one assignment; each other
+    pair's counts are one multinomial(n_per_pair, p) on its stream, p its
+    support probabilities.  Every pair's sample_counter rises by
+    n_per_pair."""
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
-    tables = gm._tables
-    counts = tables.positive * n_per_pair
-    buf = np.empty(min(n_per_pair, _DRAW_CHUNK))
-    for (s, a), (index, support, bounds) in tables.rows.items():
-        stream = gm._stream(s, a, index)
-        fills = (stream.random(out=buf[:n_per_pair - start])
-                 for start in range(0, n_per_pair, len(buf)))
-        _tally(counts[s, a], n_per_pair, fills, support, bounds)
+    counts = gm._tables.positive * n_per_pair
+    for (s, a), (index, support, _, p) in gm._tables.rows.items():
+        counts[s, a, support] = gm._stream(s, a, index).multinomial(n_per_pair, p)
     gm.sample_counter += n_per_pair
     return TabularMdp(gm.num_states, gm.num_actions, counts / float(n_per_pair),
                       np.asarray(perturbed_rewards, dtype=float),

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -355,31 +354,17 @@ class TrialRecord:
     wallclock_ms: int = field(compare=False)
 
 
-#: uniforms each sampling worker of empirical_error needs: two workers that
-#: trade the GIL at each small Generator.random fill run slower than one
-DRAWS_PER_WORKER = 2_500_000
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else the machine's CPU count (1 when unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def empirical_error(gm: GenerativeModel, params: ReductionParams,
                     trials: int, opt: AmdpOptimum | None = None) -> list[TrialRecord]:
     """Run the sampled reduction once per derived trial seed and record the
     exact gap rho* - min_s rho^{pi_hat}(s) for each run, in trial order.
 
     The trial models share gm's per-pair tables and one seed-word pass
-    (generative._models).  Each trial's _sample runs on a thread pool of
-    min(CPUs available, trials, draws // DRAWS_PER_WORKER) workers, with
-    draws = trials * n_per_pair * (pairs with two or more next states), and
-    inline when that is at most one; one _plan solves all trials, and one
-    batched gain evaluation on the hidden truth (never the samples) gives
-    the gaps, with the bits of algorithm1 run once per trial.
+    (generative._models).  The trials _sample one after another on this
+    thread, each at a cost that does not grow with n_per_pair; one _plan
+    solves all trials, and one batched gain evaluation on the hidden truth
+    (never the samples) gives the gaps, with the bits of algorithm1 run
+    once per trial.
     """
     if trials < 1:
         return []
@@ -393,17 +378,7 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
         start = time.perf_counter()
         return _sample(model, params), time.perf_counter() - start
 
-    models = generative._models(gm, seeds)
-    draws = trials * params.n_per_pair * len(gm._tables.rows)
-    workers = min(_available_cpus(), trials, draws // DRAWS_PER_WORKER)
-    if workers <= 1:
-        emps, seconds = zip(*map(sample, models))
-    else:
-        # imported here: concurrent.futures loads logging (16 ms of import time)
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            emps, seconds = zip(*pool.map(sample, models))
+    emps, seconds = zip(*map(sample, generative._models(gm, seeds)))
     start = time.perf_counter()
     P_pi, r_pi = chains.induced_chain_batch(truth, _plan(emps, params.gamma))
     gains = solvers._gain_bias(P_pi, r_pi, *chains._structure_masks(P_pi > 0)).gain

@@ -297,44 +297,51 @@ def searchsorted_draws(row: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
-    """Next-state counts of n draws at (s, a) that take n uniforms from the
-    pair's stream even where the row has one next state, tallied at the
-    support boundaries: the per-pair tally the model made before a
-    one-state pair drew nothing.  It builds the pair's generator itself, in
-    gm._streams, from the pair's transition seed."""
+def _int_seeded_stream(gm, s: int, a: int):
+    """The pair's generator in gm._streams, built there on first use as
+    Generator(PCG64(int(seed))) on its transition seed, so NumPy's
+    SeedSequence hashes that seed itself."""
     gen = gm._streams.get((s, a))
     if gen is None:
         gen = gm._streams[s, a] = np.random.Generator(
-            np.random.PCG64(gm.seed_spec.transition_seed(s, a)))
-    u = gen.random(n)
-    gm.sample_counter[s, a] += n
+            np.random.PCG64(int(gm.seed_spec.transition_seed(s, a))))
+    return gen
+
+
+def drawn_counts(gm, s: int, a: int, n: int) -> np.ndarray:
+    """Next-state counts of n draws at (s, a) as one multinomial(n, p) on
+    the pair's int-seeded stream (_int_seeded_stream), p the row's
+    probabilities over its support scaled to sum to 1, worked out from the
+    truth on every call, at every pair, one-state pairs included: there
+    the stream is built and the draw reads none of its bits."""
     row = gm._truth.transitions[s, a]
     support = np.flatnonzero(row > 0)
-    bounds = np.cumsum(row)[support[:-1]]
-    beyond = np.array([n] + [np.count_nonzero(u >= b) for b in bounds] + [0])
+    p = row[support]
     counts = np.zeros(gm.num_states, dtype=np.int64)
-    counts[support] = beyond[:-1] - beyond[1:]
+    counts[support] = _int_seeded_stream(gm, s, a).multinomial(n, p / p.sum())
+    gm.sample_counter[s, a] += n
     return counts
 
 
+def int_seeded_multinomial_counts(gm, s: int, a: int, n: int) -> np.ndarray:
+    """drawn_counts at a pair with two or more next states; a one-state
+    pair takes n at its state and builds no stream."""
+    row = gm._truth.transitions[s, a]
+    if np.count_nonzero(row) > 1:
+        return drawn_counts(gm, s, a, n)
+    gm.sample_counter[s, a] += n
+    return (row > 0) * np.int64(n)
+
+
 def int_seeded_counts(gm, s: int, a: int, n: int) -> np.ndarray:
-    """Next-state counts of n draws at (s, a), from a stream built as
-    Generator(PCG64(int(seed))) on the pair's transition seed, so NumPy's
-    SeedSequence hashes that seed itself, with the support and its CDF
-    boundaries worked out from the truth's row on every call: the per-pair
-    tally the model made before it built its streams from state words of
-    one vectorized pass.  A one-state pair draws nothing and builds no
-    stream; streams go in gm._streams."""
+    """Next-state counts of n per-draw samples at (s, a): n uniforms from
+    the pair's int-seeded stream (_int_seeded_stream), tallied at the
+    support's CDF boundaries worked out from the truth's row on every call,
+    so they equal the bincount of sample_batch(s, a, n).  A one-state pair
+    draws nothing and builds no stream."""
     row = gm._truth.transitions[s, a]
     support = np.flatnonzero(row > 0)
-    u = None
-    if len(support) > 1:
-        gen = gm._streams.get((s, a))
-        if gen is None:
-            gen = gm._streams[s, a] = np.random.Generator(
-                np.random.PCG64(int(gm.seed_spec.transition_seed(s, a))))
-        u = gen.random(n)
+    u = _int_seeded_stream(gm, s, a).random(n) if len(support) > 1 else None
     gm.sample_counter[s, a] += n
     bounds = np.cumsum(row)[support[:-1]]
     beyond = np.array([n] + [np.count_nonzero(u >= b) for b in bounds] + [0])
@@ -346,9 +353,8 @@ def int_seeded_counts(gm, s: int, a: int, n: int) -> np.ndarray:
 def per_pair_empirical(gm, n: int, rewards: np.ndarray, pair_counts):
     """The empirical MDP of n draws at every pair, in (s, a) order, one-state
     pairs included, each pair's counts from pair_counts(gm, s, a, n) (one of
-    the count oracles above): the build build_empirical made before it
-    filled the one-state pairs in one assignment and drew only at the
-    others."""
+    the count oracles above): the build build_empirical makes, pair by pair
+    with no shared tables."""
     from amdp_lab import TabularMdp
 
     S, A = gm.num_states, gm.num_actions
@@ -356,6 +362,46 @@ def per_pair_empirical(gm, n: int, rewards: np.ndarray, pair_counts):
                        for s in range(S)])
     return TabularMdp(S, A, counts / float(n), np.asarray(rewards, dtype=float),
                       metadata={"empirical_n": n})
+
+
+def uniform_tally_empirical(gm, n: int, rewards: np.ndarray):
+    """The per-draw empirical build, the one build_empirical ran before it
+    drew each pair's counts as one multinomial: one-state pairs take n at
+    their state, and each other pair draws n uniforms from its own stream
+    (gm._stream) and tallies them at its support's CDF boundaries (a draw
+    lands on the first support state whose boundary exceeds its uniform,
+    and on the last one past every boundary).  Its counts equal the
+    bincount of sample_batch(s, a, n) at every pair, its streams end where
+    those draws leave them, and its cost grows with n."""
+    from amdp_lab import TabularMdp
+
+    counts = gm._tables.positive * n
+    for (s, a), (index, support, bounds, _) in gm._tables.rows.items():
+        u = gm._stream(s, a, index).random(n)
+        beyond = np.array([n, *(np.count_nonzero(u >= b) for b in bounds), 0])
+        counts[s, a, support] = beyond[:-1] - beyond[1:]
+    gm.sample_counter += n
+    return TabularMdp(gm.num_states, gm.num_actions, counts / float(n),
+                      np.asarray(rewards, dtype=float), metadata={"empirical_n": n})
+
+
+def multinomial_pmf(n: int, p) -> dict[tuple[int, ...], "Fraction"]:
+    """The exact pmf of Multinomial(n, p) at every count vector, as
+    Fractions, p given as floats and taken at their exact values over
+    their exact sum."""
+    from fractions import Fraction
+    from itertools import product
+    from math import comb, prod
+
+    p = [Fraction(x) for x in p]
+    p = [x / sum(p) for x in p]
+    out = {}
+    for head in product(range(n + 1), repeat=len(p) - 1):
+        if sum(head) <= n:
+            k = (*head, n - sum(head))
+            coef = prod(comb(n - sum(k[:i]), k[i]) for i in range(len(k)))
+            out[k] = coef * prod(x**ki for x, ki in zip(p, k))
+    return out
 
 
 #: value-iteration hitting-time iterates above this are treated as divergent
@@ -508,7 +554,7 @@ def set_loop_weakly_communicating(m) -> bool:
 def serial_empirical_error(gm, params, trials: int, opt=None) -> list[tuple[int, float]]:
     """(seed, exact gap) of each sampled trial, run one after another in
     trial order, each with its own solve and evaluation: the loop
-    empirical_error ran before its thread pool and its batched solve."""
+    empirical_error ran before its batched solve."""
     from amdp_lab import GenerativeModel, algorithm1, amdp_gain_bias, amdp_optimal
 
     truth = gm._truth

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from amdp_lab import (
     RngSeedSpec,
     TabularMdp,
     algorithm1,
+    amdp_optimal,
     build_empirical,
     derive_seed,
     dmdp_value_iteration,
@@ -20,13 +23,17 @@ from amdp_lab import (
     validate_mdp,
 )
 from amdp_lab.corpus import random_mdp, standard_corpus
+from amdp_lab.mdp import PROB_TOL
 from amdp_lab.reduction import reduction_params
 from amdp_lab import generative
 from oracles import (
     drawn_counts,
     int_seeded_counts,
+    int_seeded_multinomial_counts,
+    multinomial_pmf,
     per_pair_empirical,
     searchsorted_draws,
+    uniform_tally_empirical,
 )
 
 
@@ -131,25 +138,20 @@ def ten_tenths_truth():
 
 
 class FixedUniforms:
-    """Stand-in stream that hands out preset uniforms, n of them or, given
-    out, as many as out holds, written into it."""
+    """Stand-in stream that hands out preset uniforms."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, n=None, out=None):
-        if out is not None:
-            n = len(out)
+    def random(self, n):
         u, self.u = self.u[:n], self.u[n:]
-        if out is None:
-            return u
-        out[:] = u
-        return out
+        return u
 
 
-def build_counts(gm, n):
-    """The (S, A, S) next-state counts of build_empirical(gm, n, ...)."""
-    emp = build_empirical(gm, n, gm.rewards)
+def build_counts(gm, n, build=build_empirical):
+    """The (S, A, S) next-state counts of build(gm, n, ...), build_empirical
+    or the per-draw oracle uniform_tally_empirical."""
+    emp = build(gm, n, gm.rewards)
     return np.rint(emp.transitions * n).astype(np.int64)
 
 
@@ -167,11 +169,13 @@ class TestSampleCounts:
                         searchsorted_draws(truth.transitions[s, a], u))
 
     def test_counts_equal_bincount_of_batch(self):
+        # the per-draw oracle build tallies exactly the draws sample_batch
+        # makes, and leaves every stream where they leave it
         for seed, n in itertools.product(range(20), (1, 37, 2000)):
             truth = random_support_truth(7, 3, seed)
             by_counts = GenerativeModel(truth, seed)
             by_batch = GenerativeModel(truth, seed)
-            counts = build_counts(by_counts, n)
+            counts = build_counts(by_counts, n, uniform_tally_empirical)
             for s, a in itertools.product(range(7), range(3)):
                 assert np.array_equal(counts[s, a], np.bincount(
                     by_batch.sample_batch(s, a, n), minlength=7))
@@ -194,38 +198,38 @@ class TestSampleCounts:
         by_batch._streams[(0, 0)] = FixedUniforms(u)
         batch = by_batch.sample_batch(0, 0, len(u))
         assert np.array_equal(batch, expected)
-        assert np.array_equal(build_counts(by_counts, len(u))[0, 0],
-                              np.bincount(batch, minlength=10))
+        assert np.array_equal(
+            build_counts(by_counts, len(u), uniform_tally_empirical)[0, 0],
+            np.bincount(batch, minlength=10))
         assert not by_counts._streams[(0, 0)].u.size  # every uniform was read
         counts = build_counts(GenerativeModel(truth, 5), 10**5)
-        by_batch = GenerativeModel(truth, 5)
-        for s in range(10):
-            assert np.array_equal(counts[s, 0], np.bincount(
-                by_batch.sample_batch(s, 0, 10**5), minlength=10))
+        assert np.all(counts.sum(axis=2) == 10**5) and np.all(counts > 0)
 
     def test_interleaving_counts_and_batches_keeps_streams(self):
-        # builds between single-pair batches read each stream where the
-        # batches left it, and leave it where drawing n there would
+        # a build between single-pair batches draws each pair's multinomial
+        # where the batches left its stream, and later batches go on from
+        # where that multinomial left it
         truth = random_support_truth(5, 2, 4)
         mixed = GenerativeModel(truth, 77)
-        batches = GenerativeModel(truth, 77)
+        reference = GenerativeModel(truth, 77)
         plan = [(0, 0, 30), 5, (3, 1, 5), (0, 0, 12), 1, (4, 0, 1), 300,
                 (3, 1, 300), (0, 0, 7), (2, 1, 64), 64]
         for step in plan:
             if isinstance(step, int):  # a build of `step` draws at every pair
                 counts = build_counts(mixed, step)
                 for s, a in itertools.product(range(5), range(2)):
-                    assert np.array_equal(counts[s, a], np.bincount(
-                        batches.sample_batch(s, a, step), minlength=5))
+                    assert np.array_equal(counts[s, a], int_seeded_multinomial_counts(
+                        reference, s, a, step))
             else:
                 s, a, n = step
                 assert np.array_equal(mixed.sample_batch(s, a, n),
-                                      batches.sample_batch(s, a, n))
-        assert np.array_equal(mixed.sample_counter, batches.sample_counter)
+                                      reference.sample_batch(s, a, n))
+        assert np.array_equal(mixed.sample_counter, reference.sample_counter)
+        assert_same_streams(mixed, reference)
         for s in range(5):
             for a in range(2):
                 assert np.array_equal(mixed.sample_batch(s, a, 50),
-                                      batches.sample_batch(s, a, 50))
+                                      reference.sample_batch(s, a, 50))
 
 
 class TestOneStatePairs:
@@ -270,6 +274,7 @@ class TestOneStatePairs:
                 fast = GenerativeModel(truth, seed)
                 slow = GenerativeModel(truth, seed)
                 emp = build_empirical(fast, N, truth.rewards)
+                # the oracle draws a multinomial at one-state pairs too
                 ref = per_pair_empirical(slow, N, truth.rewards, drawn_counts)
                 assert np.array_equal(emp.transitions, ref.transitions)
                 assert np.array_equal(fast.sample_counter, slow.sample_counter)
@@ -327,6 +332,97 @@ class TestBuildEmpirical:
                             np.zeros((2, 1)))
 
 
+def chi_square(tally: Counter, pmf: dict, trials: int) -> tuple[float, int]:
+    """Pearson's statistic of observed outcome counts against an exact pmf
+    and its degrees of freedom: the cells expected fewer than 5 times are
+    pooled into one, with the next smallest cell if the pool still is."""
+    cells = sorted(pmf, key=pmf.get)
+    small = [k for k in cells if trials * pmf[k] < 5]
+    rest = cells[len(small):]
+    if small and trials * sum(pmf[k] for k in small) < 5:
+        small.append(rest.pop(0))
+    groups = [[k] for k in rest] + ([small] if small else [])
+    stat = 0.0
+    for group in groups:
+        expected = trials * float(sum(pmf[k] for k in group))
+        stat += (sum(tally[k] for k in group) - expected) ** 2 / expected
+    return stat, len(groups) - 1
+
+
+def law_truth():
+    """Two pairs with streams, of 2 and 3 support states, and two with one
+    next state."""
+    P = np.zeros((4, 1, 4))
+    P[0, 0, [1, 3]] = [0.3, 0.7]
+    P[1, 0, [0, 2, 3]] = [0.2, 0.5, 0.3]
+    P[2, 0, 2] = P[3, 0, 0] = 1.0
+    return TabularMdp(4, 1, P, np.zeros((4, 1)))
+
+
+class TestCountLaw:
+    # fixed before the test was first run: N, the trials, their seeds (the
+    # trial seeds of master 2024) and a threshold of df + 6 sqrt(2 df) on
+    # the pooled chi-square, which a correct law exceeds with probability
+    # below 3e-4 at the 5 and 25 degrees of freedom of these two pairs
+    N = 6
+    TRIALS = 6000
+    MASTER = 2024
+
+    @pytest.mark.parametrize("build", [build_empirical, uniform_tally_empirical],
+                             ids=["multinomial", "uniform_tally_oracle"])
+    def test_counts_follow_exact_multinomial_pmf(self, build):
+        truth = law_truth()
+        P = truth.transitions
+        seeds = [RngSeedSpec(self.MASTER).trial_seed(t) for t in range(self.TRIALS)]
+        tallies = {(0, 0): Counter(), (1, 0): Counter()}
+        for model in generative._models(GenerativeModel(truth, 0), seeds):
+            counts = build_counts(model, self.N, build)
+            assert np.array_equal(counts[2:], truth.transitions[2:] * self.N)
+            for (s, a), tally in tallies.items():
+                support = P[s, a] > 0
+                assert not counts[s, a, ~support].any()
+                tally[tuple(counts[s, a, support].tolist())] += 1
+        for (s, a), tally in tallies.items():
+            pmf = multinomial_pmf(self.N, P[s, a][P[s, a] > 0])
+            assert sum(pmf.values()) == 1 and set(tally) <= set(pmf)
+            stat, df = chi_square(tally, pmf, self.TRIALS)
+            assert df >= 4
+            assert stat <= df + 6 * math.sqrt(2 * df), (s, a, stat, df)
+
+    def test_rows_within_prob_tol_of_one(self):
+        # rows whose sums miss 1 by up to PROB_TOL, one of them with an
+        # entry above 1, which multinomial rejects as given
+        rows = [[1 + 0.9 * PROB_TOL, 1e-300, 0.0], [0.3, 0.7 - 0.9 * PROB_TOL, 0.0],
+                [0.5 + 0.45 * PROB_TOL, 0.5 + 0.45 * PROB_TOL, 1e-300],
+                [0.1, 0.2, 0.7 - 0.9 * PROB_TOL]]
+        P = np.zeros((3, 4, 3))
+        P[:, :] = rows
+        truth = TabularMdp(3, 4, P, np.zeros((3, 4)))
+        assert validate_mdp(truth) == []
+        with pytest.raises(ValueError):
+            np.random.Generator(np.random.PCG64(0)).multinomial(10, rows[0][:2])
+        for N in (1, 1000, 10**5):
+            counts = build_counts(GenerativeModel(truth, N), N)
+            assert np.all(counts.sum(axis=2) == N)
+            assert not counts[P == 0].any()
+
+    def test_theory_n_counts_are_exact(self):
+        # the paper's sample size on M1 S6A3 at D = 1e4, eps = 1/128 is
+        # above 2**32 per pair: the counts are int64 and sum to it exactly
+        truth = hard_instance(HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 128,
+                                               variant="M1"))
+        params = reduction_params(1 / 128, 0.1, amdp_optimal(truth).H, 6, 3)
+        N = params.n_per_pair
+        assert N > 2**33
+        fast, slow = GenerativeModel(truth, 3), GenerativeModel(truth, 3)
+        emp = build_empirical(fast, N, truth.rewards)
+        counts = np.array([[int_seeded_multinomial_counts(slow, s, a, N)
+                            for a in range(3)] for s in range(6)])
+        assert counts.dtype == np.int64 and np.all(counts.sum(axis=2) == N)
+        assert np.array_equal(emp.transitions, counts / float(N))
+        assert np.all(fast.sample_counter == N)
+
+
 def uniform_truth(S, A):
     """Every pair spread evenly over all S states: with S >= 2 every pair
     has a stream."""
@@ -371,8 +467,10 @@ class TestStreamWords:
                     assert model._streams[s, a].bit_generator.state == expected
 
     def test_build_and_counts_match_int_seeded_oracle(self):
-        # counts, tallies and stream states equal those of streams seeded
-        # through PCG64(int(seed)), for one model and for a batch
+        # a build's counts and stream states equal those of one multinomial
+        # per multi-state pair on streams seeded through PCG64(int(seed)),
+        # for one model and for a batch, and sample_batch's draws equal
+        # uniforms tallied on such streams
         truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
                   *(random_support_truth(7, 3, seed) for seed in range(5))]
         masters = [0, 9, 2**64 - 1]
@@ -384,7 +482,8 @@ class TestStreamWords:
                 for fast in (GenerativeModel(truth, master), member):
                     slow = GenerativeModel(truth, master)
                     emp = build_empirical(fast, N, rewards)
-                    ref = per_pair_empirical(slow, N, rewards, int_seeded_counts)
+                    ref = per_pair_empirical(slow, N, rewards,
+                                             int_seeded_multinomial_counts)
                     assert np.array_equal(emp.transitions, ref.transitions)
                     assert np.array_equal(emp.rewards, ref.rewards)
                     assert emp.metadata == ref.metadata
@@ -406,7 +505,7 @@ class TestStreamWords:
         truth = hard_m1(6, 3)
         gm = GenerativeModel(truth, 5)
         (member,) = generative._models(gm, [5])
-        _, (expected,) = gm._tables.derive([RngSeedSpec(5)])
+        (expected,) = gm._tables.derive([RngSeedSpec(5)])
         assert gm._words is None and np.array_equal(member._words, expected)
         emp = build_empirical(gm, 10, truth.rewards)
         assert np.array_equal(gm._words, expected)
@@ -417,30 +516,17 @@ class TestStreamWords:
         build_empirical(one_state, 10, one_state.rewards)
         assert one_state._words is None
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_chunked_draws_match_one_fill(self, chunk, monkeypatch):
-        # a build that draws `chunk` uniforms at a time, with a short last
-        # chunk or none, gives the counts and stream states of one fill
-        monkeypatch.setattr(generative, "_DRAW_CHUNK", chunk)
-        for truth, N in itertools.product(
-                [hard_m1(6, 3), random_support_truth(7, 3, 1)], (1, 63, 64, 65, 1000)):
-            fast = GenerativeModel(truth, N)
-            slow = GenerativeModel(truth, N)
-            emp = build_empirical(fast, N, truth.rewards)
-            ref = per_pair_empirical(slow, N, truth.rewards, int_seeded_counts)
-            assert np.array_equal(emp.transitions, ref.transitions)
-            assert_same_streams(fast, slow)
-
     def test_pinned_counts_digest(self):
-        # a change to NumPy's SeedSequence or PCG64 streams, or to the seed
-        # derivation, changes every count below
+        # a change to NumPy's SeedSequence, PCG64 or Generator.multinomial
+        # streams, or to the seed derivation or the count law, changes every
+        # count below
         digest = hashlib.sha256()
         for truth in (hard_m1(6, 3), hard_m1(14, 4), random_support_truth(7, 3, 0)):
             for master in (1, 2, 3):
                 counts = build_counts(GenerativeModel(truth, master), 1000)
                 digest.update(counts.astype("<i8").tobytes())
         assert digest.hexdigest() == (
-            "8680de1433b71426843427c07ba48ab0e735c5f133daaa42d4b643dfa75aa1f2")
+            "7f2c1b52380d0085d8d920edc4551b512e5bc7c0314b1dbd120a294c15bbc5b9")
 
 
 class TestPerturbRewards:
@@ -516,15 +602,19 @@ class TestSeedSpec:
 
     @pytest.mark.parametrize("master", [0, 1, 123, 2**63, 2**64 - 1, -1])
     def test_seed_pass_matches_transition_seed(self, master):
-        # the seeds of every pair at once, from splitmix64 on uint64
-        # arrays, equal the per-pair derivation
+        # the state words of every multi-state pair at once, from splitmix64
+        # on uint64 arrays, are those of the per-pair derivation, in (s, a)
+        # order
         spec = RngSeedSpec(master)
-        for S, A in ((1, 1), (7, 3), (200, 3)):
-            tables = generative._PairTables(np.full((S, A, S), 1.0 / S))
-            (seeds,), _ = tables.derive([spec])
-            assert seeds.shape == (S, A)
-            assert [[int(x) for x in row] for row in seeds] == [
-                [spec.transition_seed(s, a) for a in range(A)] for s in range(S)]
+        for truth in (uniform_truth(1, 1), random_support_truth(7, 3, 0),
+                      uniform_truth(200, 3)):
+            tables = generative._PairTables(truth.transitions)
+            (words,) = tables.derive([spec])
+            S, A = truth.num_states, truth.num_actions
+            seeds = np.array([[spec.transition_seed(s, a) for a in range(A)]
+                              for s in range(S)], dtype=np.uint64)
+            assert words.shape == (np.count_nonzero(tables.multi), 4)
+            assert np.array_equal(words, generative._seed_words(seeds)[tables.multi])
 
     def test_streams_distinct_across_pairs(self):
         spec = RngSeedSpec(123)

@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -257,56 +256,6 @@ class TestCertificates:
                         (c.name, c.lhs, c.rhs) for c in certs if not c.passed]
 
 
-def _set_cpus(monkeypatch, cpus, affinity=None):
-    """A machine of `cpus` CPUs (None: unknown) on which this process may
-    run on `affinity` of them (default: all); None for both takes away
-    os.sched_getaffinity, as on a platform without one."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    if cpus is None and affinity is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        allowed = set(range(cpus if affinity is None else affinity))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
-                            raising=False)
-
-
-def _pool_size(monkeypatch, cpus, N, trials, affinity=None) -> int:
-    """Workers empirical_error picks on M1 S6A3 (8 pairs with two next
-    states): the size of the pool it builds, or 1 when it samples inline.
-    Whichever comes first, building the pool or sampling, stops the run."""
-    import concurrent.futures
-
-    sizes = []
-
-    class Sized(Exception):
-        pass
-
-    class NoPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            raise Sized
-
-        def __exit__(self, *exc):
-            return False
-
-    def no_sampling(gm, params):
-        raise Sized
-
-    truth = hard_instance(HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32,
-                                           variant="M1"))
-    assert np.count_nonzero(np.count_nonzero(truth.transitions > 0, axis=2) > 1) == 8
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(reduction, "_sample", no_sampling)
-    _set_cpus(monkeypatch, cpus, affinity)
-    params = reduction_params(0.25, 0.1, 2.0, 6, 3, n_override=N)
-    with pytest.raises(Sized):
-        empirical_error(GenerativeModel(truth, 7), params, trials, amdp_optimal(truth))
-    assert len(sizes) <= 1 and sizes != [1]
-    return sizes[0] if sizes else 1
-
-
 class TestEmpiricalError:
     def test_deterministic_truth_zero_gap(self):
         truth = make_deterministic_truth()
@@ -330,23 +279,10 @@ class TestEmpiricalError:
         b = empirical_error(GenerativeModel(truth, 5), params, 6)
         assert a == b
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_pool_matches_serial_oracle(self, workers, monkeypatch):
-        # any number of sampling workers, with one batched solve and one
-        # batched evaluation after them, gives the serial loop's seeds, in
+    def test_matches_serial_oracle(self):
+        # the trials sampled one after another, with one batched solve and
+        # one batched evaluation after them, give the serial loop's seeds, in
         # trial order, and bit-identical gaps
-        import concurrent.futures
-
-        sizes = []
-
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        _set_cpus(monkeypatch, workers)
-        monkeypatch.setattr(reduction, "DRAWS_PER_WORKER", 1)
         for S, A in ((6, 3), (14, 4)):
             truth = hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
                                                    variant="M1"))
@@ -357,29 +293,6 @@ class TestEmpiricalError:
             assert len({gap for _, gap in expected}) > 1
             assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
                        for rec in records)
-        # one worker samples inline, without a pool
-        assert sizes == ([workers, workers] if workers > 1 else [])
-
-    @pytest.mark.parametrize("N, cpus, trials, workers", [
-        (1000, 8, 10, 1),         # 8e4 draws: one worker
-        (31_250, 8, 10, 1),       # 2.5e6 draws: one DRAWS_PER_WORKER
-        (62_500, 8, 10, 2),       # 5e6 draws: two
-        (10**6, 8, 10, 8),        # 8e7 draws: capped by the CPUs
-        (10**6, 3, 10, 3),
-        (10**6, 8, 2, 2),         # capped by the trials
-        (10**6, None, 10, 1),     # unknown CPU count
-    ])
-    def test_pool_size_follows_draws(self, N, cpus, trials, workers, monkeypatch):
-        # workers = min(CPUs, trials, draws // DRAWS_PER_WORKER), with draws =
-        # trials * N * (8 pairs of M1 S6A3 with two next states); at one
-        # worker the trials sample inline and no pool is built
-        assert _pool_size(monkeypatch, cpus, N, trials) == workers
-
-    @pytest.mark.parametrize("affinity, workers", [(1, 1), (3, 3)])
-    def test_pool_size_follows_cpu_affinity(self, affinity, workers, monkeypatch):
-        # the CPUs this process may run on, not the machine's count, cap the
-        # pool: a process pinned to one CPU samples inline
-        assert _pool_size(monkeypatch, 8, 10**6, 10, affinity) == workers
 
     def test_failure_rate_requires_records(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,30 @@
 #!/usr/bin/env python3
 """The byte-identity digests: every reduce_sweep pool trial's exact gap,
-and the files of ``amdp-lab certify --count 1000``.
+empirical counts and planned policy, the gaps of a regime where they are
+not zero, and the files of ``amdp-lab certify --count 1000``.
 
 Runs ``empirical_error`` as the reduce_sweep ops do (hard M1 at each of
 bench/workloads.py's shapes, D = 32, eps = 1/32, ``--epsilon 0.25 --H
 oracle --trials 10``) at every N and every seed of the pool: 2 shapes x
-3 N x 16 seeds x 10 trials = 960 gaps.  Prints the sha256 of their
-``float.hex`` spellings, one per line in that loop order (shape, N, seed,
-trial), each line ending in a newline, and the number of gaps.  Then runs
+3 N x 16 seeds x 10 trials = 960 trials, in loop order (shape, N, seed,
+trial).  Prints three sha256 lines for them:
+
+* their gaps, as the ``float.hex`` spellings, one per line, each line
+  ending in a newline.  Every one of these gaps is 0, so this line cannot
+  see the sampler: a change to the counts that keeps every plan optimal
+  leaves it as it is;
+* their empirical counts, each trial's (S, A, S) int64 counts as
+  little-endian bytes;
+* their planned policies, each trial's (S,) actions as little-endian int64.
+
+Then the nonzero-gap regime: hard M1 S6A3 at D = 1e3 and eps = 1/32, run
+as ``experiment --epsilon 0.03125 --H oracle --trials 10`` at N = 100 and
+1000 on each of ``REGIME_SEEDS``; it prints the sha256 of its gaps,
+spelled as above, and how many of them exceed eps.  Last it runs
 ``certify --count 1000`` (its default corpus spec) into a temporary
 directory and prints the sha256 of its certificates.csv and
 certificates.json.  Two trees whose sampling, planning and certificates
-give the same bits print the same three digests:
+give the same bits print the same lines:
 
     python tools/trial_digest.py
 """
@@ -26,8 +39,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: the nonzero-gap regime: instance and reduce eps, D, N values and seeds
+REGIME_EPS = 1 / 32
+REGIME_D = 1e3
+REGIME_NS = (100, 1000)
+REGIME_SEEDS = tuple(range(1, 9))
 
-def gaps() -> list[float]:
+
+def hex_digest(gaps: list[float]) -> str:
+    return hashlib.sha256("".join(float.hex(g) + "\n" for g in gaps).encode()).hexdigest()
+
+
+def recorded_plans(counts, policies):
+    """Have reduction._plan, through which every sampled trial is planned,
+    append each trial's int64 counts and planned actions as bytes."""
+    import numpy as np
+    from amdp_lab import reduction
+
+    plan = reduction._plan
+
+    def recording(emps, gamma):
+        actions = plan(emps, gamma)
+        for emp, pi in zip(emps, actions):
+            n = emp.metadata["empirical_n"]
+            counts.update(np.rint(emp.transitions * n).astype("<i8").tobytes())
+            policies.update(pi.astype("<i8").tobytes())
+        return actions
+
+    reduction._plan = recording
+
+
+def pool_gaps() -> list[float]:
     import workloads
     from amdp_lab import GenerativeModel, amdp_optimal, empirical_error, reduction_params
 
@@ -44,13 +86,37 @@ def gaps() -> list[float]:
     return out
 
 
+def regime_gaps() -> list[float]:
+    from amdp_lab import (GenerativeModel, HardInstanceSpec, amdp_optimal,
+                          empirical_error, hard_instance, reduction_params)
+
+    truth = hard_instance(HardInstanceSpec(S=6, A=3, D=REGIME_D, epsilon=REGIME_EPS,
+                                           variant="M1"))
+    opt = amdp_optimal(truth)
+    out = []
+    for N in REGIME_NS:
+        params = reduction_params(REGIME_EPS, 0.1, max(opt.H, 1.0), 6, 3, n_override=N)
+        for seed in REGIME_SEEDS:
+            out.extend(rec.gap for rec in
+                       empirical_error(GenerativeModel(truth, seed), params, 10, opt))
+    return out
+
+
 def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as bench/run.py runs the ops, before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    values = gaps()
-    text = "".join(float.hex(gap) + "\n" for gap in values)
-    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {len(values)} gaps")
+    counts, policies = hashlib.sha256(), hashlib.sha256()
+    recorded_plans(counts, policies)
+    gaps = pool_gaps()
+    zero = "all zero" if not any(gaps) else "not all zero"
+    print(f"{hex_digest(gaps)}  {len(gaps)} gaps ({zero})")
+    print(f"{counts.hexdigest()}  {len(gaps)} trials' empirical counts")
+    print(f"{policies.hexdigest()}  {len(gaps)} trials' planned policies")
+    gaps = regime_gaps()
+    failed = sum(gap > REGIME_EPS for gap in gaps)
+    print(f"{hex_digest(gaps)}  {len(gaps)} gaps at D = 1e3, eps = 1/32, "
+          f"N in {REGIME_NS}; {failed} exceed eps")
     from amdp_lab.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as out:
