@@ -377,7 +377,7 @@ class TestCountLaw:
         tallies = {(0, 0): Counter(), (1, 0): Counter()}
         for model in generative._models(GenerativeModel(truth, 0), seeds):
             counts = build_counts(model, self.N, build)
-            assert np.array_equal(counts[2:], truth.transitions[2:] * self.N)
+            assert np.array_equal(counts[2:], P[2:] * self.N)
             for (s, a), tally in tallies.items():
                 support = P[s, a] > 0
                 assert not counts[s, a, ~support].any()

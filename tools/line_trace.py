@@ -5,13 +5,12 @@ Run from the repository root:
 
     python tools/line_trace.py
 
-A ``sys.settrace`` (and ``threading.settrace``, for the ``experiment``
-thread pool) hook, installed before ``amdp_lab`` is imported, records every
-line event in a frame whose file lies under src/amdp_lab.  The inputs are,
-in order: every CLI subcommand once (and ``python -m amdp_lab.cli`` through
-runpy), the seed-7 op lists of the certify_corpus, reduce_sweep and
-large_instance workloads from ``bench/run.py``'s ``prepare``, the demos, and
-pytest over tests/ and bench/test_bench.py.  Executable lines are the line
+A ``sys.settrace`` hook, installed before ``amdp_lab`` is imported,
+records every line event in a frame whose file lies under src/amdp_lab.
+The inputs are, in order: every CLI subcommand once (and ``python -m
+amdp_lab.cli`` through runpy), the seed-7 op lists of the certify_corpus,
+reduce_sweep and large_instance workloads from ``bench/run.py``'s
+``prepare``, the demos, and pytest over tests/ and bench/test_bench.py.  Executable lines are the line
 numbers of every code object compiled from each file.  Prints each
 unreached line and their count, then each line first reached under pytest
 (after every other input ran) and their count; takes a few minutes.
@@ -25,7 +24,6 @@ import os
 import runpy
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,13 +97,11 @@ def main() -> int:
     os.chdir(ROOT)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
     sys.settrace(_global)
-    threading.settrace(_global)
     try:
         with tempfile.TemporaryDirectory() as work:
             _run_inputs(Path(work))
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     unreached, tests_only = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
