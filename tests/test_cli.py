@@ -542,6 +542,25 @@ class TestExperiment:
         ns = [row["N"] for row in rows1]
         assert ns == sorted(ns, key=int)
 
+    def test_thread_count_does_not_change_output(self, m1_file, tmp_path,
+                                                 monkeypatch, capsys):
+        # experiment samples on one thread: the CPUs the process sees change
+        # no row, also at an N whose draws once filled a pool of workers
+        args = ["experiment", "--mdp", m1_file, "--epsilon", "0.25",
+                "--N", "100,100000", "--seed", "11", "--trials", "6"]
+        for cpus, out in ((1, "one"), (3, "three")):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)), raising=False)
+            assert main(args + ["--out", str(tmp_path / out)]) == 0
+        rows_1 = read_csv_rows(tmp_path / "one" / "experiment.csv")
+        rows_3 = read_csv_rows(tmp_path / "three" / "experiment.csv")
+        assert len(rows_1) == len(rows_3) == 12
+        for r1, r3 in zip(rows_1, rows_3):
+            for key in ("instance_id", "N", "seed", "gap", "success",
+                        "total_samples"):
+                assert r1[key] == r3[key]
+
     def test_empty_seeds_rejected(self, m1_file, tmp_path, capsys):
         assert main(["experiment", "--mdp", m1_file, "--epsilon", "0.25",
                      "--N", "100", "--seed", "1", "--trials", "0",

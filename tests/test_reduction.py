@@ -279,20 +279,28 @@ class TestEmpiricalError:
         b = empirical_error(GenerativeModel(truth, 5), params, 6)
         assert a == b
 
-    def test_matches_serial_oracle(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_matches_serial_oracle(self, workers):
         # the trials sampled one after another, with one batched solve and
         # one batched evaluation after them, give the serial loop's seeds, in
-        # trial order, and bit-identical gaps
+        # trial order, and bit-identical gaps; so do `workers` calls run at
+        # once on a pool of threads, each on its own model of the same truth
+        import concurrent.futures
+
         for S, A in ((6, 3), (14, 4)):
             truth = hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
                                                    variant="M1"))
             params = reduction_params(0.25, 0.1, 2.0, S, A, n_override=30)
-            records = empirical_error(GenerativeModel(truth, 7), params, 12)
             expected = serial_empirical_error(GenerativeModel(truth, 7), params, 12)
-            assert [(rec.seed, rec.gap) for rec in records] == expected
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                runs = list(pool.map(
+                    lambda _: empirical_error(GenerativeModel(truth, 7), params, 12),
+                    range(workers)))
+            for records in runs:
+                assert [(rec.seed, rec.gap) for rec in records] == expected
+                assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
+                           for rec in records)
             assert len({gap for _, gap in expected}) > 1
-            assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
-                       for rec in records)
 
     def test_failure_rate_requires_records(self):
         with pytest.raises(ValueError):
