@@ -26,13 +26,13 @@ print("the bias span 1/2 is exactly the long-run advantage of starting on the"
       " rewarding side of the cycle")
 
 print("\n== optimal control, both methods ==")
-opt_enum = lab.amdp_optimal(cycle)
+opt_pi = lab.amdp_optimal(cycle)
 opt_rvi = lab.amdp_optimal(cycle, method="relative_vi")
-print(f"enumerate:   rho* = {opt_enum.gain[0]:.12f}, H = {opt_enum.H:.12f}")
-print(f"relative VI: rho* = {opt_rvi.gain[0]:.12f}, H = {opt_rvi.H:.12f}")
+print(f"policy iteration: rho* = {opt_pi.gain[0]:.12f}, H = {opt_pi.H:.12f}")
+print(f"relative VI:      rho* = {opt_rvi.gain[0]:.12f}, H = {opt_rvi.H:.12f}")
 
 print("\n== shifted discounted value ==")
-h_gamma = lab.h_gamma_star(cycle, gamma, opt_enum)
+h_gamma = lab.h_gamma_star(cycle, gamma, opt_pi)
 print(f"V*_g - rho*/(1-g) = {h_gamma}")
 print("its span equals sp(V*_g); the vector itself solves the discounted "
       "optimality equation rewritten with the average-reward gain")

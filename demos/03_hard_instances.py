@@ -24,7 +24,7 @@ print(f"\nM0: x states {m0.metadata['x_states']}, "
 print(f"diameter = {lab.diameter(m0):.3f} (must stay below D = 32)")
 
 m1 = lab.hard_instance(replace(spec, variant="M1"))
-opt = lab.amdp_optimal(m1, method="relative_vi")
+opt = lab.amdp_optimal(m1)
 print(f"\nM1 optimal gain = {float(opt.gain[0]):.12f}")
 print(f"closed form (1+8e)/(2+8e) = {(1 + 8/32) / (2 + 8/32):.12f}")
 print(f"optimal actions at x states: "
@@ -32,7 +32,7 @@ print(f"optimal actions at x states: "
       "(the slowed-down first action everywhere)")
 
 mkl = lab.hard_instance(replace(spec, variant="MKL", k=2, l=3))
-opt_kl = lab.amdp_optimal(mkl, method="relative_vi")
+opt_kl = lab.amdp_optimal(mkl)
 x = mkl.metadata["x_states"][1]
 print(f"\nM_(2,3) optimal gain = {float(opt_kl.gain[0]):.12f} "
       f"(closed form (1+8e)/2 = {(1 + 8/32)/2})")

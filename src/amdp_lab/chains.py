@@ -8,10 +8,10 @@ transformation, and connectivity classification.
 Stationary distributions and limiting matrices, of one chain or of every
 policy's chain at once, come from one linear solve for the closed classes
 (_stationary) and one absorption solve for the transient states
-(_cesaro_limit).  _policy_iteration is the one Howard policy-iteration loop,
-with forbidden actions (cost +inf) and terminal states (discount 0, cost 0)
-as data: it gives the hitting times to every target (stochastic shortest
-paths) and the solvers' exact discounted optimum.
+(_cesaro_limit).  _policy_iteration is the one Howard loop for discounted and
+total costs, with forbidden actions (cost +inf) and terminal states
+(discount 0, cost 0) as data: it gives the hitting times to every target
+(stochastic shortest paths) and the solvers' exact discounted optimum.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .mdp import (
 PI_MAX_ITERATIONS = 1000
 
 #: most deterministic policies an enumeration may list before raising
-#: EnumerationBudgetError; amdp_optimal's "auto" enumerates up to this many
+#: EnumerationBudgetError; it binds only mixing_time, whose worst case runs
+#: over every policy
 ENUMERATION_BUDGET = 10**6
 
 #: l1 distance ||e_s P^t - nu||_1 at which a chain counts as mixed: the
@@ -45,10 +46,9 @@ MIXING_THRESHOLD = 0.5
 #: steps mixing_time may take before raising SolverConvergenceError
 MIXING_MAX_STEPS = 100_000
 
-#: bytes one chunk of the hitting-time solve, or of the enumeration's tie
-#: set, may hold in each (chunk, S, S) float64 stack, so peak memory stays a
-#: few times this for any S (at S = 200, 2 MB chunks also ran faster than
-#: 8 MB ones)
+#: bytes one chunk of the hitting-time solve may hold in each (chunk, S, S)
+#: float64 stack, so peak memory stays a few times this for any S (at
+#: S = 200, 2 MB chunks also ran faster than 8 MB ones)
 _CHUNK_BYTES = 1 << 21
 
 
@@ -158,26 +158,21 @@ def _stationary(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray) -> np.nd
 
 
 def _cesaro_limit(P: np.ndarray, comm: np.ndarray, recurrent: np.ndarray,
-                  r: np.ndarray | None = None,
                   nu: np.ndarray | None = None) -> np.ndarray:
-    """Cesaro limit P* of a chain or batch of chains, or the gain P* r when
-    rewards r (..., S) are given.
+    """Cesaro limit P* of a chain or batch of chains.
 
     Rows of recurrent states are their class's stationary distribution nu
     (_stationary, solved here unless given); transient rows follow from the
     absorption system (I - diag(transient) P) x = y, solved once with y the
-    class-masked stationary rows, or those rows applied to r.
+    class-masked stationary rows.
     """
     if nu is None:
         nu = _stationary(P, comm, recurrent)
     y = (comm & recurrent[..., None]) * nu[..., None, :]
-    if r is not None:
-        y = y @ r[..., None]
-    x = y  # without transient states the absorption system is I x = y
-    if not np.all(recurrent):
-        A = np.eye(P.shape[-1]) - np.where(recurrent[..., None], 0.0, P)
-        x = np.linalg.solve(A, y)
-    return x if r is None else x[..., 0]
+    if np.all(recurrent):  # the absorption system is I x = y
+        return y
+    A = np.eye(P.shape[-1]) - np.where(recurrent[..., None], 0.0, P)
+    return np.linalg.solve(A, y)
 
 
 def decompose_chain(chain: InducedChain | np.ndarray) -> ChainStructure:
@@ -204,7 +199,7 @@ def decompose_chain(chain: InducedChain | np.ndarray) -> ChainStructure:
 
 
 # ---------------------------------------------------------------------------
-# batched policy enumeration (shared with the exact solvers)
+# batched policy enumeration (for the mixing time)
 
 
 def all_deterministic_policies(num_states: int, num_actions: int) -> np.ndarray:
@@ -230,10 +225,10 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
 
 
 class _PolicyBatch(NamedTuple):
-    """Every deterministic policy of an MDP with its induced chains: comm and
-    recurrent are the _structure_masks of each chain's support, multi[i] is
-    True when policy i's chain has more than one closed class, and nu holds
-    each chain's _stationary rows."""
+    """Every deterministic policy of an MDP with its induced chains and
+    rewards: comm and recurrent are the _structure_masks of each chain's
+    support, multi[i] is True when policy i's chain has more than one closed
+    class, and nu holds each chain's _stationary rows."""
 
     policies: np.ndarray
     P_all: np.ndarray
@@ -246,8 +241,7 @@ class _PolicyBatch(NamedTuple):
 
 def _policy_batch(m: TabularMdp) -> _PolicyBatch:
     """Every deterministic policy with its induced chains, classified and
-    given their stationary distributions in one batch, which the mixing time
-    and the enumerated optimum both read."""
+    given their stationary distributions in one batch, for mixing_time."""
     policies = all_deterministic_policies(m.num_states, m.num_actions)
     P_all, r_all = induced_chain_batch(m, policies)
     comm, recurrent = _structure_masks(P_all > 0)
@@ -389,11 +383,7 @@ def mixing_time(m: TabularMdp) -> float:
     Each step multiplies only the powers of the policies that have not mixed
     yet.
     """
-    return _mixing_time(_policy_batch(m))
-
-
-def _mixing_time(batch: _PolicyBatch) -> float:
-    """mixing_time from the _policy_batch of the MDP."""
+    batch = _policy_batch(m)
     if np.any(batch.multi) or np.any(
             _class_periods(batch.P_all > 0, batch.comm, batch.recurrent) > 1):
         return math.inf

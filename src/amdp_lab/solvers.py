@@ -4,11 +4,11 @@ Discounted: policy evaluation by dense linear solve; the exact optimum by
 Howard policy iteration (the one loop, in chains); and Q-value iteration to
 a stated accuracy, for callers that want a deliberately inexact solve.
 Average-reward: gain/bias of a policy through the limiting and deviation
-matrices, and the optimal gain/bias/policy either by brute-force policy
-enumeration or by relative value iteration on a lazy transform of the MDP.
-The enumeration is exact throughout: on a weakly communicating MDP its bias
-is the elementwise max of the gain-optimal (tied) policies' biases, which is
-the bias of a bias-optimal policy (Puterman 1994, ch. 10).
+matrices, and the optimal gain/bias/policy by bias-optimal policy iteration,
+exact at every size: each round is three dense evaluations of one policy, and
+the returned policy's own bias is the optimal bias (Veinott 1969; Puterman
+1994, ch. 10).  Relative value iteration on a lazy transform of the MDP
+remains as the alternative method.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from . import chains
 from .chains import (
     _cesaro_limit,
-    _policy_batch,
     _policy_iteration,
+    _stationary,
     _structure_masks,
     aperiodicity_transform,
     is_weakly_communicating,
@@ -35,9 +35,9 @@ from .mdp import (
     span,
 )
 
-#: policies whose worst-state gains differ by at most this much are tied;
-#: amdp_optimal's enumeration returns the first of them, and on a weakly
-#: communicating MDP the elementwise max of all their biases
+#: relative near-tie width of bias-optimal policy iteration: at each level an
+#: action within GAIN_TIE_TOL * max(1, |best|) of the best is tied with it, and
+#: a state keeps its action unless the best beats it by more than that
 GAIN_TIE_TOL = 1e-9
 
 #: largest residual ||(I - gamma P_pi) V - r_pi||_inf dmdp_policy_value
@@ -68,13 +68,13 @@ class GainBias:
 
 @dataclass(frozen=True)
 class AmdpOptimum:
-    """Optimal average-reward solution: constant optimal gain (as a vector),
-    a bias solving the Bellman optimality equation, a gain-optimal
-    deterministic policy, H = sp(bias), and that policy's own bias
-    (chain_gain_bias, whose gain is ``gain``).  From the enumeration of a
-    weakly communicating MDP, ``bias`` is the elementwise max of the tied
-    policies' biases, the optimal bias; otherwise it is ``policy_bias``
-    (enumeration) or the relative-VI bias."""
+    """Optimal average-reward solution: the optimal gain (as a vector,
+    constant when weakly communicating), a bias solving the Bellman
+    optimality equation, a gain-optimal deterministic policy, H = sp(bias),
+    and that policy's own bias (chain_gain_bias, whose gain is ``gain``).
+    From the default method the policy is bias-optimal and ``bias`` is
+    ``policy_bias``, the optimal bias; from relative VI it is the iterate's
+    bias."""
 
     gain: np.ndarray
     bias: np.ndarray
@@ -258,25 +258,22 @@ def relative_value_iteration(m: TabularMdp):
 def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     """Gain-optimal solution of the average-reward problem.
 
-    The default method="auto" evaluates every deterministic policy when
-    A^S <= chains.ENUMERATION_BUDGET and takes the first, in lexicographic
-    order of the action arrays, whose worst-state gain is within
-    GAIN_TIE_TOL of the best; otherwise, and always under
-    method="relative_vi", it runs relative value iteration on the lazy
-    transform with greedy policy extraction.
+    The default method="auto" runs bias-optimal policy iteration
+    (_bias_optimal), exact at every size: the returned policy is
+    bias-optimal, so its own bias is the optimal bias and H does not depend
+    on which optimal policy is returned.  method="relative_vi" runs relative
+    value iteration on the lazy transform with greedy policy extraction, and
+    returns the iterate's bias.
 
     Either way the returned gain is the exact per-state gain of the returned
-    policy (dense linear algebra, not iteration), and policy_bias is that
-    policy's own bias.  The returned bias solves the Bellman optimality
-    equation.  From the enumeration of a weakly communicating MDP it is the
-    elementwise max of every tied policy's bias, the bias of a bias-optimal
-    policy, so H is exact and does not depend on which tied policy is
-    returned; from relative VI it is the iterate's bias.
+    policy (dense linear algebra, not iteration), policy_bias is that
+    policy's own bias, and on a weakly communicating input the returned bias
+    solves the Bellman optimality equation.
     """
     if method not in ("auto", "relative_vi"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and m.num_actions**m.num_states <= chains.ENUMERATION_BUDGET:
-        return _enumerated_optimum(m, _policy_batch(m))
+    if method == "auto":
+        return _bias_optimal(m)
     _, bias, policy = relative_value_iteration(m)
     gb = chain_gain_bias(induce_chain(m, policy))
     return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy, H=span(bias),
@@ -284,45 +281,51 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
                        policy_bias=gb.bias)
 
 
-def _enumerated_optimum(m: TabularMdp, batch) -> AmdpOptimum:
-    """amdp_optimal's enumeration, over the _policy_batch of m: every
-    policy's per-state gain from one batched Cesaro-limit solve on the
-    batch's stationary rows, then the gain/bias of the tied policies from
-    batched deviation solves on those rows too (of the first alone when m
-    is not weakly communicating), in chunks whose (chunk, S, S) stacks fit
-    in chains._CHUNK_BYTES."""
-    worst = _cesaro_limit(batch.P_all, batch.comm, batch.recurrent, batch.r_all,
-                          nu=batch.nu).min(axis=1)
-    tied = np.flatnonzero(worst >= worst.max() - GAIN_TIE_TOL)
-    wc = is_weakly_communicating(m)
-    if not wc:
-        tied = tied[:1]
-    # the bias-optimal policy's bias is the elementwise max of the
-    # gain-optimal policies' biases (Puterman 1994, ch. 10)
-    step = max(1, chains._CHUNK_BYTES // (8 * m.num_states**2))
-    chunk_max = []
-    for k in range(0, len(tied), step):
-        part = tied[k:k + step]
-        gb = _gain_bias(batch.P_all[part], batch.r_all[part], batch.comm[part],
-                        batch.recurrent[part], batch.nu[part])
-        if k == 0:
-            gain, policy_bias = gb.gain[0], gb.bias[0]
-        chunk_max.append(gb.bias.max(axis=0))
-    bias = np.max(chunk_max, axis=0)
-    return AmdpOptimum(gain=gain, bias=bias,
-                       policy=DeterministicPolicy(batch.policies[tied[0]]),
-                       H=span(bias), weakly_communicating=wc,
-                       policy_bias=policy_bias)
+def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
+    """Bias-optimal policy iteration (Veinott 1969; Puterman 1994, ch. 10)
+    from the reward-greedy policy.
+
+    Each round evaluates the policy's gain g, bias h and next term w, the
+    bias of its chain under reward -h, sharing one set of masks and
+    stationary rows.  It then improves on (P g, r + P h, P w) in that order:
+    at each level only the previous level's near-ties stay candidates, those
+    within GAIN_TIE_TOL * max(1, |best|) of the best, and a state whose
+    current action drops out moves to its first remaining candidate.  A
+    round in which no state moves returns; after chains.PI_MAX_ITERATIONS
+    rounds SolverConvergenceError is raised.
+    """
+    P, r = m.transitions, m.rewards
+    states = np.arange(m.num_states)
+    policy = np.argmax(r, axis=1)
+    for _ in range(chains.PI_MAX_ITERATIONS):
+        P_pi = P[states, policy]
+        masks = _structure_masks(P_pi > 0)
+        nu = _stationary(P_pi, *masks)
+        gb = _gain_bias(P_pi, r[states, policy], *masks, nu)
+        w = _gain_bias(P_pi, -gb.bias, *masks, nu).bias
+        keep = np.ones(r.shape, dtype=bool)
+        for q in (P @ gb.gain, r + P @ gb.bias, P @ w):
+            best = np.where(keep, q, -np.inf).max(axis=1, keepdims=True)
+            keep &= q >= best - GAIN_TIE_TOL * np.maximum(1.0, np.abs(best))
+        stays = keep[states, policy]
+        if stays.all():
+            return AmdpOptimum(gain=gb.gain, bias=gb.bias,
+                               policy=DeterministicPolicy(policy),
+                               H=span(gb.bias),
+                               weakly_communicating=is_weakly_communicating(m),
+                               policy_bias=gb.bias)
+        policy = np.where(stays, policy, np.argmax(keep, axis=1))
+    raise SolverConvergenceError(
+        f"bias-optimal policy iteration still improving after "
+        f"{chains.PI_MAX_ITERATIONS} rounds")
 
 
 def _analysis(m: TabularMdp):
-    """(D, t_mix, optimum) of one MDP, t_mix and the optimum from one
-    _policy_batch; over the budget t_mix is None and relative VI solves."""
-    D = chains.diameter(m)
-    if m.num_actions**m.num_states > chains.ENUMERATION_BUDGET:
-        return D, None, amdp_optimal(m)
-    batch = _policy_batch(m)
-    return D, chains._mixing_time(batch), _enumerated_optimum(m, batch)
+    """(D, t_mix, optimum) of one MDP; t_mix, which needs every policy's
+    chain, is None over chains.ENUMERATION_BUDGET."""
+    over = m.num_actions**m.num_states > chains.ENUMERATION_BUDGET
+    return (chains.diameter(m), None if over else chains.mixing_time(m),
+            amdp_optimal(m))
 
 
 def h_gamma_star(m: TabularMdp, gamma: float, opt: AmdpOptimum) -> np.ndarray:

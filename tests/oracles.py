@@ -121,6 +121,16 @@ def slow_path_best_gain(m) -> tuple[np.ndarray, float]:
     return np.array(candidates[best]), float(scores[best])
 
 
+def policy_gains(batch) -> np.ndarray:
+    """Per-state gains (n, S) of every policy of a _policy_batch: each
+    chain's Cesaro limit, from the batch's stationary rows, applied to its
+    rewards."""
+    from amdp_lab.chains import _cesaro_limit
+
+    P_star = _cesaro_limit(batch.P_all, batch.comm, batch.recurrent, nu=batch.nu)
+    return (P_star @ batch.r_all[..., None])[..., 0]
+
+
 def first_tie_optimum(m):
     """The enumeration's first tied policy with its own gain/bias from one
     unbatched deviation solve, and a bias repaired to solve the optimality
@@ -132,8 +142,7 @@ def first_tie_optimum(m):
                                  is_weakly_communicating)
 
     b = _policy_batch(m)
-    worst = _cesaro_limit(b.P_all, b.comm, b.recurrent, b.r_all,
-                          nu=b.nu).min(axis=1)
+    worst = policy_gains(b).min(axis=1)
     i = int(np.argmax(worst >= worst.max() - solvers.GAIN_TIE_TOL))
     P, r = b.P_all[i], b.r_all[i]
     P_star = _cesaro_limit(P, b.comm[i], b.recurrent[i], nu=b.nu[i])
@@ -144,6 +153,44 @@ def first_tie_optimum(m):
             and solvers.bellman_optimality_residual(m, gain, own) > 1e-8):
         _, bias, _ = solvers.relative_value_iteration(m)
     return b.policies[i], gain, own, bias
+
+
+def enumerated_optimum(m, batch):
+    """The enumerated optimum over the _policy_batch of m, the route
+    amdp_optimal took within the enumeration budget before bias-optimal
+    policy iteration: every policy's per-state gain from one batched
+    Cesaro-limit solve on the batch's stationary rows, then the gain/bias of
+    the tied policies from batched deviation solves on those rows too (of
+    the first alone when m is not weakly communicating), in chunks whose
+    (chunk, S, S) stacks fit in chains._CHUNK_BYTES.  Its policy is the
+    first tied one, and on a weakly communicating input its bias is the
+    elementwise max of the tied policies' biases."""
+    from amdp_lab import chains
+    from amdp_lab.chains import is_weakly_communicating
+    from amdp_lab.mdp import DeterministicPolicy, span
+    from amdp_lab.solvers import GAIN_TIE_TOL, AmdpOptimum, _gain_bias
+
+    worst = policy_gains(batch).min(axis=1)
+    tied = np.flatnonzero(worst >= worst.max() - GAIN_TIE_TOL)
+    wc = is_weakly_communicating(m)
+    if not wc:
+        tied = tied[:1]
+    # the bias-optimal policy's bias is the elementwise max of the
+    # gain-optimal policies' biases (Puterman 1994, ch. 10)
+    step = max(1, chains._CHUNK_BYTES // (8 * m.num_states**2))
+    chunk_max = []
+    for k in range(0, len(tied), step):
+        part = tied[k:k + step]
+        gb = _gain_bias(batch.P_all[part], batch.r_all[part], batch.comm[part],
+                        batch.recurrent[part], batch.nu[part])
+        if k == 0:
+            gain, policy_bias = gb.gain[0], gb.bias[0]
+        chunk_max.append(gb.bias.max(axis=0))
+    bias = np.max(chunk_max, axis=0)
+    return AmdpOptimum(gain=gain, bias=bias,
+                       policy=DeterministicPolicy(batch.policies[tied[0]]),
+                       H=span(bias), weakly_communicating=wc,
+                       policy_bias=policy_bias)
 
 
 def bfs_class_period(support: np.ndarray, states: np.ndarray) -> int:
@@ -572,8 +619,8 @@ def serial_empirical_error(gm, params, trials: int, opt=None) -> list[tuple[int,
 def separate_instance_certificates(m, instance_id: str, epsilon: float) -> list:
     """The certify command's per-instance certificates with every quantity
     computed on its own: amdp_optimal, the four certificate builders,
-    diameter and mixing_time (None over the enumeration budget), so that
-    mixing_time and amdp_optimal each enumerate every policy."""
+    diameter and mixing_time (None over the enumeration budget), each
+    called on its own."""
     import math
 
     from amdp_lab import EnumerationBudgetError, chains, reduction, solvers

@@ -20,7 +20,8 @@ from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
 from amdp_lab.cli import main
 from amdp_lab.reduction import write_certificates_csv
-from oracles import cesaro_bias, cesaro_gain
+from amdp_lab.chains import _policy_batch
+from oracles import cesaro_bias, cesaro_gain, enumerated_optimum
 
 RESULTS: list[str] = []
 
@@ -335,6 +336,12 @@ def test_criterion_9_oracle_cross_validation():
                              float(np.max(o2.gain))))
         if abs(o1.H - o2.H) > 1e-6:
             failures.append((instance_id, "H", o1.H, o2.H))
+        # the enumeration oracle: exact, so held to 1e-12
+        enum = enumerated_optimum(m, _policy_batch(m))
+        if np.max(np.abs(o1.gain - enum.gain)) > 1e-12:
+            failures.append((instance_id, "enumerated gain"))
+        if np.max(np.abs(o1.bias - enum.bias)) > 1e-12 * max(1.0, enum.H):
+            failures.append((instance_id, "enumerated bias", o1.H, enum.H))
 
     # Cesaro-average oracle for the bias, on the cycle (with the hand-exact
     # gain 1/2) and on five random corpus instances
@@ -356,6 +363,7 @@ def test_criterion_9_oracle_cross_validation():
         if np.max(np.abs(oracle - gb.bias)) > 1e-4:
             failures.append((instance_id, "cesaro"))
 
-    note(9, "enumerate vs relative-VI agreement and Cesaro bias oracle",
-         not failures, f"{len(corpus())} cross-method checks")
+    note(9, "policy iteration vs relative-VI and enumeration agreement and "
+         "Cesaro bias oracle", not failures,
+         f"{2 * len(corpus())} cross-method checks")
     assert not failures, failures[:5]

@@ -42,7 +42,7 @@ def m1_file(tmp_path):
 
 @pytest.fixture
 def m1_s14_file(tmp_path):
-    # 4^14 policies: over the enumeration budget
+    # 4^14 policies: over the enumeration budget, so params skips t_mix
     code = main(["hardgen", "--S", "14", "--A", "4", "--D", "32",
                  "--epsilon", "0.03125", "--variant", "M1",
                  "--out", str(tmp_path)])
@@ -133,8 +133,8 @@ class TestSolve:
 
     def test_amdp_over_enumeration_budget_matches_params(self, m1_s14_file,
                                                          capsys):
-        # 4^14 policies exceed the enumeration budget; the default method
-        # falls back to relative VI, as params' analysis does
+        # 4^14 policies exceed the enumeration budget, which binds only
+        # t_mix: solve and params' analysis run the same policy iteration
         capsys.readouterr()
         assert main(["solve", "amdp", "--mdp", m1_s14_file]) == 0
         solved = [line for line in capsys.readouterr().out.splitlines()
@@ -400,7 +400,7 @@ class TestOptimumSolvedOnce:
 
 
 class TestPoliciesEnumeratedOnce:
-    """params and certify take t_mix and the optimum from one enumeration."""
+    """params and certify enumerate the policies once, for t_mix alone."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
@@ -452,9 +452,10 @@ class TestOneAnalysisMatchesSeparatePath:
 class TestCertifySharesQuantities:
     """One certify op solves the calibrated discounted problem once, runs the
     optimal policy's horizon recursion once (P^T bias comes from doubling),
-    and evaluates each policy's gain/bias once (_gain_bias, which
-    chain_gain_bias and the enumeration call): pi*'s in the optimum, the
-    discounted optimum pi_hat's only where it differs from pi*."""
+    and evaluates each chain once per use (_gain_bias, which chain_gain_bias
+    and the optimum's policy iteration call): twice per round of the
+    optimum, for the gain/bias and for the next term w, and the discounted
+    optimum pi_hat's only where it differs from pi*."""
 
     @pytest.fixture
     def certify_calls(self, tmp_path, monkeypatch):
@@ -482,20 +483,21 @@ class TestCertifySharesQuantities:
         return run
 
     def test_m1_s6a3_call_counts(self, certify_calls, m1_file, capsys):
-        # pi* = [0,0,0,0,0,0], pi_hat = [1,0,0,0,0,0]: one evaluation each
+        # two rounds from the reward-greedy policy to the bias-optimal
+        # pi* = pi_hat = [1,0,0,0,0,0]: two chains, two evaluations each
         assert certify_calls(m1_file) == (
             {"horizon_iterates": 1, "dmdp_policy_iteration": 1,
-             "dmdp_policy_value": 2, "_gain_bias": 2, "amdp_gain_bias": 1}, 2)
+             "dmdp_policy_value": 2, "_gain_bias": 4, "amdp_gain_bias": 0}, 2)
 
     @pytest.mark.parametrize("fixture", [
         "cycle_file",   # one action: pi_hat = pi*
-        "m1_s14_file",  # over the budget: the relative-VI optimum, pi_hat = pi*
+        "m1_s14_file",  # 4^14 policies, one round: pi_hat = pi*
     ])
     def test_optimal_discounted_policy_reuses_gain(self, fixture, certify_calls,
                                                    request, capsys):
         assert certify_calls(request.getfixturevalue(fixture)) == (
             {"horizon_iterates": 1, "dmdp_policy_iteration": 1,
-             "dmdp_policy_value": 2, "_gain_bias": 1, "amdp_gain_bias": 0}, 1)
+             "dmdp_policy_value": 2, "_gain_bias": 2, "amdp_gain_bias": 0}, 1)
 
 
 class TestReductionInputs:

@@ -20,16 +20,18 @@ from amdp_lab import (
 )
 from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from amdp_lab.corpus import random_mdp, standard_corpus
-from amdp_lab.chains import _cesaro_limit, _policy_batch
-from amdp_lab.solvers import _enumerated_optimum, _power_iterates, horizon_iterates
+from amdp_lab.chains import _policy_batch
+from amdp_lab.solvers import _power_iterates, horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
     bellman_evaluation,
     cesaro_bias,
     cesaro_gain,
+    enumerated_optimum,
     finite_values,
     first_tie_optimum,
     per_class_limiting_matrix,
+    policy_gains,
     slow_path_best_gain,
     stepped_power_iterates,
 )
@@ -258,7 +260,7 @@ class TestAmdpOptimal:
         assert opt.H == pytest.approx(span(gb.bias), abs=1e-9)
 
     def test_one_action_mdp_of_100_states(self):
-        # auto enumerates the single policy, whatever the number of states
+        # the single policy, whatever the number of states
         m = random_mdp(100, 1, seed=5)
         opt = amdp_optimal(m)
         gb = amdp_gain_bias(m, DeterministicPolicy(np.zeros(100, dtype=int)))
@@ -286,26 +288,31 @@ class TestAmdpOptimal:
     def test_enumerated_gains_match_per_class_oracle(self, D):
         # 685 of the 729 policies on M1 S6A3 are multichain
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
-        policies, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
-        gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
+        batch = _policy_batch(m)
+        gains = policy_gains(batch)
         idx = np.arange(6)
         oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
-                           @ m.rewards[idx, a] for a in policies])
+                           @ m.rewards[idx, a] for a in batch.policies])
         # some policies earn exactly zero, where only an absolute bound applies
         np.testing.assert_allclose(gains, oracle, rtol=1e-9, atol=1e-14)
 
     def test_ties_resolve_to_first_policy(self):
         # 20 policies tie for the optimal gain here; rounding noise in the
-        # gains must not pick among them
+        # gains must not pick among them in the enumeration oracle, and
+        # policy iteration returns a bias-optimal one of them
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
-        policies, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
-        gains = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu)
-        worst = gains.min(axis=1)
+        batch = _policy_batch(m)
+        worst = policy_gains(batch).min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
+        enum = enumerated_optimum(m, batch)
+        assert np.array_equal(enum.policy.actions, np.zeros(6, dtype=int))
+        assert np.array_equal(enum.policy.actions, slow_path_best_gain(m)[0])
         opt = amdp_optimal(m)
-        assert np.array_equal(opt.policy.actions, np.zeros(6, dtype=int))
-        assert np.array_equal(opt.policy.actions, slow_path_best_gain(m)[0])
-        assert opt.H == pytest.approx(500 / 9, rel=1e-12, abs=0)
+        index = int(opt.policy.actions @ 3 ** np.arange(5, -1, -1))
+        assert worst[index] >= worst.max() - 1e-9
+        assert np.array_equal(opt.policy_bias, opt.bias)
+        for H in (enum.H, opt.H):
+            assert H == pytest.approx(500 / 9, rel=1e-12, abs=0)
 
     def test_methods_agree(self):
         for _, m in standard_corpus(count=40, master_seed=17):
@@ -341,38 +348,48 @@ class TestAmdpOptimal:
                 assert np.min(gain) <= float(np.max(opt.gain)) + 1e-9
 
     def test_auto_enumerates_under_budget(self):
+        # where one policy is optimal, policy iteration gives the
+        # enumeration's bits
         for _, m in standard_corpus(count=25, master_seed=29):
             auto = amdp_optimal(m)
-            enum = _enumerated_optimum(m, _policy_batch(m))
+            enum = enumerated_optimum(m, _policy_batch(m))
             assert np.array_equal(auto.policy.actions, enum.policy.actions)
             assert np.array_equal(auto.gain, enum.gain)
             assert np.array_equal(auto.bias, enum.bias)
 
-    def test_auto_uses_relative_vi_over_budget(self, monkeypatch):
+    def test_auto_ignores_the_budget(self, monkeypatch):
+        # the budget binds only t_mix: auto's policy iteration gives the
+        # same bits over it, and agrees with relative VI
         from amdp_lab import chains
         m = random_mdp(5, 4, seed=1)
+        under = amdp_optimal(m)
         monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 100)
         auto = amdp_optimal(m)
         rvi = amdp_optimal(m, method="relative_vi")
+        assert np.array_equal(auto.policy.actions, under.policy.actions)
+        assert np.array_equal(auto.gain, under.gain)
+        assert np.array_equal(auto.bias, under.bias)
         assert np.array_equal(auto.policy.actions, rvi.policy.actions)
-        assert np.array_equal(auto.gain, rvi.gain)
-        assert np.array_equal(auto.bias, rvi.bias)
+        assert float(np.max(auto.gain)) == pytest.approx(float(np.max(rvi.gain)),
+                                                         abs=1e-8)
+        assert auto.H == pytest.approx(rvi.H, abs=1e-6)
 
     def test_one_budget_binding_serves_every_enumeration(self, monkeypatch):
-        # one patch of the budget in chains moves mixing_time and auto's
-        # choice; solvers keeps no copy of it
+        # one patch of the budget in chains moves mixing_time and the
+        # analysis's t_mix, and leaves the optimum's bits; solvers keeps no
+        # copy of it
         from amdp_lab import EnumerationBudgetError, chains, mixing_time, solvers
         m = random_mdp(4, 3, seed=0)  # 81 policies
-        enumerated = amdp_optimal(m)
-        rvi = amdp_optimal(m, method="relative_vi")
-        assert not np.array_equal(enumerated.bias, rvi.bias)
+        under = solvers._analysis(m)
+        assert under[1] is not None
         monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 80)
         with pytest.raises(EnumerationBudgetError):
             mixing_time(m)
-        auto = amdp_optimal(m)
-        assert np.array_equal(auto.policy.actions, rvi.policy.actions)
-        assert np.array_equal(auto.gain, rvi.gain)
-        assert np.array_equal(auto.bias, rvi.bias)
+        D, t_mix, auto = solvers._analysis(m)
+        assert (D, t_mix) == (under[0], None)
+        assert np.array_equal(auto.policy.actions, under[2].policy.actions)
+        assert np.array_equal(auto.gain, under[2].gain)
+        assert np.array_equal(auto.bias, under[2].bias)
         assert not hasattr(solvers, "ENUMERATION_BUDGET")
 
     def test_relative_vi_flags_non_weakly_communicating(self, monkeypatch):
@@ -421,31 +438,39 @@ def _enumeration_cases():
 
 
 class TestBiasOptimalH:
-    """On a weakly communicating input the enumeration's bias is the
-    elementwise max of the tied policies' biases: the bias of a
-    bias-optimal policy, so H is exact and canonical."""
+    """amdp_optimal returns a bias-optimal policy, whose own bias is the
+    optimal bias, so H is exact and canonical.  On a weakly communicating
+    input the enumeration oracle's bias is the elementwise max of the tied
+    policies' biases, the same vector."""
 
     def test_policy_and_gain_match_first_tie_oracle(self):
         lone = 0
         for m in _enumeration_cases():
             actions, gain, policy_bias, bias = first_tie_optimum(m)
+            batch = _policy_batch(m)
+            enum = enumerated_optimum(m, batch)
+            assert np.array_equal(enum.policy.actions, actions)
+            assert np.array_equal(enum.gain, gain)
+            assert np.array_equal(enum.policy_bias, policy_bias)
+            assert np.all(enum.bias >= policy_bias - 1e-9)
             opt = amdp_optimal(m)
-            assert np.array_equal(opt.policy.actions, actions)
             assert np.array_equal(opt.gain, gain)
-            assert np.array_equal(opt.policy_bias, policy_bias)
             assert np.all(opt.bias >= policy_bias - 1e-9)
-            # a lone gain-optimal policy keeps the old bias bit for bit
-            _, P_all, r_all, comm, recurrent, _, nu = _policy_batch(m)
-            worst = _cesaro_limit(P_all, comm, recurrent, r_all, nu=nu).min(axis=1)
+            # a lone gain-optimal policy: policy iteration returns it, and
+            # both keep the old bias bit for bit
+            worst = policy_gains(batch).min(axis=1)
             if np.sum(worst >= worst.max() - 1e-9) == 1:
+                assert np.array_equal(opt.policy.actions, actions)
+                assert np.array_equal(enum.bias, bias)
                 assert np.array_equal(opt.bias, bias)
                 lone += 1
         assert lone == 200  # the corpus instances; every hard instance ties
 
     def test_bias_is_blackwell_policy_bias(self):
         # discounted PI at gamma = 1 - 1e-6 returns a Blackwell-optimal
-        # policy here, and a Blackwell-optimal policy is bias-optimal
-        for m in _enumeration_cases() + [_tied_bias_fixture()]:
+        # policy here, and a Blackwell-optimal policy is bias-optimal; the
+        # S12A3 input has 531441 policies
+        for m in _enumeration_cases() + [_tied_bias_fixture(), random_mdp(12, 3, seed=0)]:
             opt = amdp_optimal(m)
             _, _, pi = dmdp_policy_iteration(m, 1 - 1e-6)
             np.testing.assert_allclose(
@@ -462,24 +487,31 @@ class TestBiasOptimalH:
         assert opt.H == pytest.approx(ratio * spec.D_prime, rel=1e-12, abs=0)
 
     def test_tied_policies_bias_max_gives_zero_span(self):
+        # the oracle's first tie [0, 0] leaves state 1; policy iteration
+        # moves state 1 to the bias-optimal stay action on the next term w
         m = _tied_bias_fixture()
+        enum = enumerated_optimum(m, _policy_batch(m))
+        assert np.array_equal(enum.policy.actions, [0, 0])
+        np.testing.assert_allclose(enum.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
         opt = amdp_optimal(m)
-        assert np.array_equal(opt.policy.actions, [0, 0])
-        np.testing.assert_allclose(opt.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(opt.bias, [0.0, 0.0], rtol=0, atol=1e-12)
-        assert opt.H == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(opt.policy.actions, [0, 2])
+        assert np.array_equal(opt.policy_bias, opt.bias)
+        for bias_optimal in (enum, opt):
+            np.testing.assert_allclose(bias_optimal.bias, [0.0, 0.0], rtol=0,
+                                       atol=1e-12)
+            assert bias_optimal.H == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_set_chunks_change_no_bits(self, monkeypatch):
-        # one policy per chunk against one chunk for the whole tie set: on
-        # the hard family and on an input where all 256 policies tie
+        # one policy per chunk against one chunk for the oracle's whole tie
+        # set: on the hard family and on an input where all 256 policies tie
         from amdp_lab import chains
 
         ms = _enumeration_cases()[200:]
         ms.append(replace(random_mdp(4, 4, seed=3), rewards=np.full((4, 4), 0.5)))
-        whole = [amdp_optimal(m) for m in ms]
+        whole = [enumerated_optimum(m, _policy_batch(m)) for m in ms]
         monkeypatch.setattr(chains, "_CHUNK_BYTES", 1)
         for m, expected in zip(ms, whole):
-            opt = amdp_optimal(m)
+            opt = enumerated_optimum(m, _policy_batch(m))
             for name in ("policy_bias", "bias", "gain"):
                 assert np.array_equal(getattr(opt, name), getattr(expected, name))
             assert np.array_equal(opt.policy.actions, expected.policy.actions)
@@ -488,13 +520,84 @@ class TestBiasOptimalH:
         from amdp_lab import solvers
 
         def no_relative_vi(m):
-            raise AssertionError("the enumeration ran relative VI")
+            raise AssertionError("the default method ran relative VI")
 
         monkeypatch.setattr(solvers, "relative_value_iteration", no_relative_vi)
         spec = HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 32, variant="M1")
         for m in (hard_instance(spec), _tied_bias_fixture(), make_transient_funnel()):
             opt = amdp_optimal(m)
             assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-10
+
+
+class TestBiasOptimalPolicyIteration:
+    """The default method against the enumeration oracle and the closed
+    forms, without enumerating or iterating values."""
+
+    def test_matches_enumeration_oracle(self):
+        from test_chains import _sparse_mdps
+        checked = 0
+        for m in _enumeration_cases() + _sparse_mdps():
+            opt = amdp_optimal(m)
+            if not opt.weakly_communicating:
+                continue
+            enum = enumerated_optimum(m, _policy_batch(m))
+            atol = 1e-12 * max(1.0, enum.H)
+            np.testing.assert_allclose(opt.gain, enum.gain, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(opt.bias, enum.bias, rtol=0, atol=atol)
+            # the returned policy is bias-optimal: its own bias is the max
+            np.testing.assert_allclose(opt.policy_bias, enum.bias, rtol=0, atol=atol)
+            checked += 1
+        assert checked == 797
+
+    def test_gain_is_per_state_max_over_policies(self):
+        # every policy of the split fixture ties at worst-state gain 0.3,
+        # and the first of them earns 0.3 at state 0, not 0.9
+        from test_chains import _sparse_mdps
+        P = np.zeros((3, 2, 3))
+        P[0, 0, 1] = P[0, 1, 2] = 1.0
+        P[1, :, 1] = P[2, :, 2] = 1.0
+        split = TabularMdp(3, 2, P, np.array([[0.0, 0.0], [0.3, 0.3], [0.5, 0.9]]))
+        multichain = 0
+        for m in _sparse_mdps() + [split]:
+            opt = amdp_optimal(m)
+            np.testing.assert_allclose(opt.gain, policy_gains(_policy_batch(m)).max(axis=0),
+                                       rtol=0, atol=1e-12)
+            multichain += not opt.weakly_communicating
+        assert multichain == 13
+
+    @pytest.mark.parametrize("D", [32, 1e3, 1e4])
+    def test_m1_s14a4_H_closed_form(self, D):
+        # 4^14 policies: H = 4D'/9 as on S6A3
+        spec = HardInstanceSpec(S=14, A=4, D=D, epsilon=1 / 32, variant="M1")
+        opt = amdp_optimal(hard_instance(spec))
+        assert opt.H == pytest.approx(4 / 9 * spec.D_prime, rel=1e-12, abs=0)
+
+    def test_runs_no_enumeration_and_no_relative_vi(self, monkeypatch):
+        from amdp_lab import chains, solvers
+
+        def refuse(*a, **kw):
+            raise AssertionError("amdp_optimal enumerated or ran relative VI")
+
+        monkeypatch.setattr(chains, "_policy_batch", refuse)
+        monkeypatch.setattr(chains, "all_deterministic_policies", refuse)
+        monkeypatch.setattr(solvers, "relative_value_iteration", refuse)
+        ms = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        ms += [hard_instance(HardInstanceSpec(S=S, A=A, D=1e3, epsilon=1 / 32,
+                                              variant="M1"))
+               for S, A in ((6, 3), (14, 4))]
+        for m in ms:
+            opt = amdp_optimal(m)
+            assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # two rounds: the reward-greedy policy, then the optimum
+        from amdp_lab import SolverConvergenceError, chains
+        m = make_stay_or_cycle()
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 2)
+        assert np.array_equal(amdp_optimal(m).policy.actions, [1, 0])
+        monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 1)
+        with pytest.raises(SolverConvergenceError):
+            amdp_optimal(m)
 
 
 class TestHGammaStar:
