@@ -225,14 +225,13 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
 
 
 class _PolicyBatch(NamedTuple):
-    """Every deterministic policy of an MDP with its induced chains and
-    rewards: comm and recurrent are the _structure_masks of each chain's
-    support, multi[i] is True when policy i's chain has more than one closed
-    class, and nu holds each chain's _stationary rows."""
+    """The induced chains of every deterministic policy of an MDP, in
+    all_deterministic_policies order: comm and recurrent are the
+    _structure_masks of each chain's support, multi[i] is True when policy
+    i's chain has more than one closed class, and nu holds each chain's
+    _stationary rows."""
 
-    policies: np.ndarray
     P_all: np.ndarray
-    r_all: np.ndarray
     comm: np.ndarray
     recurrent: np.ndarray
     multi: np.ndarray
@@ -243,11 +242,10 @@ def _policy_batch(m: TabularMdp) -> _PolicyBatch:
     """Every deterministic policy with its induced chains, classified and
     given their stationary distributions in one batch, for mixing_time."""
     policies = all_deterministic_policies(m.num_states, m.num_actions)
-    P_all, r_all = induced_chain_batch(m, policies)
+    P_all = m.transitions[np.arange(m.num_states), policies]
     comm, recurrent = _structure_masks(P_all > 0)
     multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
-    return _PolicyBatch(policies, P_all, r_all, comm, recurrent, multi,
-                        _stationary(P_all, comm, recurrent))
+    return _PolicyBatch(P_all, comm, recurrent, multi, _stationary(P_all, comm, recurrent))
 
 
 # ---------------------------------------------------------------------------

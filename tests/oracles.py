@@ -121,14 +121,23 @@ def slow_path_best_gain(m) -> tuple[np.ndarray, float]:
     return np.array(candidates[best]), float(scores[best])
 
 
-def policy_gains(batch) -> np.ndarray:
-    """Per-state gains (n, S) of every policy of a _policy_batch: each
-    chain's Cesaro limit, from the batch's stationary rows, applied to its
-    rewards."""
+def policies_and_rewards(m) -> tuple[np.ndarray, np.ndarray]:
+    """Every deterministic policy of m (n, S), in the order of its
+    _policy_batch, with the rewards (n, S) it induces."""
+    from amdp_lab.chains import all_deterministic_policies, induced_chain_batch
+
+    policies = all_deterministic_policies(m.num_states, m.num_actions)
+    return policies, induced_chain_batch(m, policies)[1]
+
+
+def policy_gains(m, batch) -> np.ndarray:
+    """Per-state gains (n, S) of every policy of m, given its _policy_batch:
+    each chain's Cesaro limit, from the batch's stationary rows, applied to
+    its rewards."""
     from amdp_lab.chains import _cesaro_limit
 
     P_star = _cesaro_limit(batch.P_all, batch.comm, batch.recurrent, nu=batch.nu)
-    return (P_star @ batch.r_all[..., None])[..., 0]
+    return (P_star @ policies_and_rewards(m)[1][..., None])[..., 0]
 
 
 def first_tie_optimum(m):
@@ -142,9 +151,10 @@ def first_tie_optimum(m):
                                  is_weakly_communicating)
 
     b = _policy_batch(m)
-    worst = policy_gains(b).min(axis=1)
+    policies, r_all = policies_and_rewards(m)
+    worst = policy_gains(m, b).min(axis=1)
     i = int(np.argmax(worst >= worst.max() - solvers.GAIN_TIE_TOL))
-    P, r = b.P_all[i], b.r_all[i]
+    P, r = b.P_all[i], r_all[i]
     P_star = _cesaro_limit(P, b.comm[i], b.recurrent[i], nu=b.nu[i])
     gain = P_star @ r
     own = np.linalg.solve(np.eye(len(P)) - P + P_star, r - gain)
@@ -152,7 +162,7 @@ def first_tie_optimum(m):
     if (is_weakly_communicating(m)
             and solvers.bellman_optimality_residual(m, gain, own) > 1e-8):
         _, bias, _ = solvers.relative_value_iteration(m)
-    return b.policies[i], gain, own, bias
+    return policies[i], gain, own, bias
 
 
 def enumerated_optimum(m, batch):
@@ -170,7 +180,8 @@ def enumerated_optimum(m, batch):
     from amdp_lab.mdp import DeterministicPolicy, span
     from amdp_lab.solvers import GAIN_TIE_TOL, AmdpOptimum, _gain_bias
 
-    worst = policy_gains(batch).min(axis=1)
+    policies, r_all = policies_and_rewards(m)
+    worst = policy_gains(m, batch).min(axis=1)
     tied = np.flatnonzero(worst >= worst.max() - GAIN_TIE_TOL)
     wc = is_weakly_communicating(m)
     if not wc:
@@ -181,14 +192,14 @@ def enumerated_optimum(m, batch):
     chunk_max = []
     for k in range(0, len(tied), step):
         part = tied[k:k + step]
-        gb = _gain_bias(batch.P_all[part], batch.r_all[part], batch.comm[part],
+        gb = _gain_bias(batch.P_all[part], r_all[part], batch.comm[part],
                         batch.recurrent[part], batch.nu[part])
         if k == 0:
             gain, policy_bias = gb.gain[0], gb.bias[0]
         chunk_max.append(gb.bias.max(axis=0))
     bias = np.max(chunk_max, axis=0)
     return AmdpOptimum(gain=gain, bias=bias,
-                       policy=DeterministicPolicy(batch.policies[tied[0]]),
+                       policy=DeterministicPolicy(policies[tied[0]]),
                        H=span(bias), weakly_communicating=wc,
                        policy_bias=policy_bias)
 
@@ -265,12 +276,12 @@ def full_stack_mixing_time(m, threshold: float = 0.5,
     when t_cap is reached."""
     from amdp_lab.chains import _policy_batch, _stationary
 
-    policies, P_all, _, comm, recurrent, multi, _ = _policy_batch(m)
+    P_all, comm, recurrent, multi, _ = _policy_batch(m)
     if np.any(multi) or np.any(bfs_periods(P_all > 0, comm, recurrent) > 1):
         return float("inf")
     nus = _stationary(P_all, comm, recurrent)
-    hit = np.zeros(len(policies))
-    pending = np.ones(len(policies), dtype=bool)
+    hit = np.zeros(len(P_all))
+    pending = np.ones(len(P_all), dtype=bool)
     X = P_all.copy()
     for t in range(1, t_cap + 1):
         dist = np.abs(X - nus[:, None, :]).sum(axis=2).max(axis=1)

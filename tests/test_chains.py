@@ -435,9 +435,10 @@ class TestMixingTime:
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()
-        policies, P_all, _, comm, recurrent, multi, _ = _policy_batch(m)
+        P_all, comm, recurrent, multi, _ = _policy_batch(m)
         assert not multi.any()
         periods = _class_periods(P_all > 0, comm, recurrent)
+        policies = all_deterministic_policies(m.num_states, m.num_actions)
         np.testing.assert_array_equal(periods.max(axis=1) > 1, policies[:, 0] == 0)
         assert math.isinf(mixing_time(m))
 

@@ -31,6 +31,7 @@ from oracles import (
     finite_values,
     first_tie_optimum,
     per_class_limiting_matrix,
+    policies_and_rewards,
     policy_gains,
     slow_path_best_gain,
     stepped_power_iterates,
@@ -289,10 +290,10 @@ class TestAmdpOptimal:
         # 685 of the 729 policies on M1 S6A3 are multichain
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
         batch = _policy_batch(m)
-        gains = policy_gains(batch)
+        gains = policy_gains(m, batch)
         idx = np.arange(6)
         oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
-                           @ m.rewards[idx, a] for a in batch.policies])
+                           @ m.rewards[idx, a] for a in policies_and_rewards(m)[0]])
         # some policies earn exactly zero, where only an absolute bound applies
         np.testing.assert_allclose(gains, oracle, rtol=1e-9, atol=1e-14)
 
@@ -302,7 +303,7 @@ class TestAmdpOptimal:
         # policy iteration returns a bias-optimal one of them
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
         batch = _policy_batch(m)
-        worst = policy_gains(batch).min(axis=1)
+        worst = policy_gains(m, batch).min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
         enum = enumerated_optimum(m, batch)
         assert np.array_equal(enum.policy.actions, np.zeros(6, dtype=int))
@@ -458,7 +459,7 @@ class TestBiasOptimalH:
             assert np.all(opt.bias >= policy_bias - 1e-9)
             # a lone gain-optimal policy: policy iteration returns it, and
             # both keep the old bias bit for bit
-            worst = policy_gains(batch).min(axis=1)
+            worst = policy_gains(m, batch).min(axis=1)
             if np.sum(worst >= worst.max() - 1e-9) == 1:
                 assert np.array_equal(opt.policy.actions, actions)
                 assert np.array_equal(enum.bias, bias)
@@ -560,7 +561,7 @@ class TestBiasOptimalPolicyIteration:
         multichain = 0
         for m in _sparse_mdps() + [split]:
             opt = amdp_optimal(m)
-            np.testing.assert_allclose(opt.gain, policy_gains(_policy_batch(m)).max(axis=0),
+            np.testing.assert_allclose(opt.gain, policy_gains(m, _policy_batch(m)).max(axis=0),
                                        rtol=0, atol=1e-12)
             multichain += not opt.weakly_communicating
         assert multichain == 13
