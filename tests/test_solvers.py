@@ -566,6 +566,21 @@ class TestBiasOptimalPolicyIteration:
             multichain += not opt.weakly_communicating
         assert multichain == 13
 
+    @pytest.mark.parametrize("S, A", [(50, 3), (100, 2)])
+    def test_random_over_budget_matches_relative_vi(self, S, A):
+        # dense random MDPs far over the enumeration budget: the optimality
+        # equation holds to rounding, and relative VI agrees within
+        # criterion 9's tolerances
+        for seed in range(4):
+            m = random_mdp(S, A, seed=seed)
+            opt = amdp_optimal(m)
+            rvi = amdp_optimal(m, method="relative_vi")
+            assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-12
+            assert np.array_equal(opt.policy_bias, opt.bias)
+            assert np.array_equal(opt.policy.actions, rvi.policy.actions)
+            np.testing.assert_allclose(opt.gain, rvi.gain, rtol=0, atol=1e-8)
+            assert opt.H == pytest.approx(rvi.H, rel=0, abs=1e-6)
+
     @pytest.mark.parametrize("D", [32, 1e3, 1e4])
     def test_m1_s14a4_H_closed_form(self, D):
         # 4^14 policies: H = 4D'/9 as on S6A3
