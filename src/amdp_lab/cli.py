@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, hard_instances, reduction, solvers
+from . import chains, corpus, hard_instances, reduction, solvers
 from .generative import GenerativeModel
 from .mdp import (
     EnumerationBudgetError,
@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
         print(f"h = {_vector6(opt.bias)}")
         print(f"H = {_fmt6(opt.H)}")
         print(f"policy = {list(map(int, opt.policy.actions))}")
-        if not opt.weakly_communicating:
+        if not chains.is_weakly_communicating(m):
             print("note: input is not weakly communicating; "
                   "constant optimal gain is not guaranteed")
         if out:

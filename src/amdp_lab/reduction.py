@@ -404,15 +404,13 @@ def format_number(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_csv(path_or_file, header: list[str], rows) -> None:
-    """Write a header and rows as CSV, comma separated with LF line endings,
-    to a path or to an open text file (left open)."""
-    if not hasattr(path_or_file, "write"):
-        with open(path_or_file, "w", newline="") as fh:
-            return _write_csv(fh, header, rows)
-    writer = csv.writer(path_or_file, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows to path as CSV, comma separated with LF line
+    endings."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_certificates_csv(certs: list[Certificate], path: str | Path) -> None:
@@ -427,7 +425,8 @@ def write_certificates_csv(certs: list[Certificate], path: str | Path) -> None:
 def _write_json(path: str | Path, payload) -> None:
     """Write a JSON payload (dicts, lists and scalars) as strict JSON, indented
     by one space: every float at file precision (format_number), a non-finite
-    one as that text ("inf")."""
+    one as that text ("inf").  Every result file in JSON goes through here;
+    MDP and policy files keep full precision (mdp.write_mdp, write_policy)."""
     def render(obj):
         if isinstance(obj, float):
             return float(format_number(obj)) if math.isfinite(obj) else format_number(obj)
@@ -440,38 +439,18 @@ def _write_json(path: str | Path, payload) -> None:
     Path(path).write_text(json.dumps(render(payload), indent=1, allow_nan=False) + "\n")
 
 
-def _json_float(x: float) -> str:
-    """How _write_json writes a float: float(format_number(x)) as json.dumps
-    spells it, a non-finite x as its quoted text ("inf").  Between 1e-4 and
-    1e12 the text has the digits of that spelling, less a trailing ".0";
-    in exponent form it may not (1e+12 -> 1000000000000.0, and a subnormal
-    has fewer digits)."""
-    text = format_number(x)
-    if not math.isfinite(x):
-        return f'"{text}"'
-    if "e" in text:
-        return repr(float(text))
-    return text if "." in text else text + ".0"
-
-
 def write_certificates_report(certs: list[Certificate], path: str | Path) -> None:
-    """Structured-text (JSON) companion of the CSV: per-certificate records
-    plus a pass/fail summary.  The text is what _write_json writes for
+    """Structured-text (JSON) companion of the CSV, through _write_json:
     {"total", "passed", "failed": [{instance_id, name}], "certificates":
-    [{instance_id, name, lhs, rhs, tolerance, passed}]}, spelled out here
-    because json.dumps with an indent encodes in Python."""
-    def array(items: list[str]) -> str:
-        return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-
-    quote = json.encoder.encode_basestring_ascii
-    failed = [f'  {{\n   "instance_id": {quote(c.instance_id)},\n'
-              f'   "name": {quote(c.name)}\n  }}' for c in certs if not c.passed]
-    records = [f'  {{\n   "instance_id": {quote(c.instance_id)},\n'
-               f'   "name": {quote(c.name)},\n   "lhs": {_json_float(c.lhs)},\n'
-               f'   "rhs": {_json_float(c.rhs)},\n'
-               f'   "tolerance": {_json_float(c.tolerance)},\n'
-               f'   "passed": {"true" if c.passed else "false"}\n  }}' for c in certs]
-    Path(path).write_text(
-        f'{{\n "total": {len(certs)},\n "passed": {len(certs) - len(failed)},\n'
-        f' "failed": {array(failed)},\n "certificates": {array(records)}\n}}\n')
-
+    [{instance_id, name, lhs, rhs, tolerance, passed}]}."""
+    failed = [{"instance_id": c.instance_id, "name": c.name}
+              for c in certs if not c.passed]
+    _write_json(path, {
+        "total": len(certs),
+        "passed": len(certs) - len(failed),
+        "failed": failed,
+        "certificates": [
+            {"instance_id": c.instance_id, "name": c.name, "lhs": c.lhs,
+             "rhs": c.rhs, "tolerance": c.tolerance, "passed": c.passed}
+            for c in certs],
+    })

@@ -24,7 +24,6 @@ from .chains import (
     _stationary,
     _structure_masks,
     aperiodicity_transform,
-    is_weakly_communicating,
 )
 from .mdp import (
     DeterministicPolicy,
@@ -74,13 +73,13 @@ class AmdpOptimum:
     and that policy's own bias (chain_gain_bias, whose gain is ``gain``).
     From the default method the policy is bias-optimal and ``bias`` is
     ``policy_bias``, the optimal bias; from relative VI it is the iterate's
-    bias."""
+    bias.  Whether the input is weakly communicating is a property of the
+    MDP, not of its optimum: chains.is_weakly_communicating decides it."""
 
     gain: np.ndarray
     bias: np.ndarray
     policy: DeterministicPolicy
     H: float
-    weakly_communicating: bool
     policy_bias: np.ndarray
 
 
@@ -277,7 +276,6 @@ def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
     _, bias, policy = relative_value_iteration(m)
     gb = chain_gain_bias(induce_chain(m, policy))
     return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy, H=span(bias),
-                       weakly_communicating=is_weakly_communicating(m),
                        policy_bias=gb.bias)
 
 
@@ -311,9 +309,7 @@ def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
         if stays.all():
             return AmdpOptimum(gain=gb.gain, bias=gb.bias,
                                policy=DeterministicPolicy(policy),
-                               H=span(gb.bias),
-                               weakly_communicating=is_weakly_communicating(m),
-                               policy_bias=gb.bias)
+                               H=span(gb.bias), policy_bias=gb.bias)
         policy = np.where(stays, policy, np.argmax(keep, axis=1))
     raise SolverConvergenceError(
         f"bias-optimal policy iteration still improving after "

@@ -200,8 +200,7 @@ def enumerated_optimum(m, batch):
     bias = np.max(chunk_max, axis=0)
     return AmdpOptimum(gain=gain, bias=bias,
                        policy=DeterministicPolicy(policies[tied[0]]),
-                       H=span(bias), weakly_communicating=wc,
-                       policy_bias=policy_bias)
+                       H=span(bias), policy_bias=policy_bias)
 
 
 def bfs_class_period(support: np.ndarray, states: np.ndarray) -> int:
@@ -793,22 +792,42 @@ def loop_validate_mdp(m) -> list[str]:
     return violations
 
 
-def json_dumps_certificates_report(certs, path) -> None:
-    """The certificates report through _write_json (json.dumps with one
-    space of indent over the rendered payload): the write_certificates_report
-    used before it spelled the text out itself."""
-    from amdp_lab import reduction
+def _spelled_float(x: float) -> str:
+    """How _write_json spells a float: float(format_number(x)) as json.dumps
+    writes it, a non-finite x as its quoted text ("inf").  Between 1e-4 and
+    1e12 the text has the digits of format_number, plus ".0" when it has no
+    point; in exponent form it may not (1e+12 -> 1000000000000.0, and a
+    subnormal has fewer digits), so there it goes through repr."""
+    import math
 
-    reduction._write_json(path, {
-        "total": len(certs),
-        "passed": sum(1 for c in certs if c.passed),
-        "failed": [
-            {"instance_id": c.instance_id, "name": c.name}
-            for c in certs if not c.passed
-        ],
-        "certificates": [
-            {"instance_id": c.instance_id, "name": c.name, "lhs": c.lhs,
-             "rhs": c.rhs, "tolerance": c.tolerance, "passed": c.passed}
-            for c in certs
-        ],
-    })
+    from amdp_lab.reduction import format_number
+
+    text = format_number(x)
+    if not math.isfinite(x):
+        return f'"{text}"'
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
+def spelled_certificates_report(certs, path) -> None:
+    """The certificates report spelled out with f-strings, one space of
+    indent per level: the write_certificates_report used before it went
+    through _write_json, kept as the byte reference for that route."""
+    import json
+    from pathlib import Path
+
+    def array(items: list[str]) -> str:
+        return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+    quote = json.encoder.encode_basestring_ascii
+    failed = [f'  {{\n   "instance_id": {quote(c.instance_id)},\n'
+              f'   "name": {quote(c.name)}\n  }}' for c in certs if not c.passed]
+    records = [f'  {{\n   "instance_id": {quote(c.instance_id)},\n'
+               f'   "name": {quote(c.name)},\n   "lhs": {_spelled_float(c.lhs)},\n'
+               f'   "rhs": {_spelled_float(c.rhs)},\n'
+               f'   "tolerance": {_spelled_float(c.tolerance)},\n'
+               f'   "passed": {"true" if c.passed else "false"}\n  }}' for c in certs]
+    Path(path).write_text(
+        f'{{\n "total": {len(certs)},\n "passed": {len(certs) - len(failed)},\n'
+        f' "failed": {array(failed)},\n "certificates": {array(records)}\n}}\n')

@@ -7,10 +7,11 @@ D = 32, eps = 1/32.
 """
 
 import csv
-import io
 import math
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,9 +249,10 @@ def _hard_instance_certificates(fresh: bool = False) -> list[lab.Certificate]:
 
 
 def _certs_csv_bytes(certs) -> bytes:
-    buf = io.StringIO()
-    write_certificates_csv(certs, buf)
-    return buf.getvalue().encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "certificates.csv"
+        write_certificates_csv(certs, path)
+        return path.read_bytes()
 
 
 def test_criterion_6_hard_instances():

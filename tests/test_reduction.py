@@ -33,8 +33,8 @@ from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from oracles import (
     finite_horizon_identity_loop,
     finite_horizon_span_loop,
-    json_dumps_certificates_report,
     serial_empirical_error,
+    spelled_certificates_report,
 )
 from test_generative import make_deterministic_truth
 
@@ -319,9 +319,10 @@ class TestCsv:
         assert doc["certificates"][0]["name"] == "gain_discount_gap"
 
     def test_certificates_report_matches_json_dumps(self, tmp_path):
-        # the spelled-out report is byte for byte what json.dumps wrote, on
-        # every float spelling format_number can lead to, on failed entries,
-        # on strings json must escape, and on no certificates at all
+        # the report json.dumps writes is byte for byte the spelled-out
+        # oracle, on every float spelling format_number can lead to, on
+        # failed entries, on strings json must escape, and on no
+        # certificates at all
         from amdp_lab import Certificate, write_certificates_report
 
         rng = np.random.Generator(np.random.PCG64(5))
@@ -336,10 +337,10 @@ class TestCsv:
                                           ""][i % 5])
                  for i, x in enumerate(values)]
         for subset in (certs, [c for c in certs if c.passed], certs[:1], []):
-            write_certificates_report(subset, tmp_path / "fast.json")
-            json_dumps_certificates_report(subset, tmp_path / "slow.json")
-            assert ((tmp_path / "fast.json").read_bytes()
-                    == (tmp_path / "slow.json").read_bytes())
+            write_certificates_report(subset, tmp_path / "report.json")
+            spelled_certificates_report(subset, tmp_path / "spelled.json")
+            assert ((tmp_path / "report.json").read_bytes()
+                    == (tmp_path / "spelled.json").read_bytes())
 
     def test_certificates_csv_layout(self, tmp_path, cycle, cycle_policy):
         certs = [certify_gain_discount_gap(cycle, cycle_policy, 0.9, "cycle")]

@@ -15,6 +15,7 @@ from amdp_lab import (
     dmdp_value_iteration,
     h_gamma_star,
     induce_chain,
+    is_weakly_communicating,
     relative_value_iteration,
     span,
 )
@@ -328,7 +329,7 @@ class TestAmdpOptimal:
             opt = amdp_optimal(m)
             assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
             assert span(opt.gain) <= 1e-9  # constant gain when weakly communicating
-            assert opt.weakly_communicating
+            assert is_weakly_communicating(m)
 
     def test_optimality_equation_on_transient_funnel(self):
         # the funnel's state 0 is transient under its only policy
@@ -404,8 +405,9 @@ class TestAmdpOptimal:
 
     def test_enumerate_reports_non_weakly_communicating(self):
         from conftest import make_two_absorbing
-        opt = amdp_optimal(make_two_absorbing())
-        assert not opt.weakly_communicating
+        m = make_two_absorbing()
+        opt = amdp_optimal(m)
+        assert not is_weakly_communicating(m)
         np.testing.assert_allclose(opt.gain, [0.6, 0.3, 0.9], atol=1e-12)
 
     def test_relative_vi_gain_scaling(self, monkeypatch):
@@ -416,6 +418,26 @@ class TestAmdpOptimal:
         gain, bias, policy = relative_value_iteration(m)
         opt = amdp_optimal(m)
         assert gain == pytest.approx(float(np.max(opt.gain)), abs=1e-8)
+
+    def test_optimum_does_not_classify_its_input(self, monkeypatch):
+        # whether the input is weakly communicating is the caller's question
+        # (solve amdp's note); neither method asks it, on the bench inputs
+        from amdp_lab import chains, solvers
+
+        def no_classification(m):
+            raise AssertionError("amdp_optimal ran is_weakly_communicating")
+
+        monkeypatch.setattr(chains, "is_weakly_communicating", no_classification)
+        monkeypatch.setattr(solvers, "is_weakly_communicating", no_classification,
+                            raising=False)
+        ms = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        ms += [hard_instance(HardInstanceSpec(S=S, A=A, D=32, epsilon=1 / 32,
+                                              variant="M1"))
+               for S, A in ((6, 3), (14, 4))]
+        for m in ms:
+            for method in ("auto", "relative_vi"):
+                opt = amdp_optimal(m, method=method)
+                assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
 
 
 def _tied_bias_fixture() -> TabularMdp:
@@ -539,7 +561,7 @@ class TestBiasOptimalPolicyIteration:
         checked = 0
         for m in _enumeration_cases() + _sparse_mdps():
             opt = amdp_optimal(m)
-            if not opt.weakly_communicating:
+            if not is_weakly_communicating(m):
                 continue
             enum = enumerated_optimum(m, _policy_batch(m))
             atol = 1e-12 * max(1.0, enum.H)
@@ -563,7 +585,7 @@ class TestBiasOptimalPolicyIteration:
             opt = amdp_optimal(m)
             np.testing.assert_allclose(opt.gain, policy_gains(m, _policy_batch(m)).max(axis=0),
                                        rtol=0, atol=1e-12)
-            multichain += not opt.weakly_communicating
+            multichain += not is_weakly_communicating(m)
         assert multichain == 13
 
     @pytest.mark.parametrize("S, A", [(50, 3), (100, 2)])
