@@ -73,8 +73,8 @@ class AmdpOptimum:
     and that policy's own bias (chain_gain_bias, whose gain is ``gain``).
     From the default method the policy is bias-optimal and ``bias`` is
     ``policy_bias``, the optimal bias; from relative VI it is the iterate's
-    bias.  Whether the input is weakly communicating is a property of the
-    MDP, not of its optimum: chains.is_weakly_communicating decides it."""
+    bias.  It does not classify the input; chains.is_weakly_communicating
+    does."""
 
     gain: np.ndarray
     bias: np.ndarray
