@@ -46,9 +46,10 @@ MIXING_THRESHOLD = 0.5
 #: steps mixing_time may take before raising SolverConvergenceError
 MIXING_MAX_STEPS = 100_000
 
-#: bytes one chunk of the hitting-time solve may hold in each (chunk, S, S)
-#: float64 stack, so peak memory stays a few times this for any S (at
-#: S = 200, 2 MB chunks also ran faster than 8 MB ones)
+#: bytes one chunk may hold in each (chunk, S, S) float64 stack of the
+#: hitting-time solve, and in its whole working set in mixing_time (a
+#: stack there holds an eighth), so peak memory stays a few times this at
+#: any S and policy count (at S = 200, 2 MB chunks beat 8 MB ones)
 _CHUNK_BYTES = 1 << 21
 
 
@@ -203,18 +204,23 @@ def decompose_chain(chain: InducedChain | np.ndarray) -> ChainStructure:
 
 
 def all_deterministic_policies(num_states: int, num_actions: int) -> np.ndarray:
-    """All deterministic policies as an (A^S, S) int array in lexicographic
-    order of the action arrays; more than ENUMERATION_BUDGET of them raise
+    """All deterministic policies as an (A^S, S) array of the smallest
+    unsigned dtype that holds A - 1, in lexicographic order of the action
+    arrays; more than ENUMERATION_BUDGET of them raise
     EnumerationBudgetError."""
     count = num_actions ** num_states
     if count > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"{num_actions}^{num_states} = {count} policies exceeds budget "
             f"{ENUMERATION_BUDGET}")
+    actions = np.arange(num_actions, dtype=np.min_scalar_type(num_actions - 1))
+    table = np.empty((count, num_states), dtype=actions.dtype)
     # state j's action is digit j of the policy's index in base A, most
     # significant first, so the last state varies fastest
-    place = num_actions ** np.arange(num_states - 1, -1, -1)
-    return np.arange(count)[:, None] // place % num_actions
+    for j in range(num_states):
+        digits = table.reshape(num_actions**j, num_actions, -1, num_states)
+        digits[..., j] = actions[:, None]
+    return table
 
 
 def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
@@ -225,11 +231,10 @@ def induced_chain_batch(m: TabularMdp, policies: np.ndarray):
 
 
 class _PolicyBatch(NamedTuple):
-    """The induced chains of every deterministic policy of an MDP, in
-    all_deterministic_policies order: comm and recurrent are the
-    _structure_masks of each chain's support, multi[i] is True when policy
-    i's chain has more than one closed class, and nu holds each chain's
-    _stationary rows."""
+    """The induced chains of a batch of deterministic policies of an MDP, in
+    the batch's order: comm and recurrent are the _structure_masks of each
+    chain's support, multi[i] is True when policy i's chain has more than
+    one closed class, and nu holds each chain's _stationary rows."""
 
     P_all: np.ndarray
     comm: np.ndarray
@@ -238,10 +243,10 @@ class _PolicyBatch(NamedTuple):
     nu: np.ndarray
 
 
-def _policy_batch(m: TabularMdp) -> _PolicyBatch:
-    """Every deterministic policy with its induced chains, classified and
-    given their stationary distributions in one batch, for mixing_time."""
-    policies = all_deterministic_policies(m.num_states, m.num_actions)
+def _policy_batch(m: TabularMdp, policies: np.ndarray) -> _PolicyBatch:
+    """The induced chains of the deterministic policies (n, S), classified
+    and given their stationary distributions in one batch: one chunk of
+    mixing_time's enumeration."""
     P_all = m.transitions[np.arange(m.num_states), policies]
     comm, recurrent = _structure_masks(P_all > 0)
     multi = np.any(~comm & recurrent[:, :, None] & recurrent[:, None, :], axis=(1, 2))
@@ -375,24 +380,44 @@ def mixing_time(m: TabularMdp) -> float:
 
     Returns +inf when some policy's chain has several recurrent classes or a
     periodic one; raises SolverConvergenceError when some policy has not
-    mixed at t = MIXING_MAX_STEPS.
+    mixed at t = MIXING_MAX_STEPS and no policy's chain is infinite.
 
-    The periods of the whole policy stack come from one _class_periods call.
-    Each step multiplies only the powers of the policies that have not mixed
-    yet.
+    The policies are enumerated once and walked in chunks of
+    max(1, _CHUNK_BYTES // (64 S^2)), so memory stays flat at any policy
+    count.  Each chunk is one _policy_batch, screened by one _class_periods
+    call, then stepped by _steps_to_mix; every step is per matrix or per
+    row, so t_mix does not depend on the chunk size.
     """
-    batch = _policy_batch(m)
-    if np.any(batch.multi) or np.any(
-            _class_periods(batch.P_all > 0, batch.comm, batch.recurrent) > 1):
-        return math.inf
+    S = m.num_states
+    policies = all_deterministic_policies(S, m.num_actions)
+    step = max(1, _CHUNK_BYTES // (64 * S * S))
+    worst, stuck = 0, None
+    for k in range(0, len(policies), step):
+        batch = _policy_batch(m, policies[k:k + step])
+        if np.any(batch.multi) or np.any(
+                _class_periods(batch.P_all > 0, batch.comm, batch.recurrent) > 1):
+            return math.inf
+        if stuck is None:  # once a chunk is stuck, later ones are only screened
+            try:
+                worst = max(worst, _steps_to_mix(batch.P_all, batch.nu))
+            except SolverConvergenceError as exc:
+                stuck = exc
+    if stuck is not None:
+        raise stuck
+    return float(worst)
 
-    P, nu = batch.P_all, batch.nu
+
+def _steps_to_mix(P: np.ndarray, nu: np.ndarray) -> int:
+    """The first t at which every chain of the stack P (n, S, S) is within
+    MIXING_THRESHOLD of its stationary rows nu (n, S) from every start
+    state; SolverConvergenceError past MIXING_MAX_STEPS.  Each step
+    multiplies only the powers of the chains that have not mixed yet."""
     X = P
     for t in range(1, MIXING_MAX_STEPS + 1):
         dist = np.abs(X - nu[:, None, :]).sum(axis=2).max(axis=1)
         pending = ~(dist <= MIXING_THRESHOLD)  # a nan distance has not mixed
         if not pending.any():
-            return float(t)
+            return t
         if not pending.all():
             X, P, nu = X[pending], P[pending], nu[pending]
         X = np.matmul(X, P)

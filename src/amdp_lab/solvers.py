@@ -283,14 +283,15 @@ def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
     """Bias-optimal policy iteration (Veinott 1969; Puterman 1994, ch. 10)
     from the reward-greedy policy.
 
-    Each round evaluates the policy's gain g, bias h and next term w, the
-    bias of its chain under reward -h, sharing one set of masks and
-    stationary rows.  It then improves on (P g, r + P h, P w) in that order:
-    at each level only the previous level's near-ties stay candidates, those
-    within GAIN_TIE_TOL * max(1, |best|) of the best, and a state whose
-    current action drops out moves to its first remaining candidate.  A
-    round in which no state moves returns; after chains.PI_MAX_ITERATIONS
-    rounds SolverConvergenceError is raised.
+    Each round evaluates the policy's gain g and bias h, and improves on
+    (P g, r + P h, P w) in that order: at each level only the previous
+    level's near-ties stay candidates (_near_ties), and a state whose
+    current action drops out moves to its first remaining candidate.  The
+    next term w, the bias of the chain under reward -h, shares the round's
+    masks and stationary rows; it is solved only when some state still has
+    two candidates after the bias level, since a lone candidate stays
+    whatever its finite score.  A round in which no state moves returns;
+    after chains.PI_MAX_ITERATIONS rounds SolverConvergenceError is raised.
     """
     P, r = m.transitions, m.rewards
     states = np.arange(m.num_states)
@@ -300,11 +301,10 @@ def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
         masks = _structure_masks(P_pi > 0)
         nu = _stationary(P_pi, *masks)
         gb = _gain_bias(P_pi, r[states, policy], *masks, nu)
-        w = _gain_bias(P_pi, -gb.bias, *masks, nu).bias
-        keep = np.ones(r.shape, dtype=bool)
-        for q in (P @ gb.gain, r + P @ gb.bias, P @ w):
-            best = np.where(keep, q, -np.inf).max(axis=1, keepdims=True)
-            keep &= q >= best - GAIN_TIE_TOL * np.maximum(1.0, np.abs(best))
+        keep = _near_ties(P @ gb.gain, np.ones(r.shape, dtype=bool))
+        keep = _near_ties(r + P @ gb.bias, keep)
+        if keep.sum(axis=1).max() > 1:
+            keep = _near_ties(P @ _gain_bias(P_pi, -gb.bias, *masks, nu).bias, keep)
         stays = keep[states, policy]
         if stays.all():
             return AmdpOptimum(gain=gb.gain, bias=gb.bias,
@@ -314,6 +314,13 @@ def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
     raise SolverConvergenceError(
         f"bias-optimal policy iteration still improving after "
         f"{chains.PI_MAX_ITERATIONS} rounds")
+
+
+def _near_ties(q: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """keep (S, A) narrowed to the actions whose score q is within
+    GAIN_TIE_TOL * max(1, |best|) of the best kept score at their state."""
+    best = np.where(keep, q, -np.inf).max(axis=1, keepdims=True)
+    return keep & (q >= best - GAIN_TIE_TOL * np.maximum(1.0, np.abs(best)))
 
 
 def _analysis(m: TabularMdp):

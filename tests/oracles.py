@@ -123,15 +123,23 @@ def slow_path_best_gain(m) -> tuple[np.ndarray, float]:
 
 def policies_and_rewards(m) -> tuple[np.ndarray, np.ndarray]:
     """Every deterministic policy of m (n, S), in the order of its
-    _policy_batch, with the rewards (n, S) it induces."""
+    whole_policy_batch, with the rewards (n, S) it induces."""
     from amdp_lab.chains import all_deterministic_policies, induced_chain_batch
 
     policies = all_deterministic_policies(m.num_states, m.num_actions)
     return policies, induced_chain_batch(m, policies)[1]
 
 
+def whole_policy_batch(m):
+    """The _policy_batch of every deterministic policy of m at once, in
+    all_deterministic_policies order."""
+    from amdp_lab.chains import _policy_batch, all_deterministic_policies
+
+    return _policy_batch(m, all_deterministic_policies(m.num_states, m.num_actions))
+
+
 def policy_gains(m, batch) -> np.ndarray:
-    """Per-state gains (n, S) of every policy of m, given its _policy_batch:
+    """Per-state gains (n, S) of every policy of m, given its whole_policy_batch:
     each chain's Cesaro limit, from the batch's stationary rows, applied to
     its rewards."""
     from amdp_lab.chains import _cesaro_limit
@@ -147,10 +155,9 @@ def first_tie_optimum(m):
     bias misses the equation by more than 1e-8, the relative-VI bias.
     Returns (actions, gain, policy_bias, bias)."""
     from amdp_lab import solvers
-    from amdp_lab.chains import (_cesaro_limit, _policy_batch,
-                                 is_weakly_communicating)
+    from amdp_lab.chains import _cesaro_limit, is_weakly_communicating
 
-    b = _policy_batch(m)
+    b = whole_policy_batch(m)
     policies, r_all = policies_and_rewards(m)
     worst = policy_gains(m, b).min(axis=1)
     i = int(np.argmax(worst >= worst.max() - solvers.GAIN_TIE_TOL))
@@ -166,7 +173,7 @@ def first_tie_optimum(m):
 
 
 def enumerated_optimum(m, batch):
-    """The enumerated optimum over the _policy_batch of m, the route
+    """The enumerated optimum over the whole_policy_batch of m, the route
     amdp_optimal took within the enumeration budget before bias-optimal
     policy iteration: every policy's per-state gain from one batched
     Cesaro-limit solve on the batch's stationary rows, then the gain/bias of
@@ -273,9 +280,9 @@ def full_stack_mixing_time(m, threshold: float = 0.5,
     mixing_time ran before it stepped only the unmixed policies.  Multichain
     verdicts come from the production batch, periods from bfs_periods.  None
     when t_cap is reached."""
-    from amdp_lab.chains import _policy_batch, _stationary
+    from amdp_lab.chains import _stationary
 
-    P_all, comm, recurrent, multi, _ = _policy_batch(m)
+    P_all, comm, recurrent, multi, _ = whole_policy_batch(m)
     if np.any(multi) or np.any(bfs_periods(P_all > 0, comm, recurrent) > 1):
         return float("inf")
     nus = _stationary(P_all, comm, recurrent)
@@ -291,6 +298,36 @@ def full_stack_mixing_time(m, threshold: float = 0.5,
             return float(hit.max())
         X = np.matmul(X, P_all)
     return None
+
+
+def whole_batch_mixing_time(m) -> float:
+    """Worst-case mixing time from one batch of every policy's chain: one
+    multichain and period screen of the whole stack, then one power loop
+    that steps only the unmixed policies, under chains.MIXING_THRESHOLD and
+    chains.MIXING_MAX_STEPS.  The route mixing_time took before it walked
+    the enumeration in chunks; +inf or SolverConvergenceError as it
+    gives."""
+    import math
+
+    from amdp_lab import chains
+    from amdp_lab.mdp import SolverConvergenceError
+
+    batch = whole_policy_batch(m)
+    if np.any(batch.multi) or np.any(
+            chains._class_periods(batch.P_all > 0, batch.comm, batch.recurrent) > 1):
+        return math.inf
+    P, nu = batch.P_all, batch.nu
+    X = P
+    for t in range(1, chains.MIXING_MAX_STEPS + 1):
+        dist = np.abs(X - nu[:, None, :]).sum(axis=2).max(axis=1)
+        pending = ~(dist <= chains.MIXING_THRESHOLD)
+        if not pending.any():
+            return float(t)
+        if not pending.all():
+            X, P, nu = X[pending], P[pending], nu[pending]
+        X = np.matmul(X, P)
+    raise SolverConvergenceError(
+        f"{len(P)} policies did not mix within {chains.MIXING_MAX_STEPS} steps")
 
 
 def stepped_power_iterates(P: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:

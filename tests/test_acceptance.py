@@ -21,8 +21,7 @@ from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
 from amdp_lab.cli import main
 from amdp_lab.reduction import write_certificates_csv
-from amdp_lab.chains import _policy_batch
-from oracles import cesaro_bias, cesaro_gain, enumerated_optimum
+from oracles import cesaro_bias, cesaro_gain, enumerated_optimum, whole_policy_batch
 
 RESULTS: list[str] = []
 
@@ -339,7 +338,7 @@ def test_criterion_9_oracle_cross_validation():
         if abs(o1.H - o2.H) > 1e-6:
             failures.append((instance_id, "H", o1.H, o2.H))
         # the enumeration oracle: exact, so held to 1e-12
-        enum = enumerated_optimum(m, _policy_batch(m))
+        enum = enumerated_optimum(m, whole_policy_batch(m))
         if np.max(np.abs(o1.gain - enum.gain)) > 1e-12:
             failures.append((instance_id, "enumerated gain"))
         if np.max(np.abs(o1.bias - enum.bias)) > 1e-12 * max(1.0, enum.H):

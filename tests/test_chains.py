@@ -31,7 +31,6 @@ from amdp_lab import (
 from amdp_lab.chains import (
     _cesaro_limit,
     _class_periods,
-    _policy_batch,
     _stationary,
     _structure_masks,
     all_deterministic_policies,
@@ -51,6 +50,8 @@ from oracles import (
     per_class_limiting_matrix,
     power_loop_mixing_time,
     product_policies,
+    whole_batch_mixing_time,
+    whole_policy_batch,
 )
 
 
@@ -169,7 +170,7 @@ class TestCesaroLimit:
         # served the enumeration and mixing_time
         for seed in range(40):
             m = random_mdp(2 + seed % 5, 3, seed=seed)
-            batch = _policy_batch(m)
+            batch = whole_policy_batch(m)
             np.testing.assert_allclose(batch.nu, normal_equation_stationary(batch.P_all),
                                        rtol=0, atol=1e-12)
 
@@ -392,10 +393,11 @@ class TestPolicyEnumeration:
         # and one-action MDPs past numpy's limit on array dimensions
         sizes = [(S, A) for S in range(1, 13) for A in range(1, 65) if A**S <= 4096]
         assert len(sizes) > 150
-        sizes += [(64, 1), (100, 1)]
+        sizes += [(64, 1), (100, 1), (2, 300)]
         for S, A in sizes:
-            assert np.array_equal(all_deterministic_policies(S, A),
-                                  product_policies(S, A))
+            policies = all_deterministic_policies(S, A)
+            assert np.array_equal(policies, product_policies(S, A))
+            assert policies.dtype == np.min_scalar_type(A - 1)
 
 
 class TestMixingTime:
@@ -435,7 +437,7 @@ class TestMixingTime:
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()
-        P_all, comm, recurrent, multi, _ = _policy_batch(m)
+        P_all, comm, recurrent, multi, _ = whole_policy_batch(m)
         assert not multi.any()
         periods = _class_periods(P_all > 0, comm, recurrent)
         policies = all_deterministic_policies(m.num_states, m.num_actions)
@@ -483,6 +485,58 @@ class TestMixingTime:
         values = [mixing_time(m) for m in slow]
         assert values == [full_stack_mixing_time(m) for m in slow]
         assert sum(v > 100 for v in values if math.isfinite(v)) >= 2
+
+    @pytest.mark.parametrize("per_chunk", [1, 5, None])
+    def test_chunks_match_whole_batch_oracle(self, per_chunk, monkeypatch):
+        # chunks of 1 and 5 policies, and one chunk of every policy, against
+        # one batch of every policy's chain
+        from amdp_lab import chains
+        corpus = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        slow = [aperiodicity_transform(m, tau) for tau in (0.9, 0.99)
+                for m in corpus if m.num_states >= 4 and m.num_actions >= 2][::20]
+        ms = corpus + slow + [make_stay_or_cycle(), make_two_absorbing()] + _sparse_mdps()
+        expected = [whole_batch_mixing_time(m) for m in ms]
+        values = []
+        for m in ms:
+            count = per_chunk or m.num_actions**m.num_states
+            monkeypatch.setattr(chains, "_CHUNK_BYTES", 64 * m.num_states**2 * count)
+            values.append(mixing_time(m))
+        assert values == expected
+        assert sum(math.isinf(v) for v in values) > 100
+        assert sum(v > 100 for v in values if math.isfinite(v)) >= 2
+
+    @pytest.mark.parametrize("order", ["stuck_first", "periodic_first"])
+    def test_infinite_chunk_outranks_stuck_chunk(self, order, monkeypatch):
+        # one policy per chunk: policy (0, 0) mixes in 35 steps, past the
+        # patched cap, and policy (1, 1) is a 2-cycle; swapping the actions
+        # puts the cycle in the first chunk and the slow policy in the last
+        from amdp_lab import TabularMdp, chains
+        P = np.zeros((2, 2, 2))
+        P[0, 0], P[0, 1] = [0.99, 0.01], [0.0, 1.0]
+        P[1, 0], P[1, 1] = [0.01, 0.99], [1.0, 0.0]
+        if order == "periodic_first":
+            P = P[:, ::-1]
+        m = TabularMdp(2, 2, P, np.zeros((2, 2)))
+        assert mixing_time(m) == math.inf
+        monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 10)
+        monkeypatch.setattr(chains, "_CHUNK_BYTES", 1)
+        with pytest.raises(SolverConvergenceError):
+            chain_mixing_time(P[np.arange(2), [0, 0] if order == "stuck_first" else [1, 1]])
+        assert whole_batch_mixing_time(m) == math.inf
+        assert mixing_time(m) == math.inf
+
+    def test_memory_flat_at_65536_policies(self):
+        # the whole (65536, 8, 8) float64 stack alone takes 32 MiB
+        import tracemalloc
+        m = random_mdp(8, 4, seed=0)
+        tracemalloc.start()
+        try:
+            t_mix = mixing_time(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(t_mix)
+        assert peak <= 4_000_000
 
     def test_budget_guard(self, monkeypatch):
         from amdp_lab import chains
@@ -598,7 +652,7 @@ class TestBatchAperiodic:
                for variant, kl in (("M0", {}), ("M1", {}),
                                    ("MKL", {"k": 2, "l": 2}))]
         for m in ms:
-            _assert_periods_match_bfs(_policy_batch(m).P_all > 0)
+            _assert_periods_match_bfs(whole_policy_batch(m).P_all > 0)
 
 
 class TestAperiodicityTransform:

@@ -453,9 +453,10 @@ class TestCertifySharesQuantities:
     """One certify op solves the calibrated discounted problem once, runs the
     optimal policy's horizon recursion once (P^T bias comes from doubling),
     and evaluates each chain once per use (_gain_bias, which chain_gain_bias
-    and the optimum's policy iteration call): twice per round of the
-    optimum, for the gain/bias and for the next term w, and the discounted
-    optimum pi_hat's only where it differs from pi*."""
+    and the optimum's policy iteration call): once per round of the
+    optimum for the gain/bias, once more for the next term w in a round
+    that leaves a tie at the bias level, and the discounted optimum
+    pi_hat's only where it differs from pi*."""
 
     @pytest.fixture
     def certify_calls(self, tmp_path, monkeypatch):
@@ -490,14 +491,15 @@ class TestCertifySharesQuantities:
              "dmdp_policy_value": 2, "_gain_bias": 4, "amdp_gain_bias": 0}, 2)
 
     @pytest.mark.parametrize("fixture", [
-        "cycle_file",   # one action: pi_hat = pi*
-        "m1_s14_file",  # 4^14 policies, one round: pi_hat = pi*
+        "cycle_file",   # one action, so no tie and no w: pi_hat = pi*
+        "m1_s14_file",  # 4^14 policies, one round with a tie: pi_hat = pi*
     ])
     def test_optimal_discounted_policy_reuses_gain(self, fixture, certify_calls,
                                                    request, capsys):
+        gain_bias = {"cycle_file": 1, "m1_s14_file": 2}[fixture]
         assert certify_calls(request.getfixturevalue(fixture)) == (
             {"horizon_iterates": 1, "dmdp_policy_iteration": 1,
-             "dmdp_policy_value": 2, "_gain_bias": 2, "amdp_gain_bias": 0}, 1)
+             "dmdp_policy_value": 2, "_gain_bias": gain_bias, "amdp_gain_bias": 0}, 1)
 
 
 class TestReductionInputs:

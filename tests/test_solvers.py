@@ -21,7 +21,6 @@ from amdp_lab import (
 )
 from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from amdp_lab.corpus import random_mdp, standard_corpus
-from amdp_lab.chains import _policy_batch
 from amdp_lab.solvers import _power_iterates, horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel
 from oracles import (
@@ -36,6 +35,7 @@ from oracles import (
     policy_gains,
     slow_path_best_gain,
     stepped_power_iterates,
+    whole_policy_batch,
 )
 
 GAMMAS = (0.5, 0.9, 0.99)
@@ -290,7 +290,7 @@ class TestAmdpOptimal:
     def test_enumerated_gains_match_per_class_oracle(self, D):
         # 685 of the 729 policies on M1 S6A3 are multichain
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=D, epsilon=1 / 32, variant="M1"))
-        batch = _policy_batch(m)
+        batch = whole_policy_batch(m)
         gains = policy_gains(m, batch)
         idx = np.arange(6)
         oracle = np.array([per_class_limiting_matrix(m.transitions[idx, a])
@@ -303,7 +303,7 @@ class TestAmdpOptimal:
         # gains must not pick among them in the enumeration oracle, and
         # policy iteration returns a bias-optimal one of them
         m = hard_instance(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32, variant="M1"))
-        batch = _policy_batch(m)
+        batch = whole_policy_batch(m)
         worst = policy_gains(m, batch).min(axis=1)
         assert np.sum(worst >= worst.max() - 1e-9) == 20
         enum = enumerated_optimum(m, batch)
@@ -354,7 +354,7 @@ class TestAmdpOptimal:
         # enumeration's bits
         for _, m in standard_corpus(count=25, master_seed=29):
             auto = amdp_optimal(m)
-            enum = enumerated_optimum(m, _policy_batch(m))
+            enum = enumerated_optimum(m, whole_policy_batch(m))
             assert np.array_equal(auto.policy.actions, enum.policy.actions)
             assert np.array_equal(auto.gain, enum.gain)
             assert np.array_equal(auto.bias, enum.bias)
@@ -470,7 +470,7 @@ class TestBiasOptimalH:
         lone = 0
         for m in _enumeration_cases():
             actions, gain, policy_bias, bias = first_tie_optimum(m)
-            batch = _policy_batch(m)
+            batch = whole_policy_batch(m)
             enum = enumerated_optimum(m, batch)
             assert np.array_equal(enum.policy.actions, actions)
             assert np.array_equal(enum.gain, gain)
@@ -513,7 +513,7 @@ class TestBiasOptimalH:
         # the oracle's first tie [0, 0] leaves state 1; policy iteration
         # moves state 1 to the bias-optimal stay action on the next term w
         m = _tied_bias_fixture()
-        enum = enumerated_optimum(m, _policy_batch(m))
+        enum = enumerated_optimum(m, whole_policy_batch(m))
         assert np.array_equal(enum.policy.actions, [0, 0])
         np.testing.assert_allclose(enum.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
         opt = amdp_optimal(m)
@@ -531,10 +531,10 @@ class TestBiasOptimalH:
 
         ms = _enumeration_cases()[200:]
         ms.append(replace(random_mdp(4, 4, seed=3), rewards=np.full((4, 4), 0.5)))
-        whole = [enumerated_optimum(m, _policy_batch(m)) for m in ms]
+        whole = [enumerated_optimum(m, whole_policy_batch(m)) for m in ms]
         monkeypatch.setattr(chains, "_CHUNK_BYTES", 1)
         for m, expected in zip(ms, whole):
-            opt = enumerated_optimum(m, _policy_batch(m))
+            opt = enumerated_optimum(m, whole_policy_batch(m))
             for name in ("policy_bias", "bias", "gain"):
                 assert np.array_equal(getattr(opt, name), getattr(expected, name))
             assert np.array_equal(opt.policy.actions, expected.policy.actions)
@@ -563,7 +563,7 @@ class TestBiasOptimalPolicyIteration:
             opt = amdp_optimal(m)
             if not is_weakly_communicating(m):
                 continue
-            enum = enumerated_optimum(m, _policy_batch(m))
+            enum = enumerated_optimum(m, whole_policy_batch(m))
             atol = 1e-12 * max(1.0, enum.H)
             np.testing.assert_allclose(opt.gain, enum.gain, rtol=0, atol=1e-12)
             np.testing.assert_allclose(opt.bias, enum.bias, rtol=0, atol=atol)
@@ -583,8 +583,8 @@ class TestBiasOptimalPolicyIteration:
         multichain = 0
         for m in _sparse_mdps() + [split]:
             opt = amdp_optimal(m)
-            np.testing.assert_allclose(opt.gain, policy_gains(m, _policy_batch(m)).max(axis=0),
-                                       rtol=0, atol=1e-12)
+            best = policy_gains(m, whole_policy_batch(m)).max(axis=0)
+            np.testing.assert_allclose(opt.gain, best, rtol=0, atol=1e-12)
             multichain += not is_weakly_communicating(m)
         assert multichain == 13
 
@@ -636,6 +636,25 @@ class TestBiasOptimalPolicyIteration:
         monkeypatch.setattr(chains, "PI_MAX_ITERATIONS", 1)
         with pytest.raises(SolverConvergenceError):
             amdp_optimal(m)
+
+    def test_next_term_solved_only_for_a_bias_level_tie(self, monkeypatch):
+        # one _gain_bias per round (one _stationary each) when no state keeps
+        # two candidates after the bias level; two when one does
+        from amdp_lab import solvers
+        calls = {"_gain_bias": 0, "_stationary": 0}
+        for name in calls:
+            def counting(*a, _original=getattr(solvers, name), _name=name):
+                calls[_name] += 1
+                return _original(*a)
+            monkeypatch.setattr(solvers, name, counting)
+        tie_free = random_mdp(6, 3, seed=6)
+        amdp_optimal(tie_free)
+        assert calls["_gain_bias"] == calls["_stationary"] >= 2
+        P, r = tie_free.transitions.copy(), tie_free.rewards.copy()
+        P[:, 1], r[:, 1] = P[:, 0], r[:, 0]  # action 1 copies action 0
+        calls.update(dict.fromkeys(calls, 0))
+        amdp_optimal(TabularMdp(6, 3, P, r))
+        assert calls["_gain_bias"] == 2 * calls["_stationary"] >= 2
 
 
 class TestHGammaStar:

@@ -20,11 +20,15 @@ trial).  Prints three sha256 lines for them:
 Then the nonzero-gap regime: hard M1 S6A3 at D = 1e3 and eps = 1/32, run
 as ``experiment --epsilon 0.03125 --H oracle --trials 10`` at N = 100 and
 1000 on each of ``REGIME_SEEDS``; it prints the sha256 of its gaps,
-spelled as above, and how many of them exceed eps.  Last it runs
+spelled as above, and how many of them exceed eps.  Then it runs
 ``certify --count 1000`` (its default corpus spec) into a temporary
 directory and prints the sha256 of its certificates.csv and
-certificates.json.  Two trees whose sampling, planning and certificates
-give the same bits print the same lines:
+certificates.json.  Last it prints the sha256 of the worst-case mixing
+times of ``TMIX_RANDOM`` and of the certify_corpus pool's S6A4 cell,
+spelled as the gaps are: inputs of 4096 to 65536 policies, which
+``mixing_time`` walks in 5 to 181 chunks.  Two trees whose
+sampling, planning, certificates and t_mix give the same bits print the
+same lines:
 
     python tools/trial_digest.py
 """
@@ -44,6 +48,9 @@ REGIME_EPS = 1 / 32
 REGIME_D = 1e3
 REGIME_NS = (100, 1000)
 REGIME_SEEDS = tuple(range(1, 9))
+
+#: (S, A, seed) of the random_mdp inputs of the t_mix line
+TMIX_RANDOM = ((8, 3, 1), (8, 3, 2), (8, 3, 3), (8, 3, 4), (8, 4, 1), (10, 3, 1))
 
 
 def hex_digest(gaps: list[float]) -> str:
@@ -102,6 +109,16 @@ def regime_gaps() -> list[float]:
     return out
 
 
+def mixing_times() -> list[float]:
+    import workloads
+    from amdp_lab import mixing_time
+    from amdp_lab.corpus import random_mdp
+
+    ms = [random_mdp(S, A, seed) for S, A, seed in TMIX_RANDOM]
+    ms += [inst.mdp for inst in workloads.corpus_pool()[(6, 4)]]
+    return [mixing_time(m) for m in ms]
+
+
 def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as bench/run.py runs the ops, before numpy loads
@@ -125,6 +142,8 @@ def main() -> int:
         for name in ("certificates.csv", "certificates.json"):
             digest = hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
             print(f"{digest}  certify --count 1000 {name}")
+    t_mix = mixing_times()
+    print(f"{hex_digest(t_mix)}  {len(t_mix)} t_mix values (max {max(t_mix):g})")
     return code
 
 
