@@ -379,8 +379,8 @@ def mixing_time(m: TabularMdp) -> float:
     stationary distribution, in l1 distance from every start state.
 
     Returns +inf when some policy's chain has several recurrent classes or a
-    periodic one; raises SolverConvergenceError when some policy has not
-    mixed at t = MIXING_MAX_STEPS and no policy's chain is infinite.
+    periodic one; otherwise raises SolverConvergenceError when some policy
+    has not mixed at t = MIXING_MAX_STEPS.
 
     The policies are enumerated once and walked in chunks of
     max(1, _CHUNK_BYTES // (64 S^2)), so memory stays flat at any policy
