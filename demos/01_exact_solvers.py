@@ -25,11 +25,11 @@ print(f"gain = {gb.gain}   bias = {gb.bias}   sp(bias) = {lab.span(gb.bias)}")
 print("the bias span 1/2 is exactly the long-run advantage of starting on the"
       " rewarding side of the cycle")
 
-print("\n== optimal control, both methods ==")
+print("\n== optimal control: policy iteration, and relative VI to compare ==")
 opt_pi = lab.amdp_optimal(cycle)
-opt_rvi = lab.amdp_optimal(cycle, method="relative_vi")
+rho_rvi, h_rvi, _ = lab.relative_value_iteration(cycle)
 print(f"policy iteration: rho* = {opt_pi.gain[0]:.12f}, H = {opt_pi.H:.12f}")
-print(f"relative VI:      rho* = {opt_rvi.gain[0]:.12f}, H = {opt_rvi.H:.12f}")
+print(f"relative VI:      rho* = {rho_rvi:.12f}, H = {lab.span(h_rvi):.12f}")
 
 print("\n== shifted discounted value ==")
 h_gamma = lab.h_gamma_star(cycle, gamma, opt_pi)

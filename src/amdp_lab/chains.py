@@ -363,10 +363,9 @@ def min_expected_hitting_times(m: TabularMdp, target: int) -> np.ndarray:
 
 def diameter(m: TabularMdp) -> float:
     """MDP diameter: the largest minimal expected hitting time over ordered
-    pairs, solved exactly for all targets at once: +inf, before any solve,
-    when the MDP is not communicating, 0.0 for one state."""
-    return (float(_hitting_times(m, np.arange(m.num_states)).max())
-            if is_communicating(m) else math.inf)
+    pairs, solved exactly for all targets at once: +inf when the MDP is not
+    communicating (a state off some target's reach set), 0.0 for one state."""
+    return float(_hitting_times(m, np.arange(m.num_states)).max())
 
 
 # ---------------------------------------------------------------------------

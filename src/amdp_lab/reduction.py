@@ -257,7 +257,7 @@ def certify_span_bounds(m: TabularMdp, epsilon: float, instance_id: str = "",
     """
     if opt is None:
         opt = amdp_optimal(m)
-    _, gb, V = _policy_horizon(m, opt.policy, GainBias(opt.gain, opt.policy_bias))
+    _, gb, V = _policy_horizon(m, opt.policy, GainBias(opt.gain, opt.bias))
     return _span_bounds(epsilon, _calibrated(m, epsilon, opt), gb, V, instance_id)
 
 
@@ -300,7 +300,7 @@ def certify_instance(m: TabularMdp, epsilon: float,
     and shared."""
     D, t_mix, opt = _analysis(m)
     calibrated = _calibrated(m, epsilon, opt)
-    chain, gb, V = _policy_horizon(m, opt.policy, GainBias(opt.gain, opt.policy_bias))
+    chain, gb, V = _policy_horizon(m, opt.policy, GainBias(opt.gain, opt.bias))
     return [
         _discount_gap(m, opt.policy, opt.gain, 0.9, instance_id),
         *_span_bounds(epsilon, calibrated, gb, V, instance_id),

@@ -7,8 +7,8 @@ Average-reward: gain/bias of a policy through the limiting and deviation
 matrices, and the optimal gain/bias/policy by bias-optimal policy iteration,
 exact at every size: each round is three dense evaluations of one policy, and
 the returned policy's own bias is the optimal bias (Veinott 1969; Puterman
-1994, ch. 10).  Relative value iteration on a lazy transform of the MDP
-remains as the alternative method.
+1994, ch. 10).  Relative value iteration on a lazy transform of the MDP is
+kept as a standalone routine.
 """
 
 from __future__ import annotations
@@ -68,19 +68,16 @@ class GainBias:
 @dataclass(frozen=True)
 class AmdpOptimum:
     """Optimal average-reward solution: the optimal gain (as a vector,
-    constant when weakly communicating), a bias solving the Bellman
-    optimality equation, a gain-optimal deterministic policy, H = sp(bias),
-    and that policy's own bias (chain_gain_bias, whose gain is ``gain``).
-    From the default method the policy is bias-optimal and ``bias`` is
-    ``policy_bias``, the optimal bias; from relative VI it is the iterate's
-    bias.  It does not classify the input; chains.is_weakly_communicating
-    does."""
+    constant when weakly communicating), a bias-optimal deterministic policy,
+    its own bias (chain_gain_bias, whose gain is ``gain``), which is the
+    optimal bias and solves the Bellman optimality equation on a weakly
+    communicating input, and H = sp(bias).  It does not classify the input;
+    chains.is_weakly_communicating does."""
 
     gain: np.ndarray
     bias: np.ndarray
     policy: DeterministicPolicy
     H: float
-    policy_bias: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -254,34 +251,9 @@ def relative_value_iteration(m: TabularMdp):
         "(multichain or non-weakly-communicating input?)")
 
 
-def amdp_optimal(m: TabularMdp, method: str = "auto") -> AmdpOptimum:
-    """Gain-optimal solution of the average-reward problem.
-
-    The default method="auto" runs bias-optimal policy iteration
-    (_bias_optimal), exact at every size: the returned policy is
-    bias-optimal, so its own bias is the optimal bias and H does not depend
-    on which optimal policy is returned.  method="relative_vi" runs relative
-    value iteration on the lazy transform with greedy policy extraction, and
-    returns the iterate's bias.
-
-    Either way the returned gain is the exact per-state gain of the returned
-    policy (dense linear algebra, not iteration), policy_bias is that
-    policy's own bias, and on a weakly communicating input the returned bias
-    solves the Bellman optimality equation.
-    """
-    if method not in ("auto", "relative_vi"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        return _bias_optimal(m)
-    _, bias, policy = relative_value_iteration(m)
-    gb = chain_gain_bias(induce_chain(m, policy))
-    return AmdpOptimum(gain=gb.gain, bias=bias, policy=policy, H=span(bias),
-                       policy_bias=gb.bias)
-
-
-def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
-    """Bias-optimal policy iteration (Veinott 1969; Puterman 1994, ch. 10)
-    from the reward-greedy policy.
+def amdp_optimal(m: TabularMdp) -> AmdpOptimum:
+    """Optimal average-reward solution by bias-optimal policy iteration
+    (Veinott 1969; Puterman 1994, ch. 10) from the reward-greedy policy.
 
     Each round evaluates the policy's gain g and bias h, and improves on
     (P g, r + P h, P w) in that order: at each level only the previous
@@ -292,6 +264,10 @@ def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
     two candidates after the bias level, since a lone candidate stays
     whatever its finite score.  A round in which no state moves returns;
     after chains.PI_MAX_ITERATIONS rounds SolverConvergenceError is raised.
+
+    The result is exact at every size (dense linear algebra, not iteration),
+    and H does not depend on which optimal policy is returned, since the
+    policy is bias-optimal and its own bias is the optimal bias.
     """
     P, r = m.transitions, m.rewards
     states = np.arange(m.num_states)
@@ -308,8 +284,7 @@ def _bias_optimal(m: TabularMdp) -> AmdpOptimum:
         stays = keep[states, policy]
         if stays.all():
             return AmdpOptimum(gain=gb.gain, bias=gb.bias,
-                               policy=DeterministicPolicy(policy),
-                               H=span(gb.bias), policy_bias=gb.bias)
+                               policy=DeterministicPolicy(policy), H=span(gb.bias))
         policy = np.where(stays, policy, np.argmax(keep, axis=1))
     raise SolverConvergenceError(
         f"bias-optimal policy iteration still improving after "

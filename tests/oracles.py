@@ -8,7 +8,20 @@ second route.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+
+class OracleOptimum(NamedTuple):
+    """An optimum found by an oracle route: gain, bias, policy, H = sp(bias),
+    and the policy's own bias, which the route's bias need not equal."""
+
+    gain: np.ndarray
+    bias: np.ndarray
+    policy: object
+    H: float
+    policy_bias: np.ndarray
 
 
 def bellman_evaluation(P: np.ndarray, r: np.ndarray, gamma: float,
@@ -185,7 +198,7 @@ def enumerated_optimum(m, batch):
     from amdp_lab import chains
     from amdp_lab.chains import is_weakly_communicating
     from amdp_lab.mdp import DeterministicPolicy, span
-    from amdp_lab.solvers import GAIN_TIE_TOL, AmdpOptimum, _gain_bias
+    from amdp_lab.solvers import GAIN_TIE_TOL, _gain_bias
 
     policies, r_all = policies_and_rewards(m)
     worst = policy_gains(m, batch).min(axis=1)
@@ -205,9 +218,23 @@ def enumerated_optimum(m, batch):
             gain, policy_bias = gb.gain[0], gb.bias[0]
         chunk_max.append(gb.bias.max(axis=0))
     bias = np.max(chunk_max, axis=0)
-    return AmdpOptimum(gain=gain, bias=bias,
-                       policy=DeterministicPolicy(policies[tied[0]]),
-                       H=span(bias), policy_bias=policy_bias)
+    return OracleOptimum(gain=gain, bias=bias,
+                         policy=DeterministicPolicy(policies[tied[0]]),
+                         H=span(bias), policy_bias=policy_bias)
+
+
+def relative_vi_optimum(m):
+    """The optimum by relative value iteration on the lazy transform, the
+    route amdp_optimal's method="relative_vi" took: the greedy policy with
+    its exact gain, and the iterate's bias, which solves the optimality
+    equation but need not be the policy's own bias."""
+    from amdp_lab.mdp import span
+    from amdp_lab.solvers import amdp_gain_bias, relative_value_iteration
+
+    _, bias, policy = relative_value_iteration(m)
+    gb = amdp_gain_bias(m, policy)
+    return OracleOptimum(gain=gb.gain, bias=bias, policy=policy, H=span(bias),
+                         policy_bias=gb.bias)
 
 
 def bfs_class_period(support: np.ndarray, states: np.ndarray) -> int:

@@ -21,7 +21,8 @@ from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec
 from amdp_lab.cli import main
 from amdp_lab.reduction import write_certificates_csv
-from oracles import cesaro_bias, cesaro_gain, enumerated_optimum, whole_policy_batch
+from oracles import (cesaro_bias, cesaro_gain, enumerated_optimum, relative_vi_optimum,
+                     whole_policy_batch)
 
 RESULTS: list[str] = []
 
@@ -331,7 +332,7 @@ def test_criterion_9_oracle_cross_validation():
     failures = []
     for instance_id, m in corpus():
         o1 = optimum(instance_id, m)
-        o2 = lab.amdp_optimal(m, method="relative_vi")
+        o2 = relative_vi_optimum(m)
         if abs(float(np.max(o1.gain)) - float(np.max(o2.gain))) > 1e-8:
             failures.append((instance_id, "gain", float(np.max(o1.gain)),
                              float(np.max(o2.gain))))

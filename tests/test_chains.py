@@ -218,25 +218,21 @@ class TestDiameter:
         m = TabularMdp(2, 1, P, np.zeros((2, 1)))
         assert math.isinf(diameter(m))
 
-    def test_not_communicating_is_inf_before_any_solve(self, monkeypatch):
-        # a large MDP with one absorbing state: +inf from the closure alone
-        from amdp_lab import TabularMdp, chains
+    def test_not_communicating_is_inf_at_200_states(self):
+        # a large MDP with one absorbing state: no other state is reachable
+        # from it, so the all-target solve is +inf there
+        from amdp_lab import TabularMdp
 
         m = random_mdp(200, 2, seed=200)
         P = m.transitions.copy()
         P[0] = np.eye(200)[0]
         m = TabularMdp(200, 2, P, m.rewards)
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("hitting times solved for a non-communicating MDP")
-
-        monkeypatch.setattr(chains, "_hitting_times", no_solve)
         assert not is_communicating(m)
         assert diameter(m) == math.inf
 
     def test_hitting_times_infinite_exactly_when_not_communicating(self):
         # the all-target solve has an infinite entry iff the closure says
-        # the MDP is not communicating, so diameter may ask the closure first
+        # the MDP is not communicating, so diameter needs no closure of its own
         from amdp_lab import chains
 
         ms = _sparse_mdps()
@@ -769,7 +765,7 @@ class TestStructuralParameters:
 
         m = random_mdp(4, 3, seed=0)  # 81 policies
         monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 80)
-        monkeypatch.setattr(solvers, "_bias_optimal", no_solve)
+        monkeypatch.setattr(solvers, "amdp_optimal", no_solve)
         with pytest.raises(EnumerationBudgetError):
             structural_parameters(m)
 

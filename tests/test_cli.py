@@ -126,10 +126,43 @@ class TestSolve:
         policy = json.loads((out / "policy.json").read_text())
         assert policy["actions"] == [0, 0]
 
-    def test_amdp_relative_vi_method(self, cycle_file, capsys):
-        assert main(["solve", "amdp", "--mdp", cycle_file,
-                     "--method", "relative_vi"]) == 0
-        assert "rho = (0.500000, 0.500000)" in capsys.readouterr().out
+    def test_amdp_relative_vi_method(self, cycle_file, tmp_path, capsys):
+        # every printed line and file is relative VI's iterate bias and
+        # greedy policy, with that policy's exact gain
+        from amdp_lab import amdp_gain_bias, relative_value_iteration, span
+        from amdp_lab.corpus import random_mdp
+        from amdp_lab.reduction import format_number
+
+        def six(v):
+            return "(" + ", ".join(f"{x:.6f}" for x in v) + ")"
+
+        def file_floats(v):
+            return [float(format_number(x)) for x in v]
+
+        m1 = hard_instance(HardInstanceSpec(S=6, A=3, D=1e3, epsilon=1 / 32,
+                                            variant="M1"))
+        paths = [cycle_file]
+        for name, m in (("m1", m1), ("random", random_mdp(50, 3, 0))):
+            paths.append(str(tmp_path / f"{name}.json"))
+            write_mdp(m, paths[-1])
+        for k, path in enumerate(paths):
+            out = tmp_path / f"solved{k}"
+            assert main(["solve", "amdp", "--mdp", path, "--method", "relative_vi",
+                         "--out", str(out)]) == 0
+            m = read_mdp(path)
+            _, bias, policy = relative_value_iteration(m)
+            gain, H = amdp_gain_bias(m, policy).gain, span(bias)
+            assert capsys.readouterr().out.splitlines() == [
+                f"rho = {six(gain)}", f"h = {six(bias)}", f"H = {H:.6f}",
+                f"policy = {policy.actions.tolist()}"]
+            written = {name: json.loads((out / f"{name}.json").read_text())
+                       for name in ("gain", "bias", "policy")}
+            assert written == {
+                "gain": {"gain": file_floats(gain)},
+                "bias": {"bias": file_floats(bias), "H": float(format_number(H))},
+                "policy": {"actions": policy.actions.tolist()}}
+            if path == cycle_file:
+                assert f"rho = {six(gain)}" == "rho = (0.500000, 0.500000)"
 
     def test_amdp_over_enumeration_budget_matches_params(self, m1_s14_file,
                                                          capsys):

@@ -33,6 +33,7 @@ from oracles import (
     per_class_limiting_matrix,
     policies_and_rewards,
     policy_gains,
+    relative_vi_optimum,
     slow_path_best_gain,
     stepped_power_iterates,
     whole_policy_batch,
@@ -251,9 +252,16 @@ class TestGainBias:
 
 
 class TestAmdpOptimal:
-    def test_unknown_method(self, slow4):
-        with pytest.raises(ValueError, match="unknown method 'x'"):
-            amdp_optimal(slow4, method="x")
+    def test_one_method_one_bias(self):
+        # amdp_optimal takes only the MDP, and the optimum carries one bias:
+        # the bias-optimal policy's own
+        import inspect
+        from dataclasses import fields
+
+        from amdp_lab import AmdpOptimum, solvers
+        assert list(inspect.signature(amdp_optimal).parameters) == ["m"]
+        assert [f.name for f in fields(AmdpOptimum)] == ["gain", "bias", "policy", "H"]
+        assert not hasattr(solvers, "_bias_optimal")
 
     def test_single_action_equals_gain_bias(self, slow4):
         opt = amdp_optimal(slow4)
@@ -268,7 +276,7 @@ class TestAmdpOptimal:
         gb = amdp_gain_bias(m, DeterministicPolicy(np.zeros(100, dtype=int)))
         assert np.array_equal(opt.policy.actions, np.zeros(100, dtype=int))
         np.testing.assert_allclose(opt.gain, gb.gain, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(opt.policy_bias, gb.bias, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(opt.bias, gb.bias, rtol=0, atol=1e-9)
 
     def test_m1_optimal_gain_and_policy(self):
         spec = HardInstanceSpec(S=6, A=3, D=32, epsilon=1 / 32, variant="M1")
@@ -312,14 +320,14 @@ class TestAmdpOptimal:
         opt = amdp_optimal(m)
         index = int(opt.policy.actions @ 3 ** np.arange(5, -1, -1))
         assert worst[index] >= worst.max() - 1e-9
-        assert np.array_equal(opt.policy_bias, opt.bias)
+        assert np.array_equal(opt.bias, amdp_gain_bias(m, opt.policy).bias)
         for H in (enum.H, opt.H):
             assert H == pytest.approx(500 / 9, rel=1e-12, abs=0)
 
     def test_methods_agree(self):
         for _, m in standard_corpus(count=40, master_seed=17):
             o1 = amdp_optimal(m)
-            o2 = amdp_optimal(m, method="relative_vi")
+            o2 = relative_vi_optimum(m)
             assert float(np.max(o1.gain)) == pytest.approx(float(np.max(o2.gain)),
                                                            abs=1e-8)
             assert o1.H == pytest.approx(o2.H, abs=1e-6)
@@ -367,7 +375,7 @@ class TestAmdpOptimal:
         under = amdp_optimal(m)
         monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 100)
         auto = amdp_optimal(m)
-        rvi = amdp_optimal(m, method="relative_vi")
+        rvi = relative_vi_optimum(m)
         assert np.array_equal(auto.policy.actions, under.policy.actions)
         assert np.array_equal(auto.gain, under.gain)
         assert np.array_equal(auto.bias, under.bias)
@@ -421,7 +429,8 @@ class TestAmdpOptimal:
 
     def test_optimum_does_not_classify_its_input(self, monkeypatch):
         # whether the input is weakly communicating is the caller's question
-        # (solve amdp's note); neither method asks it, on the bench inputs
+        # (solve amdp's note); neither amdp_optimal nor relative VI asks it,
+        # on the bench inputs
         from amdp_lab import chains, solvers
 
         def no_classification(m):
@@ -435,8 +444,7 @@ class TestAmdpOptimal:
                                               variant="M1"))
                for S, A in ((6, 3), (14, 4))]
         for m in ms:
-            for method in ("auto", "relative_vi"):
-                opt = amdp_optimal(m, method=method)
+            for opt in (amdp_optimal(m), relative_vi_optimum(m)):
                 assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-8
 
 
@@ -518,7 +526,7 @@ class TestBiasOptimalH:
         np.testing.assert_allclose(enum.policy_bias, [0.0, -1.5], rtol=0, atol=1e-12)
         opt = amdp_optimal(m)
         assert np.array_equal(opt.policy.actions, [0, 2])
-        assert np.array_equal(opt.policy_bias, opt.bias)
+        assert np.array_equal(opt.bias, amdp_gain_bias(m, opt.policy).bias)
         for bias_optimal in (enum, opt):
             np.testing.assert_allclose(bias_optimal.bias, [0.0, 0.0], rtol=0,
                                        atol=1e-12)
@@ -543,7 +551,7 @@ class TestBiasOptimalH:
         from amdp_lab import solvers
 
         def no_relative_vi(m):
-            raise AssertionError("the default method ran relative VI")
+            raise AssertionError("amdp_optimal ran relative VI")
 
         monkeypatch.setattr(solvers, "relative_value_iteration", no_relative_vi)
         spec = HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 32, variant="M1")
@@ -553,8 +561,8 @@ class TestBiasOptimalH:
 
 
 class TestBiasOptimalPolicyIteration:
-    """The default method against the enumeration oracle and the closed
-    forms, without enumerating or iterating values."""
+    """amdp_optimal against the enumeration oracle and the closed forms,
+    without enumerating or iterating values."""
 
     def test_matches_enumeration_oracle(self):
         from test_chains import _sparse_mdps
@@ -568,7 +576,8 @@ class TestBiasOptimalPolicyIteration:
             np.testing.assert_allclose(opt.gain, enum.gain, rtol=0, atol=1e-12)
             np.testing.assert_allclose(opt.bias, enum.bias, rtol=0, atol=atol)
             # the returned policy is bias-optimal: its own bias is the max
-            np.testing.assert_allclose(opt.policy_bias, enum.bias, rtol=0, atol=atol)
+            np.testing.assert_allclose(amdp_gain_bias(m, opt.policy).bias, enum.bias,
+                                       rtol=0, atol=atol)
             checked += 1
         assert checked == 797
 
@@ -596,9 +605,9 @@ class TestBiasOptimalPolicyIteration:
         for seed in range(4):
             m = random_mdp(S, A, seed=seed)
             opt = amdp_optimal(m)
-            rvi = amdp_optimal(m, method="relative_vi")
+            rvi = relative_vi_optimum(m)
             assert bellman_optimality_residual(m, opt.gain, opt.bias) <= 1e-12
-            assert np.array_equal(opt.policy_bias, opt.bias)
+            assert np.array_equal(opt.bias, amdp_gain_bias(m, opt.policy).bias)
             assert np.array_equal(opt.policy.actions, rvi.policy.actions)
             np.testing.assert_allclose(opt.gain, rvi.gain, rtol=0, atol=1e-8)
             assert opt.H == pytest.approx(rvi.H, rel=0, abs=1e-6)
@@ -736,7 +745,7 @@ class TestFiniteHorizon:
                for variant in ("M0", "M1") for D in (32, 1e3, 1e4)]
         for m in ms:
             opt = amdp_optimal(m)
-            P, h = induce_chain(m, opt.policy).matrix, opt.policy_bias
+            P, h = induce_chain(m, opt.policy).matrix, opt.bias
             for T in (1, 2, 3, 7, 64, 200):
                 np.testing.assert_allclose(
                     _power_iterates(P, h, T), stepped_power_iterates(P, h, T),

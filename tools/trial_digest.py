@@ -26,7 +26,11 @@ directory and prints the sha256 of its certificates.csv and
 certificates.json.  Last it prints the sha256 of the worst-case mixing
 times of ``TMIX_RANDOM`` and of the certify_corpus pool's S6A4 cell,
 spelled as the gaps are: inputs of 4096 to 65536 policies, which
-``mixing_time`` walks in 5 to 181 chunks.  Two trees whose
+``mixing_time`` walks in 5 to 181 chunks.  Every one of those mixes
+within 4 steps, so an eighth line, spelled the same way, pins the t_mix of
+the tau = 0.99 lazy transforms of corpus-7-0001, -0002, -0004 and -0005
+(master seed 7), which mix in 151 to 333 steps: the loop that steps the
+policies not yet mixed runs hundreds of times there.  Two trees whose
 sampling, planning, certificates and t_mix give the same bits print the
 same lines:
 
@@ -119,6 +123,15 @@ def mixing_times() -> list[float]:
     return [mixing_time(m) for m in ms]
 
 
+def lazy_mixing_times() -> list[float]:
+    from amdp_lab import aperiodicity_transform, mixing_time, standard_corpus
+
+    wanted = ("corpus-7-0001", "corpus-7-0002", "corpus-7-0004", "corpus-7-0005")
+    return [mixing_time(aperiodicity_transform(m, 0.99))
+            for instance_id, m in standard_corpus(count=6, master_seed=7)
+            if instance_id in wanted]
+
+
 def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # as bench/run.py runs the ops, before numpy loads
@@ -144,6 +157,8 @@ def main() -> int:
             print(f"{digest}  certify --count 1000 {name}")
     t_mix = mixing_times()
     print(f"{hex_digest(t_mix)}  {len(t_mix)} t_mix values (max {max(t_mix):g})")
+    t_mix = lazy_mixing_times()
+    print(f"{hex_digest(t_mix)}  {len(t_mix)} lazy t_mix values (max {max(t_mix):g})")
     return code
 
 
