@@ -424,12 +424,12 @@ def write_certificates_csv(certs: list[Certificate], path: str | Path) -> None:
 
 def _write_json(path: str | Path, payload) -> None:
     """Write a JSON payload (dicts, lists and scalars) as strict JSON, indented
-    by one space: every float at file precision (format_number), a non-finite
-    one as that text ("inf").  Every result file in JSON goes through here;
+    by one space, every float at file precision (format_number); a non-finite
+    float raises ValueError.  Every result file in JSON goes through here;
     MDP and policy files keep full precision (mdp.write_mdp, write_policy)."""
     def render(obj):
         if isinstance(obj, float):
-            return float(format_number(obj)) if math.isfinite(obj) else format_number(obj)
+            return float(format_number(obj))
         if isinstance(obj, (list, tuple)):
             return [render(x) for x in obj]
         if isinstance(obj, dict):
@@ -440,17 +440,9 @@ def _write_json(path: str | Path, payload) -> None:
 
 
 def write_certificates_report(certs: list[Certificate], path: str | Path) -> None:
-    """Structured-text (JSON) companion of the CSV, through _write_json:
-    {"total", "passed", "failed": [{instance_id, name}], "certificates":
-    [{instance_id, name, lhs, rhs, tolerance, passed}]}."""
+    """The summary of the certificates CSV, the one per-certificate record, as
+    JSON: {"total", "passed", "failed": [{instance_id, name}]} in CSV order."""
     failed = [{"instance_id": c.instance_id, "name": c.name}
               for c in certs if not c.passed]
-    _write_json(path, {
-        "total": len(certs),
-        "passed": len(certs) - len(failed),
-        "failed": failed,
-        "certificates": [
-            {"instance_id": c.instance_id, "name": c.name, "lhs": c.lhs,
-             "rhs": c.rhs, "tolerance": c.tolerance, "passed": c.passed}
-            for c in certs],
-    })
+    _write_json(path, {"total": len(certs), "passed": len(certs) - len(failed),
+                       "failed": failed})

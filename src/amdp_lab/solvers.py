@@ -189,12 +189,11 @@ def horizon_iterates(P: np.ndarray, r: np.ndarray, T: int) -> np.ndarray:
     from V_0 = 0, as a (T, S) array."""
     if T < 1:
         raise ValueError("T must be a positive integer")
-    V = np.zeros(P.shape[0])
-    out = np.empty((T, P.shape[0]))
+    out = np.zeros((T + 1, P.shape[0]))
     for k in range(T):
-        V = r + P @ V
-        out[k] = V
-    return out
+        np.dot(P, out[k], out=out[k + 1])
+        out[k + 1] += r
+    return out[1:]
 
 
 def _power_iterates(P: np.ndarray, x: np.ndarray, T: int) -> np.ndarray:

@@ -310,7 +310,8 @@ class TestCertify:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_infinite_certificate_side_is_strict_json(self, tmp_path, capsys):
-        # the funnel has D = inf, so a certificate side is infinite
+        # the funnel has D = inf, so a certificate side is infinite; the CSV
+        # writes it and the report, a summary, stays strict JSON
         path = tmp_path / "funnel.json"
         write_mdp(make_transient_funnel(), path)
         assert main(["certify", "--mdp", str(path), "--out", str(tmp_path)]) == 0
@@ -318,9 +319,8 @@ class TestCertify:
         def reject(constant):
             raise ValueError(f"non-JSON constant {constant}")
 
-        report = json.loads((tmp_path / "certificates.json").read_text(),
-                            parse_constant=reject)
-        assert "inf" in [c["rhs"] for c in report["certificates"]]
+        assert "inf" in [row["rhs"] for row in read_csv_rows(tmp_path / "certificates.csv")]
+        json.loads((tmp_path / "certificates.json").read_text(), parse_constant=reject)
 
     def test_needs_input(self, tmp_path, capsys):
         assert main(["certify", "--out", str(tmp_path)]) == 2
@@ -341,6 +341,30 @@ class TestCertify:
         report = json.loads((tmp_path / "certificates.json").read_text())
         assert report["failed"] == [{"instance_id": "two_state_cycle",
                                      "name": "gain_discount_gap"}]
+
+    def test_report_is_the_csv_summary(self, cycle_file, tmp_path, monkeypatch,
+                                       capsys):
+        from amdp_lab import reduction
+
+        def first_and_last_failing(m, epsilon, instance_id):
+            first, *middle, last = certify_instance(m, epsilon, instance_id)
+            return [replace(first, rhs=-1.0, passed=False), *middle,
+                    replace(last, rhs=-1.0, passed=False)]
+
+        assert main(["certify", "--count", "12", "--smax", "5", "--amax", "3",
+                     "--seed", "7", "--out", str(tmp_path / "corpus")]) == 0
+        monkeypatch.setattr(reduction, "certify_instance", first_and_last_failing)
+        assert main(["certify", "--mdp", cycle_file,
+                     "--out", str(tmp_path / "failing")]) == 1
+        for name in ("corpus", "failing"):
+            rows = read_csv_rows(tmp_path / name / "certificates.csv")
+            report = json.loads((tmp_path / name / "certificates.json").read_text())
+            assert report == {
+                "total": len(rows),
+                "passed": sum(row["passed"] == "true" for row in rows),
+                "failed": [{"instance_id": row["instance_id"], "name": row["name"]}
+                           for row in rows if row["passed"] == "false"]}
+        assert len(report["failed"]) == 2
 
     def test_mdp_and_count_exit_2(self, cycle_file, tmp_path, capsys):
         # --count used to be ignored silently when --mdp named files

@@ -31,6 +31,7 @@ from amdp_lab import (
 from amdp_lab.corpus import standard_corpus
 from amdp_lab.hard_instances import HardInstanceSpec, hard_instance
 from oracles import (
+    _spelled_float,
     finite_horizon_identity_loop,
     finite_horizon_span_loop,
     serial_empirical_error,
@@ -314,14 +315,13 @@ class TestCsv:
         certs = [certify_gain_discount_gap(cycle, cycle_policy, 0.9, "cycle")]
         path = tmp_path / "report.json"
         write_certificates_report(certs, path)
-        doc = json.loads(path.read_text())
-        assert doc["total"] == 1 and doc["passed"] == 1 and doc["failed"] == []
-        assert doc["certificates"][0]["name"] == "gain_discount_gap"
+        assert json.loads(path.read_text()) == {"total": 1, "passed": 1, "failed": []}
 
     def test_certificates_report_matches_json_dumps(self, tmp_path):
-        # the report json.dumps writes is byte for byte the spelled-out
-        # oracle, on every float spelling format_number can lead to, on
-        # failed entries, on strings json must escape, and on no
+        # _write_json spells every finite float as the spelled-out oracle
+        # does, on every spelling format_number can lead to, and refuses a
+        # non-finite one; the report it writes is byte for byte the spelled
+        # summary, on failed entries, on strings json must escape, and on no
         # certificates at all
         from amdp_lab import Certificate, write_certificates_report
 
@@ -330,6 +330,14 @@ class TestCsv:
                   1e11, 1e12, 1e15, 1e16, 1e22, -2.5e13, 1.7976931348623157e308,
                   0.1 + 0.2, 2.0 / 3.0, float("inf"), float("-inf"), float("nan"),
                   *(rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200))]
+        path = tmp_path / "value.json"
+        for x in map(float, values):
+            if np.isfinite(x):
+                reduction._write_json(path, x)
+                assert path.read_text() == _spelled_float(x) + "\n"
+            else:
+                with pytest.raises(ValueError):
+                    reduction._write_json(path, x)
         certs = [Certificate(name=f"check_{i % 7}", lhs=float(x),
                              rhs=float(values[(i * 7 + 3) % len(values)]),
                              tolerance=[1e-8, 0.0, 1e-6][i % 3], passed=i % 5 != 0,
