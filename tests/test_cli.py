@@ -319,7 +319,8 @@ class TestCertify:
         def reject(constant):
             raise ValueError(f"non-JSON constant {constant}")
 
-        assert "inf" in [row["rhs"] for row in read_csv_rows(tmp_path / "certificates.csv")]
+        rows = read_csv_rows(tmp_path / "certificates.csv")
+        assert "inf" in [row["rhs"] for row in rows]
         json.loads((tmp_path / "certificates.json").read_text(), parse_constant=reject)
 
     def test_needs_input(self, tmp_path, capsys):
