@@ -32,7 +32,7 @@ print(f"policy iteration: rho* = {opt_pi.gain[0]:.12f}, H = {opt_pi.H:.12f}")
 print(f"relative VI:      rho* = {rho_rvi:.12f}, H = {lab.span(h_rvi):.12f}")
 
 print("\n== shifted discounted value ==")
-h_gamma = lab.h_gamma_star(cycle, gamma, opt_pi)
+h_gamma = lab.dmdp_policy_iteration(cycle, gamma)[1] - opt_pi.gain / (1.0 - gamma)
 print(f"V*_g - rho*/(1-g) = {h_gamma}")
 print("its span equals sp(V*_g); the vector itself solves the discounted "
       "optimality equation rewritten with the average-reward gain")

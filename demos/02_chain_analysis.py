@@ -17,14 +17,13 @@ print(f"recurrent classes: {[list(c) for c in st.recurrent_classes]}, "
 print("limiting matrix:\n", st.limiting_matrix)
 
 print("\n== diameter vs mixing time pull apart ==")
-params = lab.structural_parameters(cycle)
-print(f"cycle: D = {params.diameter}, t_mix = {params.t_mix}, H = {params.H}")
+D, t_mix, H = lab.diameter(cycle), lab.mixing_time(cycle), lab.amdp_optimal(cycle).H
+print(f"cycle: D = {D}, t_mix = {t_mix}, H = {H}")
 print("periodicity makes t_mix infinite even though the diameter is 1")
 
 slow = lab.two_state_slow_chain(100)
-params = lab.structural_parameters(slow)
-print(f"slow chain (D parameter 100): D = {params.diameter:.0f}, "
-      f"t_mix = {params.t_mix:.0f}, H = {params.H:.4f}")
+D, t_mix, H = lab.diameter(slow), lab.mixing_time(slow), lab.amdp_optimal(slow).H
+print(f"slow chain (D parameter 100): D = {D:.0f}, t_mix = {t_mix:.0f}, H = {H:.4f}")
 print("here the diameter is huge while one step already mixes")
 
 print("\n== lazy transform: bounded diameter, exploding mixing time ==")
@@ -37,10 +36,10 @@ print("the lazy chains stay within diameter 2 while t_mix grows without bound")
 print("\n== order relations on a random batch ==")
 violations = 0
 for iid, m in lab.standard_corpus(count=50, master_seed=11):
-    p = lab.structural_parameters(m)
-    if p.H > p.diameter + 1e-6:
+    D, t_mix, H = lab.diameter(m), lab.mixing_time(m), lab.amdp_optimal(m).H
+    if H > D + 1e-6:
         violations += 1
-    if np.isfinite(p.t_mix) and p.H > 8 * p.t_mix + 1e-6:
+    if np.isfinite(t_mix) and H > 8 * t_mix + 1e-6:
         violations += 1
 print(f"H <= D and H <= 8 t_mix held on all 50 instances "
       f"({violations} violations)")

@@ -11,7 +11,6 @@ from .chains import (
     aperiodicity_transform,
     decompose_chain,
     diameter,
-    is_communicating,
     is_weakly_communicating,
     min_expected_hitting_times,
     mixing_time,
@@ -52,7 +51,6 @@ from .mdp import (
 )
 from .reduction import (
     Certificate,
-    MdpParameters,
     ReductionParams,
     TrialRecord,
     algorithm1,
@@ -62,11 +60,9 @@ from .reduction import (
     certify_reduction_bound,
     certify_span_bounds,
     empirical_error,
-    failure_rate,
     gamma_for_accuracy,
     reduction_chain_certificates,
     reduction_params,
-    structural_parameters,
     write_certificates_csv,
     write_certificates_report,
 )
@@ -79,7 +75,6 @@ from .solvers import (
     dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
-    h_gamma_star,
     relative_value_iteration,
 )
 

@@ -442,12 +442,6 @@ def union_support(m: TabularMdp) -> np.ndarray:
     return np.any(m.transitions > 0, axis=1)
 
 
-def is_communicating(m: TabularMdp) -> bool:
-    """True when every ordered pair of states is connected under some policy
-    (equivalently, the diameter is finite)."""
-    return bool(np.all(_closure(union_support(m))))
-
-
 def is_weakly_communicating(m: TabularMdp) -> bool:
     """True when the states split into one communicating closed set plus
     states that are transient under every policy."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import chains, generative, solvers
 from .generative import GenerativeModel, build_empirical, perturb_rewards
-from .mdp import DeterministicPolicy, EnumerationBudgetError, TabularMdp, span
+from .mdp import DeterministicPolicy, TabularMdp, span
 from .solvers import (
     AmdpOptimum,
     GainBias,
@@ -83,7 +83,7 @@ def reduction_params(epsilon: float, delta: float, H_bound: float,
     xi = C_P * (1.0 - gamma) * eps_gamma / (num_states**5 * num_actions**5)
     if n_override is not None:
         if n_override < 1:
-            raise ValueError("n_override must be positive")
+            raise ValueError(f"N (samples per pair) must be at least 1, got {n_override}")
         n = int(n_override)
     else:
         n = math.ceil(C_TILDE * H_bound * epsilon**-3
@@ -310,35 +310,6 @@ def certify_instance(m: TabularMdp, epsilon: float,
     ]
 
 
-@dataclass(frozen=True)
-class MdpParameters:
-    """Bundle of structural parameters: diameter, worst-case mixing time, and
-    the optimal bias span."""
-
-    diameter: float
-    t_mix: float
-    H: float
-
-
-def structural_parameters(m: TabularMdp) -> MdpParameters:
-    """Bundle (diameter, t_mix, H) for one MDP: solvers' one analysis, which
-    needs every policy's chain for t_mix.
-
-    Both order relations H <= D and H <= 8 t_mix (when the right side is
-    finite) must hold; the certificates that certify writes for them raise
-    ArithmeticError here when one fails.
-    """
-    if m.num_actions ** m.num_states > chains.ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(f"t_mix needs all {m.num_actions}^{m.num_states} "
-                                     f"policies, over budget {chains.ENUMERATION_BUDGET}")
-    D, t_mix, opt = _analysis(m)
-    for cert in _parameter_bounds(opt.H, D, t_mix, ""):
-        if not cert.passed:
-            raise ArithmeticError(f"internal inconsistency: {cert.name} fails, "
-                                  f"bias span {cert.lhs} > {cert.rhs}")
-    return MdpParameters(diameter=D, t_mix=t_mix, H=opt.H)
-
-
 # ---------------------------------------------------------------------------
 # sampled trials
 
@@ -386,13 +357,6 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
     return [TrialRecord(seed=seed, gap=rho_star - float(np.min(gain)),
                         wallclock_ms=int(round(1000.0 * (own + share))))
             for seed, gain, own in zip(seeds, gains, seconds)]
-
-
-def failure_rate(records: list[TrialRecord], epsilon: float) -> float:
-    """Fraction of trials whose exact gap exceeded epsilon."""
-    if not records:
-        raise ValueError("no trial records")
-    return sum(1 for rec in records if rec.gap > epsilon) / len(records)
 
 
 # ---------------------------------------------------------------------------

@@ -303,14 +303,3 @@ def _analysis(m: TabularMdp):
     over = m.num_actions**m.num_states > chains.ENUMERATION_BUDGET
     return (chains.diameter(m), None if over else chains.mixing_time(m),
             amdp_optimal(m))
-
-
-def h_gamma_star(m: TabularMdp, gamma: float, opt: AmdpOptimum) -> np.ndarray:
-    """Shifted optimal discounted value V*_gamma - gain / (1 - gamma).
-
-    For a weakly communicating MDP this vector satisfies the discounted
-    optimality equation rewritten in average-reward form,
-    (gain + h)(s) = max_a { r(s,a) + gamma P_{s,a} h }.
-    """
-    _, V, _ = dmdp_policy_iteration(m, gamma)
-    return V - opt.gain / (1.0 - gamma)

@@ -646,6 +646,24 @@ def masked_dmdp_policy_iteration(m, gamma: float):
     return Q, Q.max(axis=1), np.argmax(Q, axis=1)
 
 
+def bfs_communicating(m) -> bool:
+    """True when every state reaches every other along the edges of
+    union_support: one breadth-first search from each state."""
+    from amdp_lab.chains import union_support
+
+    edges = union_support(m)
+    for start in range(m.num_states):
+        seen = np.zeros(m.num_states, dtype=bool)
+        seen[start] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
+
+
 def set_loop_weakly_communicating(m) -> bool:
     """Weak communication with the greatest fixed point "keep u if some
     action stays inside" taken over a Python set, one flatnonzero per

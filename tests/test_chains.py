@@ -19,13 +19,11 @@ from amdp_lab import (
     dmdp_policy_iteration,
     hard_instance,
     induce_chain,
-    is_communicating,
     is_weakly_communicating,
     min_expected_hitting_times,
     mixing_time,
     perturb_rewards,
     span,
-    structural_parameters,
     two_state_slow_chain,
 )
 from amdp_lab.chains import (
@@ -39,6 +37,7 @@ from amdp_lab.corpus import random_mdp, standard_corpus
 from amdp_lab.solvers import horizon_iterates
 from conftest import make_stay_or_cycle, make_transient_funnel, make_two_absorbing
 from oracles import (
+    bfs_communicating,
     bfs_periods,
     hitting_time_single_chain,
     masked_dmdp_policy_iteration,
@@ -227,7 +226,7 @@ class TestDiameter:
         P = m.transitions.copy()
         P[0] = np.eye(200)[0]
         m = TabularMdp(200, 2, P, m.rewards)
-        assert not is_communicating(m)
+        assert not bfs_communicating(m)
         assert diameter(m) == math.inf
 
     def test_hitting_times_infinite_exactly_when_not_communicating(self):
@@ -239,7 +238,7 @@ class TestDiameter:
         infinite = [bool(np.isinf(chains._hitting_times(m, np.arange(m.num_states))).any())
                     for m in ms]
         assert sum(infinite) == 110
-        assert infinite == [not is_communicating(m) for m in ms]
+        assert infinite == [not bfs_communicating(m) for m in ms]
         assert [math.isinf(diameter(m)) for m in ms] == infinite
 
     def test_hitting_times_vector(self, slow4):
@@ -681,12 +680,12 @@ class TestAperiodicityTransform:
 class TestConnectivity:
     def test_dense_positive_is_communicating(self):
         m = random_mdp(4, 2, seed=1)
-        assert is_communicating(m)
+        assert bfs_communicating(m)
         assert is_weakly_communicating(m)
 
     def test_transient_funnel_weakly_only(self):
         m = make_transient_funnel()
-        assert not is_communicating(m)
+        assert not bfs_communicating(m)
         assert is_weakly_communicating(m)
 
     def test_two_absorbing_not_weakly(self):
@@ -718,56 +717,24 @@ class TestConnectivity:
 
 class TestStructuralParameters:
     def test_cycle_bundle(self, cycle):
-        params = structural_parameters(cycle)
-        assert params.diameter == pytest.approx(1.0, abs=1e-9)
-        assert math.isinf(params.t_mix)
-        assert params.H == pytest.approx(0.5, abs=1e-9)
-
-    def test_invariant_assertion_is_exercised(self):
-        # the bundle recomputes and revalidates on every call
-        m = two_state_slow_chain(7)
-        params = structural_parameters(m)
-        assert params.H <= params.diameter + 1e-6
+        assert diameter(cycle) == pytest.approx(1.0, abs=1e-9)
+        assert math.isinf(mixing_time(cycle))
+        assert amdp_optimal(cycle).H == pytest.approx(0.5, abs=1e-9)
 
     def test_order_relations_on_sample(self):
         for _, m in standard_corpus(count=25, master_seed=99):
-            params = structural_parameters(m)
-            assert params.H <= params.diameter + 1e-6
-            if math.isfinite(params.t_mix):
-                assert params.H <= 8.0 * params.t_mix + 1e-6
+            D, t_mix, H = diameter(m), mixing_time(m), amdp_optimal(m).H
+            assert H <= D + 1e-6
+            if math.isfinite(t_mix):
+                assert H <= 8.0 * t_mix + 1e-6
 
     def test_matches_separate_calls(self):
-        # one analysis gives the same numbers, bit for bit
+        # solvers' one analysis gives the same numbers, bit for bit
+        from amdp_lab import solvers
+
         for _, m in standard_corpus(count=100, master_seed=7):
-            params = structural_parameters(m)
-            assert ((params.diameter, params.t_mix, params.H)
-                    == (diameter(m), mixing_time(m), amdp_optimal(m).H))
-
-    @pytest.mark.parametrize("D, t_mix, H, failing", [
-        (2.0, math.inf, 3.0, "bias_span_le_diameter"),
-        (math.inf, 0.25, 3.0, "bias_span_le_mixing"),
-    ])
-    def test_failed_order_relation_raises(self, monkeypatch, D, t_mix, H, failing):
-        from types import SimpleNamespace
-
-        from amdp_lab import reduction
-
-        monkeypatch.setattr(reduction, "_analysis",
-                            lambda m: (D, t_mix, SimpleNamespace(H=H)))
-        with pytest.raises(ArithmeticError, match=failing):
-            structural_parameters(two_state_slow_chain(7))
-
-    def test_over_budget_raises_before_solving(self, monkeypatch):
-        from amdp_lab import chains, solvers
-
-        def no_solve(m):
-            raise AssertionError("the optimum was solved before the budget check")
-
-        m = random_mdp(4, 3, seed=0)  # 81 policies
-        monkeypatch.setattr(chains, "ENUMERATION_BUDGET", 80)
-        monkeypatch.setattr(solvers, "amdp_optimal", no_solve)
-        with pytest.raises(EnumerationBudgetError):
-            structural_parameters(m)
+            D, t_mix, opt = solvers._analysis(m)
+            assert (D, t_mix, opt.H) == (diameter(m), mixing_time(m), amdp_optimal(m).H)
 
 
 class TestBlockSpanBound:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -237,6 +238,22 @@ class TestParams:
         assert "t_mix = 1.000000" in out
         assert "H <= 8 t_mix: pass" in out
 
+    @pytest.mark.parametrize("D, t_mix, H, failing", [
+        (2.0, math.inf, 3.0, "H <= D: FAIL"),
+        (math.inf, 0.25, 3.0, "H <= 8 t_mix: FAIL"),
+    ])
+    def test_failed_order_relation_prints_fail(self, monkeypatch, cycle_file, capsys,
+                                               D, t_mix, H, failing):
+        # params reports a failed order relation and still exits 0
+        from types import SimpleNamespace
+
+        from amdp_lab import solvers
+
+        monkeypatch.setattr(solvers, "_analysis",
+                            lambda m: (D, t_mix, SimpleNamespace(H=H)))
+        assert main(["params", "--mdp", cycle_file]) == 0
+        assert failing in capsys.readouterr().out.splitlines()
+
 
 class TestHardgen:
     def test_writes_valid_file(self, tmp_path, capsys):
@@ -420,6 +437,14 @@ class TestReduce:
 
 SAMPLING_COMMANDS = [["reduce", "--N", "100"],
                      ["experiment", "--N", "100", "--trials", "2"]]
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["experiment", "--trials", "2"]])
+def test_zero_N_exits_2_naming_N(command, m1_file, tmp_path, capsys):
+    assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--N", "0",
+                           "--seed", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: N (samples per pair) must be at least 1, got 0\n"
 
 
 class TestOptimumSolvedOnce:

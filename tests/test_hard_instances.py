@@ -12,7 +12,6 @@ from amdp_lab import (
     closed_form_component_gain,
     diameter,
     hard_instance,
-    is_communicating,
     validate_mdp,
     write_mdp,
 )
@@ -124,10 +123,6 @@ class TestM0:
     def test_diameter_within_bound(self):
         assert diameter(hard_instance(SPEC14)) <= 32.0 + 1e-9
         assert diameter(hard_instance(SPEC6)) <= 32.0 + 1e-9
-
-    def test_communicating(self):
-        assert is_communicating(hard_instance(SPEC14))
-        assert is_communicating(hard_instance(SPEC6))
 
     def test_all_rows_valid_and_deterministic_outside_components(self):
         m = hard_instance(SPEC6)

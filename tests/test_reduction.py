@@ -18,7 +18,6 @@ from amdp_lab import (
     dmdp_policy_iteration,
     dmdp_value_iteration,
     empirical_error,
-    failure_rate,
     gamma_for_accuracy,
     induce_chain,
     perturb_rewards,
@@ -263,7 +262,6 @@ class TestEmpiricalError:
         params = reduction_params(0.5, 0.1, 1.0, 3, 2, n_override=1)
         records = empirical_error(GenerativeModel(truth, 3), params, 5)
         assert all(rec.gap == pytest.approx(0.0, abs=1e-9) for rec in records)
-        assert failure_rate(records, 0.5) == 0.0
         assert empirical_error(GenerativeModel(truth, 3), params, 0) == []
 
     def test_single_action_truth_zero_gap(self):
@@ -302,10 +300,6 @@ class TestEmpiricalError:
                 assert all(isinstance(rec.wallclock_ms, int) and rec.wallclock_ms >= 0
                            for rec in records)
             assert len({gap for _, gap in expected}) > 1
-
-    def test_failure_rate_requires_records(self):
-        with pytest.raises(ValueError):
-            failure_rate([], 0.1)
 
 
 class TestCsv:

@@ -13,7 +13,6 @@ from amdp_lab import (
     dmdp_policy_iteration,
     dmdp_policy_value,
     dmdp_value_iteration,
-    h_gamma_star,
     induce_chain,
     is_weakly_communicating,
     relative_value_iteration,
@@ -666,16 +665,21 @@ class TestBiasOptimalPolicyIteration:
         assert calls["_gain_bias"] == 2 * calls["_stationary"] >= 2
 
 
+def shifted_value(m, gamma, opt):
+    """V*_gamma - gain / (1 - gamma), from the exact discounted solve."""
+    return dmdp_policy_iteration(m, gamma)[1] - opt.gain / (1.0 - gamma)
+
+
 class TestHGammaStar:
     def test_self_loop_is_zero(self, self_loop):
         opt = amdp_optimal(self_loop)
         for gamma in GAMMAS:
-            h = h_gamma_star(self_loop, gamma, opt)
+            h = shifted_value(self_loop, gamma, opt)
             assert abs(h[0]) < 1e-8
 
     def test_cycle_closed_form(self, cycle):
         opt = amdp_optimal(cycle)
-        h = h_gamma_star(cycle, 0.9, opt)
+        h = shifted_value(cycle, 0.9, opt)
         expected = np.array([1 / (1 - 0.81), 0.9 / (1 - 0.81)]) - 0.5 / 0.1
         np.testing.assert_allclose(h, expected, atol=1e-7)
 
@@ -684,7 +688,7 @@ class TestHGammaStar:
             m = random_mdp(5, 3, seed=seed)
             opt = amdp_optimal(m)
             for gamma in (0.9, 0.99):
-                h = h_gamma_star(m, gamma, opt)
+                h = shifted_value(m, gamma, opt)
                 lookahead = m.rewards + gamma * np.einsum(
                     "sat,t->sa", m.transitions, h)
                 resid = np.max(np.abs(opt.gain + h - lookahead.max(axis=1)))
@@ -695,7 +699,7 @@ class TestHGammaStar:
         for _, m in standard_corpus(count=20, master_seed=31):
             opt = amdp_optimal(m)
             for gamma in (0.9, 0.99):
-                h = h_gamma_star(m, gamma, opt)
+                h = shifted_value(m, gamma, opt)
                 assert (np.max(np.abs(opt.bias - h))
                         <= np.max(np.abs(opt.bias)) + 1e-7)
 

@@ -1,5 +1,6 @@
 """Line trace of src/amdp_lab: which executable lines no command, bench op,
-demo or test reaches, and which only the tests reach.
+demo or test reaches, which the demos reach first, and which only the
+tests reach.
 
 Run from the repository root:
 
@@ -12,8 +13,10 @@ amdp_lab.cli`` through runpy), the seed-7 op lists of the certify_corpus,
 reduce_sweep and large_instance workloads from ``bench/run.py``'s
 ``prepare``, the demos, and pytest over tests/ and bench/test_bench.py.  Executable lines are the line
 numbers of every code object compiled from each file.  Prints each
-unreached line and their count, then each line first reached under pytest
-(after every other input ran) and their count; takes a few minutes.
+unreached line and their count, then each line first reached by the demos
+(after the commands and bench ops ran) and their count, then each line
+first reached under pytest (after every other input ran) and their count;
+takes a few minutes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "amdp_lab"
 hits: set[tuple[str, int]] = set()
+before_demos: set[tuple[str, int]] = set()
 before_tests: set[tuple[str, int]] = set()
 
 
@@ -74,6 +78,7 @@ def _run_inputs(work: Path) -> None:
         for op in ops:
             _quiet(cli.main, list(op.argv))
 
+    before_demos.update(hits)
     for demo in sorted((ROOT / "demos").glob("*.py")):
         os.chdir(work)
         _quiet(runpy.run_path, str(demo), {}, "__main__")
@@ -102,16 +107,20 @@ def main() -> int:
             _run_inputs(Path(work))
     finally:
         sys.settrace(None)
-    unreached, tests_only = [], []
+    unreached, demos_first, tests_only = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         lines = _executable(path)
         reached = {n for f, n in hits if f == str(path)}
         earlier = {n for f, n in before_tests if f == str(path)}
+        before = {n for f, n in before_demos if f == str(path)}
         unreached += [(path.name, n, source[n - 1].strip()) for n in sorted(lines - reached)]
+        demos_first += [(path.name, n, source[n - 1].strip())
+                        for n in sorted((lines & earlier) - before)]
         tests_only += [(path.name, n, source[n - 1].strip())
                        for n in sorted((lines & reached) - earlier)]
-    for label, found in (("unreached", unreached), ("reached only by tests", tests_only)):
+    for label, found in (("unreached", unreached), ("reached first by demos", demos_first),
+                         ("reached only by tests", tests_only)):
         for name, line, text in found:
             print(f"{name}:{line}: {text}")
         print(f"{len(found)} executable lines {label}")
