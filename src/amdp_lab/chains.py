@@ -12,6 +12,12 @@ policy's chain at once, come from one linear solve for the closed classes
 total costs, with forbidden actions (cost +inf) and terminal states
 (discount 0, cost 0) as data: it gives the hitting times to every target
 (stochastic shortest paths) and the solvers' exact discounted optimum.
+
+The mixing time needs a stationary solve only for the policies a bound
+cannot decide: _settle squares each chain to P^64, whose rows bound the
+stationary distribution's distance from its first row, and decides most
+chains from that; the rest take the exact path (_policy_batch, then
+_steps_to_mix).
 """
 
 from __future__ import annotations
@@ -45,6 +51,23 @@ MIXING_THRESHOLD = 0.5
 
 #: steps mixing_time may take before raising SolverConvergenceError
 MIXING_MAX_STEPS = 100_000
+
+#: squarings of each chunk's chains before mixing_time's bound, which reads
+#: L = P^64 (_settle).  The count changes how many chains settle, never a
+#: t_mix (zero squarings included); with six, L is close to rank one for
+#: chains that mix within a few steps, as corpus chains do, at six matrix
+#: products a chunk, and the rounding of 64 steps, about 64 S eps in l1 per
+#: row, stays far below _MARGIN
+_SQUARINGS = 6
+
+#: slack _settle adds to err before it trusts the side of MIXING_THRESHOLD
+#: a distance lies on.  Rounding moves a distance after t steps of an
+#: S-state chain by about t S eps in l1, and the exact path's stationary
+#: solve of a chain that settles by about as much.  A chain _settle steps
+#: (err < 1/2) at least halves its distance every 64 steps, so it leaves
+#: the stepping within about 2000 steps, where that rounding is under 5e-10
+#: at S <= 1000: no rounding can move a distance across this margin
+_MARGIN = 1e-7
 
 #: bytes one chunk may hold in each (chunk, S, S) float64 stack of the
 #: hitting-time solve, and in its whole working set in mixing_time (a
@@ -383,16 +406,26 @@ def mixing_time(m: TabularMdp) -> float:
 
     The policies are enumerated once and walked in chunks of
     max(1, _CHUNK_BYTES // (64 S^2)), so memory stays flat at any policy
-    count.  Each chunk is one _policy_batch, screened by one _class_periods
-    call, then stepped by _steps_to_mix; every step is per matrix or per
-    row, so t_mix does not depend on the chunk size.
+    count.  _settle decides most chains of a chunk from the rows of P^64,
+    with no stationary solve, stepping from the worst t of the chunks
+    before; the chains it leaves pending take the exact path: one
+    _policy_batch, screened by one _class_periods call, then stepped by
+    _steps_to_mix.  Settled chains are never multichain, periodic or stuck,
+    so +inf and SolverConvergenceError come from the exact path alone, and
+    every step is per matrix or per row, so t_mix does not depend on the
+    chunk size.
     """
     S = m.num_states
     policies = all_deterministic_policies(S, m.num_actions)
     step = max(1, _CHUNK_BYTES // (64 * S * S))
     worst, stuck = 0, None
     for k in range(0, len(policies), step):
-        batch = _policy_batch(m, policies[k:k + step])
+        chunk = policies[k:k + step]
+        settled, pending = _settle(m.transitions[np.arange(S), chunk], worst)
+        worst = max(worst, settled)
+        if not pending.any():
+            continue
+        batch = _policy_batch(m, chunk[pending])
         if np.any(batch.multi) or np.any(
                 _class_periods(batch.P_all > 0, batch.comm, batch.recurrent) > 1):
             return math.inf
@@ -404,6 +437,65 @@ def mixing_time(m: TabularMdp) -> float:
     if stuck is not None:
         raise stuck
     return float(worst)
+
+
+def _distance(X: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """max_u ||X[i, u] - nu[i]||_1 for each matrix i of a stack X (n, S, S)
+    and rows nu (n, S).  The row sums are one matrix-vector product, a few
+    times faster than a sum over the short last axis, and rounded in
+    another order than _steps_to_mix's, which _MARGIN covers."""
+    S = X.shape[-1]
+    rows = np.abs(X - nu[:, None, :]).reshape(-1, S) @ np.ones(S)
+    return rows.reshape(-1, S).max(axis=1)
+
+
+def _settle(P: np.ndarray, worst: int):
+    """Decide the chains P (n, S, S) of one chunk where a bound allows, with
+    no stationary solve: (t, pending), where max(worst, t) is the larger of
+    worst and the settled chains' t_mix, and pending marks the chains left
+    to the exact path.
+
+    L = P^(2^_SQUARINGS) by squaring; nu~ = L[0] and err = max_u ||L[u] -
+    nu~||_1.  The stationary nu = nu L is a mix of L's rows, so ||nu -
+    nu~||_1 <= err, and a distance to nu~ lies within err of the one to nu.
+    With err < 1/2 any two rows of L overlap, so the chain has one closed
+    class and is aperiodic: it is neither +inf nor stuck.  Such a chain is
+    stepped from t = max(worst, 1), its first power by binary powering from
+    the squares, while its distance to nu~ lies more than err + _MARGIN above
+    MIXING_THRESHOLD; the exact path's distance is then above it too, at t
+    and, since the distance to nu never rises, at every earlier step.  The
+    first step where it lies that far below is the chain's t_mix, or, at the
+    first step, an upper bound on it that is at most worst.  A chain with
+    err >= 1/2, a distance inside the band, or no decision by
+    MIXING_MAX_STEPS stays pending.
+    """
+    start = max(worst, 1)
+    X, L = None, P
+    for k in range(_SQUARINGS):
+        if start >> k & 1:
+            X = L if X is None else np.matmul(X, L)
+        L = np.matmul(L, L)
+    if start >> _SQUARINGS:
+        high = np.linalg.matrix_power(L, start >> _SQUARINGS)
+        X = high if X is None else np.matmul(X, high)
+    nu = L[:, 0, :]
+    err = _distance(L, nu)
+    pending = ~(err < MIXING_THRESHOLD)  # a nan err settles nothing
+    idx = np.flatnonzero(~pending)
+    P, X, nu, slack = P[idx], X[idx], nu[idx], err[idx] + _MARGIN
+    settled, t = 0, start
+    while idx.size and t <= MIXING_MAX_STEPS:
+        gap = _distance(X, nu) - MIXING_THRESHOLD
+        above, below = gap > slack, gap < -slack
+        if below.any():
+            settled = t
+        pending[idx[~(above | below)]] = True
+        if not above.all():
+            idx, P, X, nu, slack = (a[above] for a in (idx, P, X, nu, slack))
+        X = np.matmul(X, P)
+        t += 1
+    pending[idx] = True  # not below the band by MIXING_MAX_STEPS
+    return settled, pending
 
 
 def _steps_to_mix(P: np.ndarray, nu: np.ndarray) -> int:

@@ -3,7 +3,8 @@
 Subcommands: solve (dmdp|amdp), params, hardgen, certify, reduce,
 experiment.  Console output carries 6 decimals; files carry 12 significant
 digits.  Exit codes: 0 success, 1 when certify finds a failing
-certificate, 2 validation/configuration failure, 3 solver failure.
+certificate or params prints a failed order relation (FAIL), 2
+validation/configuration failure, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def cmd_params(args) -> int:
     print(f"H = {_fmt6(opt.H)}")
     print(f"H <= D: {'pass' if le_diameter.passed else 'FAIL'}")
     print(f"H <= 8 t_mix: {t_check}")
-    return EXIT_OK
+    return EXIT_OK if le_diameter.passed and t_check != "FAIL" else 1
 
 
 def cmd_hardgen(args) -> int:

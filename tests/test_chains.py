@@ -481,11 +481,17 @@ class TestMixingTime:
         assert values == [full_stack_mixing_time(m) for m in slow]
         assert sum(v > 100 for v in values if math.isfinite(v)) >= 2
 
-    @pytest.mark.parametrize("per_chunk", [1, 5, None])
-    def test_chunks_match_whole_batch_oracle(self, per_chunk, monkeypatch):
+    @pytest.mark.parametrize("per_chunk,margin", [
+        pytest.param(1, None, id="1"), pytest.param(5, None, id="5"),
+        pytest.param(None, None, id="None"), pytest.param(1, 1.0, id="1-exact"),
+        pytest.param(5, 1.0, id="5-exact"), pytest.param(None, 1.0, id="None-exact")])
+    def test_chunks_match_whole_batch_oracle(self, per_chunk, margin, monkeypatch):
         # chunks of 1 and 5 policies, and one chunk of every policy, against
-        # one batch of every policy's chain
+        # one batch of every policy's chain; a margin of 1.0 settles no
+        # chain, so every policy takes the exact path
         from amdp_lab import chains
+        if margin is not None:
+            monkeypatch.setattr(chains, "_MARGIN", margin)
         corpus = [m for _, m in standard_corpus(count=200, master_seed=7)]
         slow = [aperiodicity_transform(m, tau) for tau in (0.9, 0.99)
                 for m in corpus if m.num_states >= 4 and m.num_actions >= 2][::20]
@@ -552,6 +558,76 @@ class TestMixingTime:
             dists.append(np.max(np.abs(X - nu).sum(axis=1)))
             X = X @ chain.matrix
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
+
+
+def _power_bound(P: np.ndarray):
+    """(L, err) of mixing_time's bound for a stack of chains: L = P^64 by
+    numpy's own powering, err = max_u ||L[u] - L[0]||_1."""
+    from amdp_lab import chains
+    L = np.linalg.matrix_power(P, 2**chains._SQUARINGS)
+    return L, np.abs(L - L[:, :1]).sum(axis=2).max(axis=1)
+
+
+class TestMixingBound:
+    def test_stationary_within_err_of_first_row(self):
+        # nu = nu L mixes L's rows, so ||nu - L[0]||_1 <= err, up to the
+        # rounding of 64 steps and of the solve (1e-12 at S <= 6)
+        corpus = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        ms = corpus + [aperiodicity_transform(m, tau) for tau in (0.5, 0.9, 0.99)
+                       for m in corpus[:40]]
+        settled = 0
+        for m in ms:
+            batch = whole_policy_batch(m)
+            P_all, comm, recurrent = (x[~batch.multi] for x in batch[:3])
+            nu = _stationary(P_all, comm, recurrent)
+            L, err = _power_bound(P_all)
+            assert np.all(np.abs(nu - L[:, 0]).sum(axis=1) <= err + 1e-12)
+            settled += int(np.sum(err < 0.5))
+        assert settled > 100_000
+
+    def test_periodic_and_multichain_chains_stay_pending(self, cycle):
+        # two closed classes, or two cyclic subclasses, give disjoint rows
+        # of L, so err >= 1/2 and _settle leaves the chain to the exact path
+        from amdp_lab.chains import _settle
+        ms = [make_stay_or_cycle(), make_two_absorbing(), cycle] + _sparse_mdps()
+        checked = 0
+        for m in ms:
+            batch = whole_policy_batch(m)
+            periods = bfs_periods(batch.P_all > 0, batch.comm, batch.recurrent)
+            bad = batch.multi | (periods.max(axis=1) > 1)
+            if bad.any():
+                assert np.all(_power_bound(batch.P_all[bad])[1] >= 0.5)
+                assert np.all(_settle(batch.P_all[bad], 0)[1])
+                checked += int(bad.sum())
+        assert checked > 1000
+
+    @pytest.mark.parametrize("P,expected", [
+        ([[0.5, 0.5], [0.0, 1.0]], 2.0),
+        ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]], 3.0)])
+    def test_distance_exactly_half_takes_exact_path(self, P, expected):
+        # the distance is exactly 1/2 at t = expected, inside any band, so
+        # the chain is left pending and gets the exact path's t
+        from amdp_lab.chains import _settle
+        P = np.array(P)
+        assert _power_bound(P[None])[1][0] < 1e-15
+        assert _settle(P[None], 0)[1][0]
+        assert chain_mixing_time(P) == expected == power_loop_mixing_time(P)
+
+    def test_zero_squarings_match_whole_batch_oracle(self, monkeypatch):
+        # with L = P the bound settles fewer chains, and t_mix is unchanged
+        from amdp_lab import chains
+        corpus = [m for _, m in standard_corpus(count=200, master_seed=7)]
+        slow = [aperiodicity_transform(m, tau) for tau in (0.9, 0.99)
+                for m in corpus if m.num_states >= 4 and m.num_actions >= 2][::20]
+        ms = corpus + slow + [make_stay_or_cycle(), make_two_absorbing()] + _sparse_mdps()
+        expected = [whole_batch_mixing_time(m) for m in ms]
+        monkeypatch.setattr(chains, "_SQUARINGS", 0)
+        exact, batch_of = [], chains._policy_batch
+        monkeypatch.setattr(chains, "_policy_batch",
+                            lambda m, p: exact.append(len(p)) or batch_of(m, p))
+        assert [mixing_time(m) for m in ms] == expected
+        # both paths ran: some policies settled, others were solved
+        assert 0 < sum(exact) < sum(m.num_actions**m.num_states for m in ms)
 
 
 def _unichain_supports(rng, S: int, count: int) -> np.ndarray:

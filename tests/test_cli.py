@@ -244,14 +244,15 @@ class TestParams:
     ])
     def test_failed_order_relation_prints_fail(self, monkeypatch, cycle_file, capsys,
                                                D, t_mix, H, failing):
-        # params reports a failed order relation and still exits 0
+        # params reports a failed order relation and exits 1, as certify
+        # does for a failed certificate
         from types import SimpleNamespace
 
         from amdp_lab import solvers
 
         monkeypatch.setattr(solvers, "_analysis",
                             lambda m: (D, t_mix, SimpleNamespace(H=H)))
-        assert main(["params", "--mdp", cycle_file]) == 0
+        assert main(["params", "--mdp", cycle_file]) == 1
         assert failing in capsys.readouterr().out.splitlines()
 
 

@@ -9,10 +9,13 @@ Run from the repository root:
 A ``sys.settrace`` hook, installed before ``amdp_lab`` is imported,
 records every line event in a frame whose file lies under src/amdp_lab.
 The inputs are, in order: every CLI subcommand once (and ``python -m
-amdp_lab.cli`` through runpy), the seed-7 op lists of the certify_corpus,
-reduce_sweep and large_instance workloads from ``bench/run.py``'s
-``prepare``, the demos, and pytest over tests/ and bench/test_bench.py.  Executable lines are the line
-numbers of every code object compiled from each file.  Prints each
+amdp_lab.cli`` through runpy), ``params`` on the tau = 0.99 lazy
+transform of corpus-7-0010 (S6A4, whose chains mixing_time's P^64 bound
+cannot decide) and on the periodic two-state cycle, the seed-7 op lists
+of the certify_corpus, reduce_sweep and large_instance workloads from
+``bench/run.py``'s ``prepare``, the demos, and pytest over tests/ and
+bench/test_bench.py.  Executable lines are the line numbers of every code
+object compiled from each file.  Prints each
 unreached line and their count, then each line first reached by the demos
 (after the commands and bench ops ran) and their count, then each line
 first reached under pytest (after every other input ran) and their count;
@@ -55,14 +58,20 @@ def _quiet(fn, *args):
 
 
 def _run_inputs(work: Path) -> None:
-    from amdp_lab import cli
+    from amdp_lab import (aperiodicity_transform, cli, standard_corpus,
+                          two_state_cycle, write_mdp)
 
     _quiet(cli.main, ["hardgen", "--S", "6", "--A", "3", "--D", "32", "--epsilon",
                       "0.03125", "--variant", "M1", "--out", str(work)])
     mdp = str(work / "M1_S6_A3_D32_eps0.03125.json")
+    *_, (_, s6a4) = standard_corpus(count=11, master_seed=7)
+    write_mdp(aperiodicity_transform(s6a4, 0.99), work / "lazy.json")
+    write_mdp(two_state_cycle(), work / "cycle.json")
     for argv in (["solve", "dmdp", "--mdp", mdp, "--gamma", "0.9", "--out", str(work)],
                  ["solve", "amdp", "--mdp", mdp, "--out", str(work)],
                  ["params", "--mdp", mdp],
+                 ["params", "--mdp", str(work / "lazy.json")],
+                 ["params", "--mdp", str(work / "cycle.json")],
                  ["certify", "--count", "5", "--out", str(work)],
                  ["reduce", "--mdp", mdp, "--epsilon", "0.25", "--N", "100",
                   "--seed", "1", "--out", str(work)],
