@@ -513,7 +513,8 @@ def _steps_to_mix(P: np.ndarray, nu: np.ndarray) -> int:
             X, P, nu = X[pending], P[pending], nu[pending]
         X = np.matmul(X, P)
     raise SolverConvergenceError(
-        f"{len(P)} policies did not mix within {MIXING_MAX_STEPS} steps")
+        f"at least {len(P)} {'policy' if len(P) == 1 else 'policies'} did not mix within "
+        f"{MIXING_MAX_STEPS} steps (a lower bound: counted in one chunk of the policies)")
 
 
 # ---------------------------------------------------------------------------

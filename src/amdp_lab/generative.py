@@ -7,24 +7,25 @@ the master seed and (s, a) with a splitmix64-style mixer, so the sample
 sequence at one pair never depends on how calls interleave across pairs, and
 batched draws equal the same number of single draws.  The stream is built
 on the pair's first draw, from state words that NumPy's SeedSequence hash
-gives its seed; ``_seed_words`` runs that hash once over the seeds of every
-pair of every model in a batch.  A pair with one next state takes no
-uniforms and has no stream: every draw lands on that state.
+gives its seed.  A pair with one next state takes no uniforms and has no
+stream: every draw lands on that state.
 
 The empirical build needs only counts, and the counts of n independent
 draws at a pair are Multinomial(n, P(.|s, a)) over its support: the build
-draws them as one ``Generator.multinomial`` on the pair's stream, on one
-thread, at a cost that does not grow with n.  So after a build a pair's
-stream is not where ``sample_counter[s, a]`` uniform draws would leave it,
-and the bits of the counts follow NumPy's stream-compatibility policy for
-``Generator`` methods, not only the PCG64 bit stream.
+draws them as one ``Generator.multinomial`` on the pair's stream, at a cost
+that does not grow with n.  ``_sample_trials`` samples an experiment's
+trials as arrays, with no model per trial, from one ``_seed_words`` pass
+over every trial's streams.  After a build a pair's stream is not where
+``sample_counter[s, a]`` uniform draws would leave it, and the bits of the
+counts follow NumPy's stream-compatibility policy for ``Generator``
+methods, not only the PCG64 bit stream.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Iterator
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,8 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     every s of a uint64 array, as C-contiguous (..., 4) words: NumPy's
     documented, stream-stable SeedSequence hash run on uint32 arrays.  A
     64-bit seed's entropy is its low and high 32-bit words, and the pool of
-    4 pads it with zeros, so seeds below 2**32 (0 included) take the same
-    path."""
+    4 pads it with zeros, so seeds below 2**32 (0 included) take the
+    same path.  One call serves every stream of a batch of trials."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     flat = seeds.reshape(-1)
     pool = np.zeros((4, flat.size), dtype=np.uint32)
@@ -143,33 +144,43 @@ class RngSeedSpec:
 
 class _PairTables:
     """What every model of one truth shares, worked out once: the states
-    with positive mass, the first of them at every pair, and for each pair
-    with two or more (in (s, a) order) its index among them, its support
-    states, the CDF at all but the last of them, and its probabilities
-    scaled to sum to 1, so that a row within mdp.PROB_TOL of 1 passes
-    multinomial's check that sum(pvals[:-1]) <= 1."""
+    with positive mass, and for each pair with two or more (in (s, a)
+    order) its index among them, its support states, the CDF at all but
+    the last of them, and its probabilities scaled to sum to 1 (summed over
+    the support alone, rows of one support size at once), so that a row
+    within mdp.PROB_TOL of 1 passes multinomial's check that
+    sum(pvals[:-1]) <= 1; and flat, those support states' positions in a
+    flattened (S, A, S) array, pair after pair."""
 
     def __init__(self, P: np.ndarray):
         self.positive = P > 0
-        self.first = np.argmax(self.positive, axis=2)
-        self.multi = np.count_nonzero(self.positive, axis=2) > 1
-        cum = np.cumsum(P, axis=2)
-        self.rows = {}
-        for i, (s, a) in enumerate(zip(*np.nonzero(self.multi))):
-            support = np.flatnonzero(self.positive[s, a])
-            p = P[s, a, support]
-            self.rows[int(s), int(a)] = (i, support, cum[s, a, support[:-1]], p / p.sum())
+        size = np.count_nonzero(self.positive, axis=2)
+        self.multi = size > 1
+        positive, P, cum, size = (x[self.multi] for x in (
+            self.positive, P, np.cumsum(P, axis=2), size))
+        pair, state = np.nonzero(positive)
+        self.flat = np.flatnonzero(self.multi)[pair] * P.shape[-1] + state
+        rows = [None] * len(size)
+        for k in np.flatnonzero(np.bincount(size)):  # the support sizes present
+            index = np.flatnonzero(size == k)
+            support = np.nonzero(positive[index])[1].reshape(-1, k)
+            p = np.take_along_axis(P[index], support, axis=1)
+            bounds = np.take_along_axis(cum[index], support[:, :-1], axis=1)
+            for i, *row in zip(index.tolist(), support, bounds, p / p.sum(axis=1)[:, None]):
+                rows[i] = (i, *row)
+        self.rows = dict(zip(zip(*(x.tolist() for x in np.nonzero(self.multi))), rows))
 
-    def derive(self, specs: list[RngSeedSpec]) -> np.ndarray:
-        """The (K, M, 4) state words of the M multi-state pairs'
-        transition seeds under each of K specs: the seeds from splitmix64
-        on uint64 arrays, their words from one _seed_words call."""
+    def derive(self, masters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The state words of the streams of masters (K,) uint64, from one
+        _seed_words pass: (K, M, 4) at the M multi-state pairs, (K, 4) reward."""
         S, A = self.multi.shape
-        x = np.array([derive_seed(spec.master_seed, _TAG_TRANSITION) for spec in specs],
-                     dtype=np.uint64)[:, None, None]
-        x = splitmix64(x ^ np.arange(S, dtype=np.uint64)[:, None])
-        seeds = splitmix64(x ^ np.arange(A, dtype=np.uint64))
-        return _seed_words(seeds[:, self.multi])
+        x = splitmix64(masters)[:, None]
+        pairs = splitmix64(splitmix64(x ^ _TAG_TRANSITION)[:, :, None]
+                           ^ np.arange(S, dtype=np.uint64)[:, None])
+        pairs = splitmix64(pairs ^ np.arange(A, dtype=np.uint64))
+        words = _seed_words(np.concatenate(
+            [pairs[:, self.multi], splitmix64(x ^ _TAG_REWARD)], axis=1))
+        return words[:, :-1], words[:, -1]
 
 
 class GenerativeModel:
@@ -178,35 +189,29 @@ class GenerativeModel:
     Exposes sizes, the (known) reward table and next-state draws.  The true
     transition tensor is deliberately kept off the public surface.  Each
     multi-state pair's stream is ``Generator(PCG64(transition_seed(s, a)))``,
-    built on its first draw from state words that one vectorized
-    SeedSequence pass gives, run at the model's first draw; models of one
-    truth made by ``_models`` share its per-pair tables and one pass.
+    built on its first draw from the state words of one _PairTables.derive.
     """
 
     def __init__(self, truth: TabularMdp, seed_spec: RngSeedSpec | int):
         if not isinstance(seed_spec, RngSeedSpec):
             seed_spec = RngSeedSpec(operator.index(seed_spec))
-        self._bind(truth, seed_spec, _PairTables(truth.transitions), None)
-
-    def _bind(self, truth, seed_spec, tables, words) -> None:
         self._truth = truth
         self.seed_spec = seed_spec
         self.num_states = truth.num_states
         self.num_actions = truth.num_actions
         self.rewards = truth.rewards
-        self.sample_counter = np.zeros((truth.num_states, truth.num_actions),
-                                       dtype=np.int64)
-        self._tables = tables
-        self._words = words  # (M, 4) multi-state pairs' state words; None until a draw
+        self.sample_counter = np.zeros(truth.rewards.shape, dtype=np.int64)
+        self._tables = _PairTables(truth.transitions)
+        self._words = None  # (M, 4) multi-state pairs' state words; None until a draw
         self._streams: dict[tuple[int, int], np.random.Generator] = {}
 
     def _stream(self, s: int, a: int, index: int) -> np.random.Generator:
         gen = self._streams.get((s, a))
         if gen is None:
             if self._words is None:
-                (self._words,) = self._tables.derive([self.seed_spec])
-            gen = self._streams[s, a] = np.random.Generator(
-                np.random.PCG64(_state_words_type()(self._words[index])))
+                master = operator.index(self.seed_spec.master_seed) & _MASK64
+                self._words = self._tables.derive(np.array([master], np.uint64))[0][0]
+            gen = self._streams[s, a] = _generator(self._words[index])
         return gen
 
     def sample_batch(self, s: int, a: int, n: int) -> np.ndarray:
@@ -220,45 +225,45 @@ class GenerativeModel:
         self.sample_counter[s, a] += n
         row = self._tables.rows.get((s, a))
         if row is None:
-            return np.full(n, int(self._tables.first[s, a]))
+            return np.full(n, int(np.argmax(self._tables.positive[s, a])))
         index, support, bounds, _ = row
         u = self._stream(s, a, index).random(n)
         return support[np.searchsorted(bounds, u, side="right")]
 
 
-def _models(gm: GenerativeModel, seeds: list[int]) -> Iterator[GenerativeModel]:
-    """A model of gm's truth at each master seed, in order, each made when
-    it is asked for: they share gm's per-pair tables, and the state words of
-    all of them come from one _seed_words call, the batch of which a
-    GenerativeModel's first draw is the one-seed case."""
-    specs = [RngSeedSpec(operator.index(seed)) for seed in seeds]
-    for spec, words in zip(specs, gm._tables.derive(specs)):
-        model = GenerativeModel.__new__(GenerativeModel)
-        model._bind(gm._truth, spec, gm._tables, words)
-        yield model
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """``Generator(PCG64(seed))`` from the seed's (4,) state words."""
+    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
+
+
+def _draw(tables: _PairTables, n: int, stream, counts: np.ndarray) -> None:
+    """The per-pair draw loop of every build: write into counts (S, A, S) one
+    multinomial(n, p) at each multi-state pair, on stream(s, a, index)."""
+    if tables.rows:
+        np.put(counts, tables.flat, np.concatenate([
+            stream(s, a, index).multinomial(n, p)
+            for (s, a), (index, _, _, p) in tables.rows.items()]))
 
 
 def build_empirical(gm: GenerativeModel, n_per_pair: int,
                     perturbed_rewards: np.ndarray) -> TabularMdp:
-    """The empirical MDP of n_per_pair draws at every (s, a), with the given
-    (possibly perturbed) rewards and metadata["empirical_n"] = n_per_pair.
-    Pairs with one next state are filled in one assignment; each other
-    pair's counts are one multinomial(n_per_pair, p) on its stream, p its
-    support probabilities.  Every pair's sample_counter rises by
-    n_per_pair."""
+    """The empirical MDP of n_per_pair draws at every (s, a) on gm's
+    streams (_draw), with the given (possibly perturbed) rewards and
+    metadata["empirical_n"] = n_per_pair.  Every pair's sample_counter
+    rises by n_per_pair."""
     if n_per_pair < 1:
         raise ValueError("n_per_pair must be at least 1")
     counts = gm._tables.positive * n_per_pair
-    for (s, a), (index, support, _, p) in gm._tables.rows.items():
-        counts[s, a, support] = gm._stream(s, a, index).multinomial(n_per_pair, p)
+    _draw(gm._tables, n_per_pair, gm._stream, counts)
     gm.sample_counter += n_per_pair
     return TabularMdp(gm.num_states, gm.num_actions, counts / float(n_per_pair),
                       np.asarray(perturbed_rewards, dtype=float),
                       metadata={"empirical_n": n_per_pair})
 
 
-def perturb_rewards(rewards: np.ndarray, xi: float, seed: int) -> np.ndarray:
-    """Add i.i.d. Unif(0, xi) noise to every reward entry.
+def perturb_rewards(rewards: np.ndarray, xi: float, seed) -> np.ndarray:
+    """Add i.i.d. Unif(0, xi) noise to every reward entry, drawn on
+    ``Generator(PCG64(seed))``, seed an int or a seed sequence.
 
     Zero draws are rejected and redrawn so the perturbation is strictly
     positive, matching the open interval; the result is a new array.
@@ -272,3 +277,21 @@ def perturb_rewards(rewards: np.ndarray, xi: float, seed: int) -> np.ndarray:
         redraw = u == 0.0
         u[redraw] = gen.random(int(redraw.sum()))
     return rewards + xi * u
+
+
+def _sample_trials(gm: GenerativeModel, n_per_pair: int, xi: float, trials: int):
+    """Algorithm 1's sampling half at gm's first K trial seeds: seeds (K,),
+    counts (K, S, A, S), rewards (K, S, A) and each trial's own seconds
+    (K,); trial k has the bits of build_empirical and perturb_rewards on
+    GenerativeModel(truth, seeds[k]), and gm draws nothing."""
+    seeds = splitmix64(np.uint64(derive_seed(gm.seed_spec.master_seed, _TAG_TRIAL))
+                       ^ np.arange(trials, dtype=np.uint64))
+    words, reward_words = gm._tables.derive(seeds)
+    counts = np.repeat((gm._tables.positive * n_per_pair)[None], trials, axis=0)
+    rewards, seconds = np.empty((trials, *gm.rewards.shape)), np.empty(trials)
+    for k, (w, reward) in enumerate(zip(words, reward_words)):
+        start = time.perf_counter()
+        _draw(gm._tables, n_per_pair, lambda s, a, i: _generator(w[i]), counts[k])
+        rewards[k] = perturb_rewards(gm.rewards, xi, _state_words_type()(reward))
+        seconds[k] = time.perf_counter() - start
+    return seeds, counts, rewards, seconds

@@ -94,22 +94,17 @@ def reduction_params(epsilon: float, delta: float, H_bound: float,
 
 def algorithm1(gm: GenerativeModel, params: ReductionParams) -> DeterministicPolicy:
     """Algorithm 1 on one model: the exact discounted-optimal policy of its
-    perturbed empirical MDP, _plan of one _sample."""
-    return DeterministicPolicy(_plan([_sample(gm, params)], params.gamma)[0])
-
-
-def _sample(gm: GenerativeModel, params: ReductionParams) -> TabularMdp:
-    """Algorithm 1's sampling half: the perturbed-reward empirical MDP."""
+    perturbed empirical MDP, drawn on gm's streams; _plan with K = 1."""
     r_p = perturb_rewards(gm.rewards, params.xi, gm.seed_spec.reward_seed())
-    return build_empirical(gm, params.n_per_pair, r_p)
+    emp = build_empirical(gm, params.n_per_pair, r_p)
+    return DeterministicPolicy(
+        _plan(emp.transitions[None], emp.rewards[None], params.gamma)[0])
 
 
-def _plan(emps: list[TabularMdp], gamma: float) -> np.ndarray:
-    """Algorithm 1's planning half: the optimal actions (K, S) of K
-    same-shape models, from one policy iteration over their stack."""
-    Q = solvers._dmdp_optimal_q(np.stack([e.transitions for e in emps]),
-                                np.stack([e.rewards for e in emps]), gamma)
-    return np.argmax(Q, axis=-1)
+def _plan(P: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray:
+    """Algorithm 1's planning half: the optimal actions (K, S) of K models,
+    P (K, S, A, S) and r (K, S, A), from one policy iteration over them."""
+    return np.argmax(solvers._dmdp_optimal_q(P, r, gamma), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +325,11 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
     """Run the sampled reduction once per derived trial seed and record the
     exact gap rho* - min_s rho^{pi_hat}(s) for each run, in trial order.
 
-    The trial models share gm's per-pair tables and one seed-word pass
-    (generative._models).  The trials _sample one after another on this
-    thread, each at a cost that does not grow with n_per_pair; one _plan
-    solves all trials, and one batched gain evaluation on the hidden truth
-    (never the samples) gives the gaps, with the bits of algorithm1 run
-    once per trial.
+    generative._sample_trials draws the trials as arrays on this thread,
+    each at a cost that does not grow with n_per_pair; one _plan solves
+    them all, and one batched gain evaluation on the hidden truth (never
+    the samples) gives the gaps, with the bits of algorithm1 run once per
+    trial on GenerativeModel(truth, trial seed).
     """
     if trials < 1:
         return []
@@ -343,20 +337,16 @@ def empirical_error(gm: GenerativeModel, params: ReductionParams,
     if opt is None:
         opt = amdp_optimal(truth)
     rho_star = float(np.max(opt.gain))
-    seeds = [gm.seed_spec.trial_seed(trial) for trial in range(trials)]
-
-    def sample(model: GenerativeModel):  # (empirical MDP, seconds it took)
-        start = time.perf_counter()
-        return _sample(model, params), time.perf_counter() - start
-
-    emps, seconds = zip(*map(sample, generative._models(gm, seeds)))
+    n = params.n_per_pair
+    seeds, counts, rewards, seconds = generative._sample_trials(gm, n, params.xi, trials)
     start = time.perf_counter()
-    P_pi, r_pi = chains.induced_chain_batch(truth, _plan(emps, params.gamma))
+    P_pi, r_pi = chains.induced_chain_batch(
+        truth, _plan(counts / float(n), rewards, params.gamma))
     gains = solvers._gain_bias(P_pi, r_pi, *chains._structure_masks(P_pi > 0)).gain
     share = (time.perf_counter() - start) / trials
     return [TrialRecord(seed=seed, gap=rho_star - float(np.min(gain)),
                         wallclock_ms=int(round(1000.0 * (own + share))))
-            for seed, gain, own in zip(seeds, gains, seconds)]
+            for seed, gain, own in zip(seeds.tolist(), gains, seconds.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,22 @@ def searchsorted_draws(row: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def per_row_pair_rows(P: np.ndarray) -> dict:
+    """generative._PairTables(P).rows worked out one pair at a time, in
+    (s, a) order: (index, support, CDF at all but the last support state,
+    support probabilities over their own sum), the loop _PairTables ran
+    before it grouped the rows by support size."""
+    positive = P > 0
+    multi = np.count_nonzero(positive, axis=2) > 1
+    cum = np.cumsum(P, axis=2)
+    rows = {}
+    for i, (s, a) in enumerate(zip(*np.nonzero(multi))):
+        support = np.flatnonzero(positive[s, a])
+        p = P[s, a, support]
+        rows[int(s), int(a)] = (i, support, cum[s, a, support[:-1]], p / p.sum())
+    return rows
+
+
 def _int_seeded_stream(gm, s: int, a: int):
     """The pair's generator in gm._streams, built there on first use as
     Generator(PCG64(int(seed))) on its transition seed, so NumPy's

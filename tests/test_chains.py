@@ -429,6 +429,23 @@ class TestMixingTime:
         monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 35)
         assert mixing_time(lazy) == 35.0
 
+    def test_stuck_message_counts_one_chunk_as_a_lower_bound(self, monkeypatch):
+        # the tau = 0.99 lazy corpus-7-0010 (S6A4) mixes in 296 steps; at a
+        # cap of 20, mixing_time steps only the first chunk that is stuck,
+        # so the count depends on the chunk size and is a lower bound
+        from amdp_lab import chains
+        m = dict(standard_corpus(count=11, master_seed=7))["corpus-7-0010"]
+        lazy = aperiodicity_transform(m, 0.99)
+        monkeypatch.setattr(chains, "MIXING_MAX_STEPS", 20)
+        tail = " did not mix within 20 steps (a lower bound: counted in one chunk"
+        with pytest.raises(SolverConvergenceError) as whole:
+            mixing_time(lazy)
+        assert str(whole.value).startswith("at least 910 policies" + tail)
+        monkeypatch.setattr(chains, "_CHUNK_BYTES", 64 * lazy.num_states**2)
+        with pytest.raises(SolverConvergenceError) as one:
+            mixing_time(lazy)
+        assert str(one.value).startswith("at least 1 policy" + tail)
+
     def test_periodic_policy_found_among_aperiodic_ones(self):
         # only the policies moving at state 0 leave the 2-cycle periodic
         m = make_stay_or_cycle()

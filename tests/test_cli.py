@@ -470,14 +470,14 @@ class TestOptimumSolvedOnce:
     @pytest.mark.parametrize("H", ["0.5", "big"])
     def test_bad_H_exits_2_before_sampling(self, command, H, m1_file, tmp_path,
                                            monkeypatch, capsys):
-        from amdp_lab import reduction
+        from amdp_lab import generative
 
         def no_sampling(*a, **kw):
             raise AssertionError("sampled before --H was checked")
 
-        # the sampling half, which reduce (through algorithm1) and
-        # experiment both run
-        monkeypatch.setattr(reduction, "_sample", no_sampling)
+        # the per-pair draw loop, which reduce (through algorithm1 and
+        # build_empirical) and experiment (through _sample_trials) both run
+        monkeypatch.setattr(generative, "_draw", no_sampling)
         assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
                                "--seed", "5", "--out", str(tmp_path)]) == 2
         assert "--H" in capsys.readouterr().err
@@ -592,12 +592,12 @@ class TestReductionInputs:
     def test_non_finite_H_exits_2_before_sampling(self, command, H, m1_file,
                                                   tmp_path, monkeypatch, capsys):
         # gamma = 1 - eps / (12 H) would be 1 (or nan) at such an H
-        from amdp_lab import reduction
+        from amdp_lab import generative
 
         def no_sampling(*a, **kw):
             raise AssertionError("sampled with a non-finite H bound")
 
-        monkeypatch.setattr(reduction, "_sample", no_sampling)
+        monkeypatch.setattr(generative, "_draw", no_sampling)
         assert main(command + ["--mdp", m1_file, "--epsilon", "0.25", "--H", H,
                                "--seed", "5", "--out", str(tmp_path)]) == 2
         assert "H_bound must be finite" in capsys.readouterr().err

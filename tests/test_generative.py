@@ -32,6 +32,7 @@ from oracles import (
     int_seeded_multinomial_counts,
     multinomial_pmf,
     per_pair_empirical,
+    per_row_pair_rows,
     searchsorted_draws,
     uniform_tally_empirical,
 )
@@ -359,6 +360,37 @@ def law_truth():
     return TabularMdp(4, 1, P, np.zeros((4, 1)))
 
 
+def batch_trial_counts(truth, master, n, trials):
+    """The (trials, S, A, S) counts of the trial batch of a model at master:
+    one multinomial per multi-state pair on each trial seed's streams."""
+    return generative._sample_trials(GenerativeModel(truth, master), n, 0.0, trials)[1]
+
+
+def per_model_tally_counts(truth, master, n, trials):
+    """The counts of the per-draw oracle build, uniform_tally_empirical, on
+    one model per trial seed of master."""
+    return [build_counts(GenerativeModel(truth, RngSeedSpec(master).trial_seed(t)),
+                         n, uniform_tally_empirical) for t in range(trials)]
+
+
+def prob_tol_truth():
+    """Rows whose sums miss 1 by up to PROB_TOL, one of them with an entry
+    above 1, which multinomial rejects as given, at every pair."""
+    rows = [[1 + 0.9 * PROB_TOL, 1e-300, 0.0], [0.3, 0.7 - 0.9 * PROB_TOL, 0.0],
+            [0.5 + 0.45 * PROB_TOL, 0.5 + 0.45 * PROB_TOL, 1e-300],
+            [0.1, 0.2, 0.7 - 0.9 * PROB_TOL]]
+    P = np.zeros((3, 4, 3))
+    P[:, :] = rows
+    return TabularMdp(3, 4, P, np.zeros((3, 4)))
+
+
+def theory_n_truth():
+    """M1 S6A3 at D = 1e4, eps = 1/128, and the paper's sample size there."""
+    truth = hard_instance(HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 128,
+                                           variant="M1"))
+    return truth, reduction_params(1 / 128, 0.1, amdp_optimal(truth).H, 6, 3).n_per_pair
+
+
 class TestCountLaw:
     # fixed before the test was first run: N, the trials, their seeds (the
     # trial seeds of master 2024) and a threshold of df + 6 sqrt(2 df) on
@@ -368,15 +400,13 @@ class TestCountLaw:
     TRIALS = 6000
     MASTER = 2024
 
-    @pytest.mark.parametrize("build", [build_empirical, uniform_tally_empirical],
+    @pytest.mark.parametrize("sample", [batch_trial_counts, per_model_tally_counts],
                              ids=["multinomial", "uniform_tally_oracle"])
-    def test_counts_follow_exact_multinomial_pmf(self, build):
+    def test_counts_follow_exact_multinomial_pmf(self, sample):
         truth = law_truth()
         P = truth.transitions
-        seeds = [RngSeedSpec(self.MASTER).trial_seed(t) for t in range(self.TRIALS)]
         tallies = {(0, 0): Counter(), (1, 0): Counter()}
-        for model in generative._models(GenerativeModel(truth, 0), seeds):
-            counts = build_counts(model, self.N, build)
+        for counts in sample(truth, self.MASTER, self.N, self.TRIALS):
             assert np.array_equal(counts[2:], P[2:] * self.N)
             for (s, a), tally in tallies.items():
                 support = P[s, a] > 0
@@ -392,15 +422,11 @@ class TestCountLaw:
     def test_rows_within_prob_tol_of_one(self):
         # rows whose sums miss 1 by up to PROB_TOL, one of them with an
         # entry above 1, which multinomial rejects as given
-        rows = [[1 + 0.9 * PROB_TOL, 1e-300, 0.0], [0.3, 0.7 - 0.9 * PROB_TOL, 0.0],
-                [0.5 + 0.45 * PROB_TOL, 0.5 + 0.45 * PROB_TOL, 1e-300],
-                [0.1, 0.2, 0.7 - 0.9 * PROB_TOL]]
-        P = np.zeros((3, 4, 3))
-        P[:, :] = rows
-        truth = TabularMdp(3, 4, P, np.zeros((3, 4)))
+        truth = prob_tol_truth()
+        P = truth.transitions
         assert validate_mdp(truth) == []
         with pytest.raises(ValueError):
-            np.random.Generator(np.random.PCG64(0)).multinomial(10, rows[0][:2])
+            np.random.Generator(np.random.PCG64(0)).multinomial(10, P[0, 0, :2])
         for N in (1, 1000, 10**5):
             counts = build_counts(GenerativeModel(truth, N), N)
             assert np.all(counts.sum(axis=2) == N)
@@ -409,10 +435,7 @@ class TestCountLaw:
     def test_theory_n_counts_are_exact(self):
         # the paper's sample size on M1 S6A3 at D = 1e4, eps = 1/128 is
         # above 2**32 per pair: the counts are int64 and sum to it exactly
-        truth = hard_instance(HardInstanceSpec(S=6, A=3, D=1e4, epsilon=1 / 128,
-                                               variant="M1"))
-        params = reduction_params(1 / 128, 0.1, amdp_optimal(truth).H, 6, 3)
-        N = params.n_per_pair
+        truth, N = theory_n_truth()
         assert N > 2**33
         fast, slow = GenerativeModel(truth, 3), GenerativeModel(truth, 3)
         emp = build_empirical(fast, N, truth.rewards)
@@ -453,42 +476,55 @@ class TestStreamWords:
 
     @pytest.mark.parametrize("master", [0, 2**64 - 1])
     def test_stream_states_match_int_seeded_pcg64(self, master):
-        # every pair's stream, from one model or from a batch of models,
-        # starts where PCG64(transition_seed(s, a)) starts
-        spec = RngSeedSpec(master)
+        # every pair's stream, from one model or from one batch pass over two
+        # master seeds, starts where PCG64(transition_seed(s, a)) starts, and
+        # the pass's reward streams where PCG64(reward_seed()) starts
+        specs = [RngSeedSpec(1), RngSeedSpec(master)]
         for S, A in ((2, 1), (7, 3), (200, 3)):
             gm = GenerativeModel(uniform_truth(S, A), master)
-            batch = list(generative._models(gm, [1, master]))
-            assert [model.seed_spec for model in batch] == [RngSeedSpec(1), spec]
-            for s, a in itertools.product(range(S), range(A)):
-                expected = np.random.PCG64(spec.transition_seed(s, a)).state
-                for model in (gm, batch[1]):
-                    model.sample_batch(s, a, 0)
-                    assert model._streams[s, a].bit_generator.state == expected
+            words, reward_words = gm._tables.derive(np.array([1, master], dtype=np.uint64))
+            assert words.shape == (2, S * A, 4) and reward_words.shape == (2, 4)
+            for spec, pair_words, reward in zip(specs, words, reward_words):
+                assert (generative._generator(reward).bit_generator.state
+                        == np.random.PCG64(spec.reward_seed()).state)
+                for index, (s, a) in enumerate(itertools.product(range(S), range(A))):
+                    expected = np.random.PCG64(spec.transition_seed(s, a)).state
+                    assert (generative._generator(pair_words[index]).bit_generator.state
+                            == expected)
+                    if spec == gm.seed_spec:
+                        gm.sample_batch(s, a, 0)
+                        assert gm._streams[s, a].bit_generator.state == expected
 
     def test_build_and_counts_match_int_seeded_oracle(self):
-        # a build's counts and stream states equal those of one multinomial
-        # per multi-state pair on streams seeded through PCG64(int(seed)),
-        # for one model and for a batch, and sample_batch's draws equal
-        # uniforms tallied on such streams
+        # a build's counts and stream states, and the counts of each trial of
+        # a batch, equal those of one multinomial per multi-state pair on
+        # streams seeded through PCG64(int(seed)); a batch trial's rewards
+        # are perturb_rewards' at its reward seed; and sample_batch's draws
+        # equal uniforms tallied on such streams
         truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
                   *(random_support_truth(7, 3, seed) for seed in range(5))]
         masters = [0, 9, 2**64 - 1]
         for truth, N in itertools.product(truths, (1, 37, 5000)):
             S, A = truth.num_states, truth.num_actions
             rewards = perturb_rewards(truth.rewards, 1e-3, N)
-            batch = generative._models(GenerativeModel(truth, 1), masters)
-            for master, member in zip(masters, batch):
-                for fast in (GenerativeModel(truth, master), member):
-                    slow = GenerativeModel(truth, master)
-                    emp = build_empirical(fast, N, rewards)
-                    ref = per_pair_empirical(slow, N, rewards,
-                                             int_seeded_multinomial_counts)
-                    assert np.array_equal(emp.transitions, ref.transitions)
-                    assert np.array_equal(emp.rewards, ref.rewards)
-                    assert emp.metadata == ref.metadata
-                    assert np.array_equal(fast.sample_counter, slow.sample_counter)
-                    assert_same_streams(fast, slow)
+            for master in masters:
+                fast = GenerativeModel(truth, master)
+                slow = GenerativeModel(truth, master)
+                emp = build_empirical(fast, N, rewards)
+                ref = per_pair_empirical(slow, N, rewards, int_seeded_multinomial_counts)
+                assert np.array_equal(emp.transitions, ref.transitions)
+                assert np.array_equal(emp.rewards, ref.rewards)
+                assert emp.metadata == ref.metadata
+                assert np.array_equal(fast.sample_counter, slow.sample_counter)
+                assert_same_streams(fast, slow)
+                seeds, counts, trial_rewards, _ = generative._sample_trials(
+                    GenerativeModel(truth, master), N, 1e-3, 3)
+                for seed, trial_counts, trial_r in zip(seeds.tolist(), counts, trial_rewards):
+                    slow = GenerativeModel(truth, seed)
+                    ref = per_pair_empirical(slow, N, rewards, int_seeded_multinomial_counts)
+                    assert np.array_equal(trial_counts / float(N), ref.transitions)
+                    assert np.array_equal(trial_r, perturb_rewards(
+                        truth.rewards, 1e-3, slow.seed_spec.reward_seed()))
                 fast = GenerativeModel(truth, master)
                 slow = GenerativeModel(truth, master)
                 for s, a, n in itertools.product(range(S), range(A), (N, 13)):
@@ -500,18 +536,22 @@ class TestStreamWords:
 
     def test_words_derived_at_first_draw(self):
         # a model works out its pairs' state words at its first draw, as the
-        # one-seed case of the batch pass; _models hands every member the
-        # words of the batch's pass, and the model it is given draws nothing
+        # one-seed case of the batch pass; a trial batch takes each trial's
+        # words from its own pass, those a model of that trial seed derives,
+        # and the model it is given draws nothing
         truth = hard_m1(6, 3)
         gm = GenerativeModel(truth, 5)
-        (member,) = generative._models(gm, [5])
-        (expected,) = gm._tables.derive([RngSeedSpec(5)])
-        assert gm._words is None and np.array_equal(member._words, expected)
-        emp = build_empirical(gm, 10, truth.rewards)
+        (expected,), _ = gm._tables.derive(np.array([5], dtype=np.uint64))
+        seeds, counts, _, _ = generative._sample_trials(gm, 10, 0.0, 2)
+        assert gm._words is None and not gm._streams and not gm.sample_counter.any()
+        build_empirical(gm, 10, truth.rewards)
         assert np.array_equal(gm._words, expected)
-        assert np.array_equal(build_empirical(member, 10, truth.rewards).transitions,
-                              emp.transitions)
-        assert_same_streams(gm, member)
+        for seed, trial_counts in zip(seeds.tolist(), counts):
+            member = GenerativeModel(truth, seed)
+            emp = build_empirical(member, 10, truth.rewards)
+            (words,), _ = gm._tables.derive(np.array([seed], dtype=np.uint64))
+            assert np.array_equal(member._words, words)
+            assert np.array_equal(emp.transitions, trial_counts / 10.0)
         one_state = GenerativeModel(make_deterministic_truth(), 5)
         build_empirical(one_state, 10, one_state.rewards)
         assert one_state._words is None
@@ -527,6 +567,68 @@ class TestStreamWords:
                 digest.update(counts.astype("<i8").tobytes())
         assert digest.hexdigest() == (
             "7f2c1b52380d0085d8d920edc4551b512e5bc7c0314b1dbd120a294c15bbc5b9")
+
+
+class TestTrialBatch:
+    """_sample_trials, the arrays empirical_error plans from, against the
+    per-model path: GenerativeModel(truth, trial seed), perturb_rewards at
+    its reward seed and build_empirical."""
+
+    @staticmethod
+    def assert_matches_per_model_path(truth, master, n, trials, xi=1e-3):
+        gm = GenerativeModel(truth, master)
+        seeds, counts, rewards, seconds = generative._sample_trials(gm, n, xi, trials)
+        assert counts.dtype == np.int64 and counts.shape == (trials, *truth.transitions.shape)
+        assert rewards.shape == (trials, *truth.rewards.shape)
+        assert seconds.shape == (trials,) and np.all(seconds >= 0)
+        assert gm._words is None and not gm._streams and not gm.sample_counter.any()
+        for trial, (seed, trial_counts, trial_r) in enumerate(
+                zip(seeds.tolist(), counts, rewards)):
+            assert seed == gm.seed_spec.trial_seed(trial)
+            model = GenerativeModel(truth, seed)
+            emp = build_empirical(model, n, perturb_rewards(
+                truth.rewards, xi, model.seed_spec.reward_seed()))
+            assert np.all(trial_counts.sum(axis=2) == n)
+            assert np.array_equal(trial_counts / float(n), emp.transitions)
+            assert np.array_equal(trial_r, emp.rewards)
+
+    @pytest.mark.parametrize("trials", [1, 10])
+    def test_matches_per_model_path(self, trials):
+        truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
+                  *(random_support_truth(7, 3, seed) for seed in range(5)),
+                  uniform_truth(200, 3), prob_tol_truth()]
+        for truth, N, master in itertools.product(truths, (1, 37, 5000),
+                                                  (0, 2**64 - 1, -1)):
+            self.assert_matches_per_model_path(truth, master, N, trials)
+
+    @pytest.mark.parametrize("trials", [1, 10])
+    def test_theory_n_matches_per_model_path(self, trials):
+        truth, N = theory_n_truth()
+        assert N > 2**33
+        self.assert_matches_per_model_path(truth, 3, N, trials)
+
+    def test_rows_match_per_row_oracle(self):
+        # rows of one support size are worked out together, each sum over
+        # its support alone: a sum over a zero-padded row of 8 or more
+        # states rounds differently
+        truths = [hard_m1(6, 3), hard_m1(14, 4), make_deterministic_truth(),
+                  uniform_truth(1, 1), uniform_truth(200, 3), prob_tol_truth(),
+                  ten_tenths_truth(),
+                  *(random_support_truth(S, 3, seed) for S in (7, 30) for seed in range(5)),
+                  *(random_mdp(2 + k % 19, 1 + k % 4, seed=k) for k in range(24))]
+        for truth in truths:
+            P = truth.transitions
+            S, A = truth.num_states, truth.num_actions
+            tables = generative._PairTables(P)
+            expected = per_row_pair_rows(P)
+            assert list(tables.rows) == list(expected)
+            for pair, (index, *arrays) in expected.items():
+                got_index, *got = tables.rows[pair]
+                assert got_index == index
+                for x, y in zip(got, arrays):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert tables.flat.tolist() == [(s * A + a) * S + t for (s, a), (_, support, _, _)
+                                            in expected.items() for t in support.tolist()]
 
 
 class TestPerturbRewards:
@@ -604,17 +706,20 @@ class TestSeedSpec:
     def test_seed_pass_matches_transition_seed(self, master):
         # the state words of every multi-state pair at once, from splitmix64
         # on uint64 arrays, are those of the per-pair derivation, in (s, a)
-        # order
+        # order, and the reward stream's those of reward_seed()
         spec = RngSeedSpec(master)
         for truth in (uniform_truth(1, 1), random_support_truth(7, 3, 0),
                       uniform_truth(200, 3)):
             tables = generative._PairTables(truth.transitions)
-            (words,) = tables.derive([spec])
+            (words,), (reward,) = tables.derive(
+                np.array([master & (2**64 - 1)], dtype=np.uint64))
             S, A = truth.num_states, truth.num_actions
             seeds = np.array([[spec.transition_seed(s, a) for a in range(A)]
                               for s in range(S)], dtype=np.uint64)
             assert words.shape == (np.count_nonzero(tables.multi), 4)
             assert np.array_equal(words, generative._seed_words(seeds)[tables.multi])
+            assert np.array_equal(reward, generative._seed_words(
+                np.array(spec.reward_seed(), dtype=np.uint64)))
 
     def test_streams_distinct_across_pairs(self):
         spec = RngSeedSpec(123)

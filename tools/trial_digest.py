@@ -62,22 +62,25 @@ def hex_digest(gaps: list[float]) -> str:
 
 
 def recorded_plans(counts, policies):
-    """Have reduction._plan, through which every sampled trial is planned,
-    append each trial's int64 counts and planned actions as bytes."""
-    import numpy as np
-    from amdp_lab import reduction
+    """Have generative._sample_trials, which draws every sampled trial of
+    empirical_error, append each trial's int64 counts as bytes, and
+    reduction._plan, through which every sampled trial is planned, each
+    trial's planned actions."""
+    from amdp_lab import generative, reduction
 
-    plan = reduction._plan
+    sample, plan = generative._sample_trials, reduction._plan
 
-    def recording(emps, gamma):
-        actions = plan(emps, gamma)
-        for emp, pi in zip(emps, actions):
-            n = emp.metadata["empirical_n"]
-            counts.update(np.rint(emp.transitions * n).astype("<i8").tobytes())
-            policies.update(pi.astype("<i8").tobytes())
+    def sampling(*args):
+        out = sample(*args)
+        counts.update(out[1].astype("<i8").tobytes())
+        return out
+
+    def planning(*args):
+        actions = plan(*args)
+        policies.update(actions.astype("<i8").tobytes())
         return actions
 
-    reduction._plan = recording
+    generative._sample_trials, reduction._plan = sampling, planning
 
 
 def pool_gaps() -> list[float]:
