@@ -109,9 +109,9 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _state_words_type() -> type:
-    """_StateWords, the seed a pair's PCG64 is built from: it hands over the
-    (4,) uint64 state words that SeedSequence would generate from the pair's
-    seed, as _seed_words worked them out.  Made on first use, because its
+    """_StateWords, the seed a stream's PCG64 is built from: it hands over
+    the (4,) uint64 state words that SeedSequence would generate from the
+    stream's seed, as _seed_words worked them out.  Made on first use, because its
     base class loads numpy.random (10 ms and 6 MB), which commands that
     never sample do not otherwise load."""
     from numpy.random.bit_generator import ISeedSequence
